@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
   SimDuration warmup = millis(500);
   SimDuration measure = seconds(2);
   if (smoke) {
-    sweep = {{1, 12, false}, {2, 6, false}, {4, 3, true}};
+    sweep = {{1, 12, false}, {1, 24, false}, {2, 6, false}, {4, 3, true}};
     threads = {1, 4};
     measure = seconds(1);
   }

@@ -583,7 +583,7 @@ void ReplicationEngine::on_deliver(const gc::Delivery& d) {
       Action a = Action::decode(r);
       // The wire payload is [type][body] where [body] is the canonical
       // Action encoding; seed the body-encode cache with those bytes so the
-      // red/green log appends this action triggers skip re-encoding it.
+      // log append this action triggers skips re-encoding it.
       enc_body_.assign(d.payload.begin() + 1, d.payload.end());
       enc_body_id_ = a.id;
       handle_action(std::move(a));
@@ -1102,11 +1102,13 @@ void ReplicationEngine::install() {
 // Coloring (A.14, CodeSegment 5.1)
 // ---------------------------------------------------------------------------
 
-void ReplicationEngine::on_newly_red(const Action& a) {
+void ReplicationEngine::on_newly_red(const Action& a, bool log_red) {
   // A.14: persist the red mark; the action is ordered, no longer at risk
   // of loss, so it leaves the ongoing queue and (§6 semantics permitting)
   // the client can be answered.
-  storage_.append_framed(static_cast<std::uint8_t>(LogRecordType::kRed), encoded_body(a));
+  if (log_red) {
+    storage_.append_framed(static_cast<std::uint8_t>(LogRecordType::kRed), encoded_body(a));
+  }
   ++stats_.actions_red;
   if (tracer_) tracer_.emit_action(obs::EventKind::kActionRed, a.id);
   if (metric_red_ != nullptr) metric_red_->inc();
@@ -1151,38 +1153,29 @@ void ReplicationEngine::mark_yellow(const Action& a) {
   }
 }
 
-void ReplicationEngine::mark_green(const Action& a) {
-  const ActionLog::GreenResult res = log_.mark_green(a);
-  for (const Action* r : res.newly_red) on_newly_red(*r);
-  if (res.position == 0) return;  // duplicate: already green
-  green_lines_[id_] = log_.green_count();
-  maybe_arm_announce();
-  append_log_green(res.position, encoded_body(a));
-  ++stats_.actions_green;
-  if (tracer_) tracer_.emit_action(obs::EventKind::kActionGreen, a.id, res.position);
-  if (metric_green_ != nullptr) metric_green_->inc();
-  if (green_latency_hist_ != nullptr) {
-    const std::uint64_t key = pack_action_id(a.id);
-    if (const SimTime* t = submit_times_.find(key)) {
-      green_latency_hist_->record((sim_.now() - *t) / 1000000);  // ns -> ms
-      submit_times_.erase(key);
-    }
-  }
-  apply_green(a);
-  maybe_compact();
-}
+void ReplicationEngine::mark_green(const Action& a) { mark_green(Action(a)); }
 
 void ReplicationEngine::mark_green(Action&& a) {
   const ActionId aid = a.id;
   const ActionLog::GreenResult res = log_.mark_green(std::move(a));
-  for (const Action* r : res.newly_red) on_newly_red(*r);
-  if (res.position == 0) return;  // duplicate: already green
+  if (res.position == 0) {  // duplicate: already green
+    for (const Action* r : res.newly_red) on_newly_red(*r);
+    return;
+  }
   // A newly-green action always has its body in the log store; the result
   // carries the stored pointer, versus the deep copy the lvalue path pays.
   const Action& g = res.body != nullptr ? *res.body : *log_.body_of(aid);
+  // An action turning red and green in one step (the regular-primary path)
+  // is logged once, as green: replaying a green record implies red. The
+  // green record goes first, so a crash, which loses a suffix of the log,
+  // never keeps the red records of successors this step unparked without
+  // the record that fills their creator-FIFO gap.
+  append_log_green(res.position, encoded_body(g));
+  const Action* self =
+      !res.newly_red.empty() && res.newly_red.front()->id == aid ? res.newly_red.front() : nullptr;
+  for (const Action* r : res.newly_red) on_newly_red(*r, /*log_red=*/r != self);
   green_lines_[id_] = log_.green_count();
   maybe_arm_announce();
-  append_log_green(res.position, encoded_body(g));
   ++stats_.actions_green;
   if (tracer_) tracer_.emit_action(obs::EventKind::kActionGreen, aid, res.position);
   if (metric_green_ != nullptr) metric_green_->inc();

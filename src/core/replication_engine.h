@@ -279,9 +279,10 @@ class ReplicationEngine {
   Action make_action(ActionType type, db::Command query, db::Command update,
                      std::int64_t client, Semantics semantics, NodeId subject);
   void persist_and_send(std::vector<Action> actions);
-  void on_newly_red(const Action& a);
-  /// Encoded body of `a`, memoized for the immediately-repeated case (the
-  /// red and green log records of one action encode the same body twice).
+  /// `log_red` false: the caller logs the action green in the same step.
+  void on_newly_red(const Action& a, bool log_red = true);
+  /// Encoded body of `a`, memoized for the immediately-repeated case (a
+  /// delivered action's wire bytes seed it for the log record that follows).
   const Bytes& encoded_body(const Action& a);
   /// Append a green log record framed in place (hot: one per green action).
   void append_log_green(std::int64_t position, const Bytes& body);

@@ -111,6 +111,12 @@ void Command::encode(BufWriter& w) const {
   });
 }
 
+std::size_t Command::wire_size() const {
+  std::size_t n = 4;  // op count
+  for (const Op& op : ops) n += 1 + 4 + op.key.size() + 4 + op.value.size() + 8;
+  return n;
+}
+
 Command Command::decode(BufReader& r) {
   Command c;
   c.ops = r.vec<Op>([](BufReader& r2) {

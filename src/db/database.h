@@ -73,6 +73,8 @@ struct Command {
 
   void encode(BufWriter& w) const;
   static Command decode(BufReader& r);
+  /// Bytes encode() writes, computed without encoding.
+  std::size_t wire_size() const;
 
   static Command put(std::string key, std::string value);
   static Command add(std::string key, std::int64_t delta);

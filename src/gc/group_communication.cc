@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 
 #include "util/log.h"
 
@@ -35,7 +36,7 @@ GroupCommunication::GroupCommunication(Network& net, NodeId id, Listener listene
       counter_floor_(initial_config_counter) {
   config_.id = ConfigId{initial_config_counter, id_};
   config_.members = {id_};
-  known_contig_.emplace_back(id_, 0);
+  reset_stability();
 
   // The shared handler hands over the refcounted wire buffer, letting the
   // delivery buffer retain ORDERED payloads without a per-member deep copy.
@@ -92,7 +93,7 @@ void GroupCommunication::on_packet(NodeId from, const std::shared_ptr<const Byte
     case MsgType::kData: handle_data(from, r); break;
     case MsgType::kOrdered: handle_ordered(r, wire); break;
     case MsgType::kAck: handle_ack(from, decode_ack(r)); break;
-    case MsgType::kStable: break;  // legacy: stability rides on ACKs now
+    case MsgType::kStable: handle_stable(decode_stable(r)); break;
     case MsgType::kInquire: handle_inquire(from, decode_inquire(r)); break;
     case MsgType::kJoinInfo: handle_join_info(from, decode_join_info(r)); break;
     case MsgType::kPlan: handle_plan(decode_plan(r)); break;
@@ -203,23 +204,53 @@ std::int64_t* GroupCommunication::known_slot(NodeId m) {
   return (it != known_contig_.end() && it->first == m) ? &it->second : nullptr;
 }
 
-std::int64_t GroupCommunication::safe_line() const {
-  if (!safe_line_dirty_) return safe_line_cache_;
-  // known_contig_ holds exactly the configuration's members (install
-  // rebuilds it), so scanning it is the same min the members loop computed.
+int GroupCommunication::clique_of(NodeId m) const {
+  const auto it = std::lower_bound(config_.members.begin(), config_.members.end(), m);
+  if (it == config_.members.end() || *it != m) return -1;
+  return static_cast<int>(clique_at(static_cast<std::size_t>(it - config_.members.begin())));
+}
+
+std::int64_t GroupCommunication::clique_min() const {
   std::int64_t line = recv_contig_;
-  for (const auto& [m, v] : known_contig_) {
-    if (m != id_) line = std::min(line, v);
-  }
-  safe_line_cache_ = line;
-  safe_line_dirty_ = false;
+  for (const auto& [m, v] : known_contig_) line = std::min(line, v);
   return line;
+}
+
+std::int64_t GroupCommunication::group_line() const {
+  std::int64_t line = clique_min();
+  for (const std::int64_t v : leader_mins_) line = std::min(line, v);
+  return line;
+}
+
+std::int64_t GroupCommunication::safe_line() const {
+  return multi_clique() ? stable_ : clique_min();
+}
+
+void GroupCommunication::reset_stability() {
+  const std::size_t n = config_.members.size();
+  const auto pos = static_cast<std::size_t>(
+      std::lower_bound(config_.members.begin(), config_.members.end(), id_) -
+      config_.members.begin());
+  const std::size_t clique = clique_at(pos);
+  clique_lo_ = clique * kClique;
+  const std::size_t hi = clique + 1 == cliques() ? n : clique_lo_ + kClique;
+  known_contig_.clear();
+  for (std::size_t i = clique_lo_; i < hi; ++i) known_contig_.emplace_back(config_.members[i], 0);
+  leader_mins_.clear();
+  if (multi_clique() && is_leader()) {
+    leader_mins_.assign(cliques(), 0);
+    // The own clique's minimum comes from direct acks; its slot never binds.
+    leader_mins_[clique] = std::numeric_limits<std::int64_t>::max();
+  }
+  stable_ = 0;
+  last_acked_value_ = -1;
+  last_min_sent_ = 0;
 }
 
 void GroupCommunication::after_contig_advance() {
   if (std::int64_t* self = known_slot(id_)) *self = recv_contig_;
-  safe_line_dirty_ = true;  // our own contribution to the min advanced
-  if (config_.members.size() > 1) schedule_ack();
+  if (config_.members.size() > 1) schedule_stream(Stream::kAck);
+  schedule_leader();
   try_deliver();
 }
 
@@ -271,46 +302,84 @@ void GroupCommunication::deliver_one(std::int64_t seq, DeliveryKind kind) {
   }
 }
 
-void GroupCommunication::schedule_ack() {
-  if (ack_scheduled_ || state_ != GcState::kOperational) return;
-  ack_scheduled_ = true;
+void GroupCommunication::schedule_stream(Stream stream) {
+  Pacer& p = pacers_[static_cast<std::size_t>(stream)];
+  if (p.scheduled || state_ != GcState::kOperational) return;
+  p.scheduled = true;
   const SimTime fire =
-      std::max(last_ack_sent_ + params_.ack_min_interval, sim_.now() + params_.ack_coalesce);
+      std::max(p.last_sent + params_.ack_min_interval, sim_.now() + params_.ack_coalesce);
   const ConfigId cfg = config_.id;
-  schedule(fire - sim_.now(), [this, cfg] {
-    ack_scheduled_ = false;
+  schedule(fire - sim_.now(), [this, cfg, stream] {
+    Pacer& q = pacers_[static_cast<std::size_t>(stream)];
+    q.scheduled = false;
     if (state_ != GcState::kOperational || !(config_.id == cfg)) return;
-    if (recv_contig_ == last_acked_value_) return;
-    last_ack_sent_ = sim_.now();
-    last_acked_value_ = recv_contig_;
-    // Acknowledgements go to every member directly (one hardware
-    // multicast), so safe delivery costs three one-way hops (DATA, ORDERED,
-    // ACK) rather than four — the difference matters on wide-area links.
-    Bytes wire = encode(AckMsg{config_.id, recv_contig_});
-    std::vector<NodeId> others;
-    for (NodeId m : config_.members) {
-      if (m != id_) others.push_back(m);
-    }
-    send_all(others, std::move(wire));
+    if (send_stream(stream)) q.last_sent = sim_.now();
   });
 }
 
-void GroupCommunication::handle_ack(NodeId from, const AckMsg& msg) {
-  if (state_ != GcState::kOperational || msg.config != config_.id) return;
-  std::int64_t* slot = known_slot(from);
-  if (slot == nullptr) {
-    // Config-id match implies membership, but stay defensive: track the
-    // sender exactly as the map's operator[] used to.
-    known_contig_.insert(std::upper_bound(known_contig_.begin(), known_contig_.end(),
-                                          std::pair<NodeId, std::int64_t>{from, 0}),
-                         {from, 0});
-    slot = known_slot(from);
+bool GroupCommunication::send_stream(Stream stream) {
+  std::int64_t value = 0;
+  std::int64_t* last = nullptr;
+  switch (stream) {
+    case Stream::kAck: value = recv_contig_; last = &last_acked_value_; break;
+    case Stream::kCliqueMin: value = clique_min(); last = &last_min_sent_; break;
+    case Stream::kStable: value = group_line(); last = &stable_; break;
   }
-  std::int64_t& known = *slot;
-  if (msg.recv_contig <= known) return;
-  // The min over members can only move if the advancing member was at it.
-  if (known <= safe_line_cache_) safe_line_dirty_ = true;
-  known = msg.recv_contig;
+  if (value == *last) return false;
+  *last = value;
+  std::vector<NodeId> to;
+  if (stream == Stream::kCliqueMin) {
+    for (std::size_t c = 0; c < cliques(); ++c) {
+      if (c * kClique != clique_lo_) to.push_back(config_.members[c * kClique]);
+    }
+  } else {
+    // Acknowledgements go to the clique mates directly (one hardware
+    // multicast), so safe delivery in a single-clique group costs three
+    // one-way hops (DATA, ORDERED, ACK) rather than four — the difference
+    // matters on wide-area links.
+    for (const auto& [m, v] : known_contig_) {
+      if (m != id_) to.push_back(m);
+    }
+  }
+  send_all(to, stream == Stream::kStable ? encode(StableMsg{config_.id, value})
+                                         : encode(AckMsg{config_.id, value}));
+  // A leader delivers up to the line it has published, no further, so its
+  // clique mates deliver in step with it even if it leaves right after.
+  if (stream == Stream::kStable) try_deliver();
+  return true;
+}
+
+void GroupCommunication::schedule_leader() {
+  if (!multi_clique() || !is_leader()) return;
+  schedule_stream(Stream::kCliqueMin);
+  schedule_stream(Stream::kStable);
+}
+
+void GroupCommunication::handle_ack(NodeId from, const AckMsg& msg) {
+  ++stats_.stability_received;
+  if (state_ != GcState::kOperational || msg.config != config_.id) return;
+  if (std::int64_t* known = known_slot(from)) {
+    if (msg.recv_contig <= *known) return;
+    *known = msg.recv_contig;  // a clique mate's contiguous prefix
+  } else {
+    // Only another clique's leader acks across cliques, with its minimum;
+    // leader_mins_ is non-empty exactly at the leaders of a multi-clique group.
+    const int c = clique_of(from);
+    if (leader_mins_.empty() || c < 0) return;
+    std::int64_t& reported = leader_mins_[static_cast<std::size_t>(c)];
+    if (msg.recv_contig <= reported) return;
+    reported = msg.recv_contig;
+  }
+  // A leader forwards a moved clique minimum or group line.
+  schedule_leader();
+  try_deliver();
+}
+
+void GroupCommunication::handle_stable(const StableMsg& msg) {
+  ++stats_.stability_received;
+  if (state_ != GcState::kOperational || msg.config != config_.id) return;
+  if (msg.safe_line <= stable_) return;
+  stable_ = msg.safe_line;
   try_deliver();
 }
 
@@ -390,14 +459,25 @@ JoinInfoMsg GroupCommunication::make_join_info(const GatherToken& token) const {
   info.old_members = config_.members;
   info.recv_contig = recv_contig_;
   info.delivered_upto = delivered_upto_;
+  // Per old member, the best lower bound on its contiguous prefix: its
+  // direct ack (clique mates), its leader's reported clique minimum (other
+  // cliques, leaders only) or the group-wide stable line. Each bounds the
+  // member's real prefix from below, and together they cover this node's
+  // safe line, so the plan's safe line covers every safe-in-regular
+  // delivery of every participant.
   info.known_contig.reserve(config_.members.size());
   for (NodeId m : config_.members) {
     if (m == id_) {
       info.known_contig.push_back(recv_contig_);
-    } else {
-      const std::int64_t* v = const_cast<GroupCommunication*>(this)->known_slot(m);
-      info.known_contig.push_back(v == nullptr ? 0 : *v);
+      continue;
     }
+    std::int64_t v = stable_;
+    if (const std::int64_t* direct = const_cast<GroupCommunication*>(this)->known_slot(m)) {
+      v = std::max(v, *direct);
+    } else if (!leader_mins_.empty()) {
+      v = std::max(v, leader_mins_[static_cast<std::size_t>(clique_of(m))]);
+    }
+    info.known_contig.push_back(v);
   }
   info.max_config_counter = counter_floor_;
   return info;
@@ -631,14 +711,10 @@ void GroupCommunication::run_install() {
   recv_contig_ = 0;
   delivered_upto_ = 0;
   buffer_.clear();
-  known_contig_.clear();
-  known_contig_.reserve(config_.members.size());
-  for (NodeId m : config_.members) known_contig_.emplace_back(m, 0);
-  safe_line_dirty_ = true;
-  last_acked_value_ = -1;
+  reset_stability();
   // Pacing timers armed in the old configuration will no-op on config
   // mismatch; clear the flags so the new configuration can arm its own.
-  ack_scheduled_ = false;
+  for (Pacer& p : pacers_) p.scheduled = false;
   state_ = GcState::kOperational;
   committed_.reset();
   plan_.reset();

@@ -5,10 +5,24 @@
 //
 //   data path     : senders forward payloads to the configuration's
 //                   *sequencer* (lowest member id), which assigns the global
-//                   sequence and multicasts ORDERED messages. Members
-//                   multicast coalesced acknowledgements of their contiguous
-//                   prefix to the whole group; a message is delivered *safe*
-//                   once every member's ack covers it.
+//                   sequence and multicasts ORDERED messages. A message is
+//                   delivered *safe* once every member is known to hold it.
+//   stability     : two levels. The sorted members form *cliques* of
+//                   kClique consecutive ids, the last one also taking the
+//                   remainder; members multicast coalesced ACKs of their
+//                   contiguous prefix to their clique mates only. Each
+//                   clique's first member, its *leader*, sends the clique
+//                   minimum to the other leaders (as an ACK) and the
+//                   resulting group-wide safe line to its clique mates
+//                   (STABLE); the whole clique, leader included, delivers up
+//                   to the line so published. A group of fewer than
+//                   2 * kClique members is one clique: plain all-to-all
+//                   ACKs, no leader tier. At 48 members a member receives 8
+//                   stability messages per ack interval (a leader 12)
+//                   instead of 47. The flush works on lower bounds:
+//                   JOIN_INFO reports, per old member, the best of its
+//                   direct ACK, its leader's clique minimum and the stable
+//                   line (DESIGN.md §16).
 //   membership    : on any reachability change a flush protocol runs: the
 //     (flush)       lowest reachable node INQUIREs, members reply JOIN_INFO
 //                   (what they hold and what they know others received), the
@@ -35,6 +49,8 @@
 // redCut de-duplicates cross-component reorderings).
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -70,6 +86,7 @@ struct GcStats {
   std::uint64_t gathers_started = 0;
   std::uint64_t retransmissions = 0;
   std::uint64_t resent_after_install = 0;
+  std::uint64_t stability_received = 0;  ///< ACK and STABLE messages received
 };
 
 class GroupCommunication {
@@ -140,14 +157,40 @@ class GroupCommunication {
   void handle_data(NodeId from, BufReader& r);
   void handle_ordered(BufReader& r, const std::shared_ptr<const Bytes>& wire);
   void handle_ack(NodeId from, const AckMsg& msg);
+  void handle_stable(const StableMsg& msg);
   void store_ordered(OrderedMsg&& msg);
   void store_buffered(std::int64_t seq, BufferedMsg&& m);
   void try_deliver();
   void deliver_one(std::int64_t seq, DeliveryKind kind);
   void emit_config(const Configuration& c);
+  std::int64_t clique_min() const;
+  /// Leaders: min of the own clique's minimum and the other leaders' reports.
+  std::int64_t group_line() const;
   std::int64_t safe_line() const;
   void after_contig_advance();
-  void schedule_ack();
+  /// The three stability streams a member may send, each paced on its own.
+  enum class Stream : std::uint8_t {
+    kAck,        ///< own contiguous prefix to the clique mates
+    kCliqueMin,  ///< leader: clique minimum to the other leaders
+    kStable,     ///< leader: group-wide safe line to the clique mates
+  };
+  void schedule_stream(Stream stream);
+  /// Send `stream`'s value if it moved since its last send; false if not.
+  bool send_stream(Stream stream);
+  /// Multi-clique leaders: arm the clique-minimum and stable streams.
+  void schedule_leader();
+  void reset_stability();
+  /// Clique index of config member `m`, or -1 when `m` is not a member.
+  int clique_of(NodeId m) const;
+  /// Clique index of the member at sorted position `pos`.
+  std::size_t clique_at(std::size_t pos) const { return std::min(pos / kClique, cliques() - 1); }
+  bool is_leader() const { return config_.members[clique_lo_] == id_; }
+  /// floor(n / kClique) cliques, at least one; the last also takes the
+  /// remainder, so every clique has kClique to 2 * kClique - 1 members.
+  std::size_t cliques() const {
+    return std::max<std::size_t>(1, config_.members.size() / kClique);
+  }
+  bool multi_clique() const { return cliques() > 1; }
   void send_data(const OutEntry& entry);
   bool is_sequencer() const { return !config_.members.empty() && config_.members.front() == id_; }
 
@@ -191,24 +234,34 @@ class GroupCommunication {
   std::int64_t buffer_base_ = 0;  ///< seq of buffer_[0]; meaningless when empty
   BufferedMsg* buffered(std::int64_t seq);  ///< slot for seq, or nullptr
   void buffer_put(std::int64_t seq, BufferedMsg m);
-  /// Per-member ack knowledge, sorted by member id (mirrors config members).
-  /// Flat storage: probed on every ack and scanned by safe_line(), the two
-  /// hottest paths in the layer.
+  /// Clique size of the stability tier. K + n/K receipts per member are
+  /// fewest near K = sqrt(n), which is 8 for groups of up to 64 members.
+  /// Groups below 2K stay one clique: a second, smaller clique would save
+  /// few receipts and cost every safe delivery two more paced hops.
+  static constexpr std::size_t kClique = 8;
+  /// Own clique: config_.members[clique_lo_, clique_lo_ + known_contig_.size()).
+  std::size_t clique_lo_ = 0;
+  /// Direct ack knowledge of the own clique's members, sorted by member id.
+  /// Flat storage: probed on every ack and scanned by clique_min().
   std::vector<std::pair<NodeId, std::int64_t>> known_contig_;
   std::int64_t* known_slot(NodeId m);  ///< value for m, or nullptr
-  /// Memoized safe_line(). Contig knowledge only advances within a
-  /// configuration, so the min over members is stable unless the member
-  /// holding it advances; try_deliver() runs on every ACK, which made the
-  /// full O(members) min scan the simulation's hottest function at 100
-  /// replicas.
-  mutable std::int64_t safe_line_cache_ = 0;
-  mutable bool safe_line_dirty_ = true;
+  /// Leaders only: the clique minimum each other clique's leader reported,
+  /// by clique index (the own clique's slot is pinned to the maximum).
+  std::vector<std::int64_t> leader_mins_;
+  /// Multi-clique groups: the group-wide safe line as the own leader last
+  /// published it on the stable stream (a leader records its own sends).
+  std::int64_t stable_ = 0;
   std::int64_t counter_floor_ = 0;
 
-  // Ack / stability pacing.
-  bool ack_scheduled_ = false;
-  SimTime last_ack_sent_ = -1'000'000'000;
+  // Stability pacing: a stream fires ack_coalesce after the change that
+  // armed it, and at most once per ack_min_interval.
+  struct Pacer {
+    bool scheduled = false;
+    SimTime last_sent = -1'000'000'000;
+  };
+  std::array<Pacer, 3> pacers_;  ///< indexed by Stream
   std::int64_t last_acked_value_ = -1;
+  std::int64_t last_min_sent_ = 0;     ///< leader: clique minimum to leaders
 
   // Local multicasts not yet self-delivered (resent on config change).
   std::deque<OutEntry> outbox_;

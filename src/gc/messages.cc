@@ -123,14 +123,14 @@ AckMsg decode_ack(BufReader& r) {
 Bytes encode(const StableMsg& m) {
   return encode_message(MsgType::kStable, [&](BufWriter& w) {
     w.config_id(m.config);
-    write_i64_vec(w, m.member_contig);
+    w.i64(m.safe_line);
   });
 }
 
 StableMsg decode_stable(BufReader& r) {
   StableMsg m;
   m.config = r.config_id();
-  m.member_contig = read_i64_vec(r);
+  m.safe_line = r.i64();
   return m;
 }
 

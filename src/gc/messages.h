@@ -1,7 +1,8 @@
 // Wire messages of the group-communication protocol.
 //
 // Data path: DATA (sender -> sequencer), ORDERED (sequencer -> members),
-// ACK (member -> sequencer), STABLE (sequencer -> members).
+// ACK (member -> its clique mates, and clique leader -> the other leaders),
+// STABLE (clique leader -> its clique mates).
 //
 // Membership path (flush protocol): INQUIRE (coordinator -> members),
 // JOIN_INFO (member -> coordinator), PLAN (coordinator -> members),
@@ -61,14 +62,14 @@ struct OrderedMsg {
 
 struct AckMsg {
   ConfigId config;
-  std::int64_t recv_contig = 0;  ///< highest contiguous seq received
+  /// From a clique mate: the highest contiguous seq it received. From
+  /// another clique's leader: the minimum of that over its clique.
+  std::int64_t recv_contig = 0;
 };
 
 struct StableMsg {
   ConfigId config;
-  /// Per-member highest contiguous seq, aligned with the configuration's
-  /// member list. min() of this vector is the safe line.
-  std::vector<std::int64_t> member_contig;
+  std::int64_t safe_line = 0;  ///< every member of the group received up to here
 };
 
 struct InquireMsg {

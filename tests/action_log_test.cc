@@ -198,6 +198,33 @@ TEST(ActionLog, ResetAndReplayFromRecovery) {
   EXPECT_TRUE(log.is_green(ActionId{1, 8}));
 }
 
+// wire_size() is counted, not encoded: it must match encode() byte for byte,
+// since the body-store accounting and the network cost model both use it.
+TEST(ActionLog, WireSizeEqualsEncodedSize) {
+  auto encoded = [](const Action& a) {
+    BufWriter w;
+    a.encode(w);
+    return w.data().size();
+  };
+  Action empty;
+  EXPECT_EQ(empty.wire_size(), encoded(empty));
+
+  Action padded = mk(3, 4);
+  padded.padding = 110;
+  EXPECT_EQ(padded.wire_size(), encoded(padded));
+
+  Action multi;
+  multi.type = ActionType::kPersistentJoin;
+  multi.id = ActionId{7, 12};
+  multi.subject = 9;
+  multi.semantics = Semantics::kCommutative;
+  multi.query = db::Command::get("q");
+  multi.update = db::Command::checked_put("key", "expected", std::string(300, 'v'));
+  multi.update.ops.push_back(db::Command::add("", -5).ops.front());
+  multi.padding = 17;
+  EXPECT_EQ(multi.wire_size(), encoded(multi));
+}
+
 // --- batched persist+multicast determinism ---------------------------------
 
 using workload::ClusterOptions;

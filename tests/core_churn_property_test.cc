@@ -26,6 +26,9 @@ struct Scenario {
   int base_nodes;
   int steps;
   int max_joins;
+  /// Half of the crashes hit the first member of a gc clique among the
+  /// running members (a stability leader; the first is also the sequencer).
+  bool leader_crashes = false;
 };
 
 class ChurnSchedule : public ::testing::TestWithParam<Scenario> {};
@@ -79,7 +82,11 @@ TEST_P(ChurnSchedule, DynamicSafetyAndLiveness) {
     } else if (what == 7) {
       c.heal();
     } else if (what == 8 && members.size() > 2) {
-      const NodeId victim = members[rng.next_below(members.size())];
+      std::size_t at = rng.next_below(members.size());
+      if (sc.leader_crashes && rng.chance(0.5)) {
+        at = std::min(at / 8, std::max<std::size_t>(1, members.size() / 8) - 1) * 8;
+      }
+      const NodeId victim = members[at];
       c.crash(victim);
       down.insert(victim);
     } else if (what == 9 && !down.empty()) {
@@ -136,6 +143,9 @@ std::vector<Scenario> scenarios() {
   for (std::uint64_t s = 101; s <= 124; ++s) v.push_back({s, 5, 35, 2});
   for (std::uint64_t s = 201; s <= 214; ++s) v.push_back({s, 7, 30, 3});
   for (std::uint64_t s = 301; s <= 306; ++s) v.push_back({s, 9, 40, 3});
+  // Multi-clique gc groups: partitions cut across cliques, leaders crash.
+  for (std::uint64_t s = 401; s <= 404; ++s) v.push_back({s, 17, 40, 3, true});
+  for (std::uint64_t s = 501; s <= 504; ++s) v.push_back({s, 24, 40, 3, true});
   return v;
 }
 

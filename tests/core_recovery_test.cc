@@ -6,6 +6,7 @@
 #include "obs_enable.h"  // run every cluster under the online safety checker
 #include "core/replication_engine.h"
 #include "db/database.h"
+#include "workload/cluster.h"
 
 namespace tordb::core {
 namespace {
@@ -174,6 +175,66 @@ TEST_F(RecoveryTest, GreenLeaveRecordShrinksServerSetAndVotes) {
   auto e = recover();
   EXPECT_EQ(e->server_set(), (std::vector<NodeId>{0, 1}));
   EXPECT_EQ(e->prim_component().servers, (std::vector<NodeId>{0, 1}));
+}
+
+TEST_F(RecoveryTest, GreenRecordBeforeUnparkedSuccessorsRebuildsRedChain) {
+  // The regular-primary layout: an action turning red and green in one step
+  // is logged only green, ahead of the successors that step unparked. The
+  // replayed green record fills their creator-FIFO gap, so they come back
+  // red exactly as under the older red-then-green layout.
+  const Action a = make_action(1, 1, db::Command::put("k", "a"));
+  const Action b = make_action(1, 2, db::Command::append("k", "b"));
+  const Action c = make_action(1, 3, db::Command::append("k", "c"));
+  storage_.append(encode_log_green(1, a));
+  storage_.append(encode_log_red(b));
+  storage_.append(encode_log_red(c));
+  force_all();
+  auto e = recover();
+  EXPECT_EQ(e->green_count(), 1);
+  EXPECT_EQ(e->red_count(), 2u);
+  EXPECT_EQ(e->database().get("k"), "a");
+  EXPECT_EQ(e->dirty_database().get("k"), "abc");
+}
+
+TEST(RecoveryLog, RegularPrimaryLogsEachBodyOnceAndRecoversEquivalently) {
+  workload::ClusterOptions o;
+  o.replicas = 3;
+  o.seed = 5;
+  workload::EngineCluster c(o);
+  c.run_for(seconds(1));
+  auto count = [&](NodeId n, LogRecordType type) {
+    std::size_t k = 0;
+    for (const Bytes& rec : c.node(n).storage().recover_records()) {
+      if (static_cast<LogRecordType>(rec.at(0)) == type) ++k;
+    }
+    return k;
+  };
+  const std::size_t reds_before = count(1, LogRecordType::kRed);
+  const std::size_t greens_before = count(1, LogRecordType::kGreen);
+  const std::int64_t green_before = c.engine(1).green_count();
+  for (int i = 0; i < 40; ++i) {
+    const NodeId n = static_cast<NodeId>(i % 3);
+    c.engine(n).submit({}, db::Command::add("n" + std::to_string(i % 5), i), n,
+                       Semantics::kStrict, nullptr);
+    c.run_for(millis(2));
+  }
+  c.run_for(seconds(1));
+  c.node(1).storage().sync([] {});  // green records are appended unforced
+  c.run_for(millis(20));
+  const std::int64_t greened = c.engine(1).green_count() - green_before;
+  ASSERT_EQ(greened, 40);
+  // One green record per action and no red record beside it.
+  EXPECT_EQ(count(1, LogRecordType::kGreen) - greens_before, 40u);
+  EXPECT_EQ(count(1, LogRecordType::kRed), reds_before);
+
+  c.crash(1);
+  c.run_for(millis(100));
+  c.recover(1);
+  c.run_for(seconds(2));
+  EXPECT_TRUE(c.converged_primary({0, 1, 2}));
+  EXPECT_EQ(c.engine(1).green_count(), c.engine(0).green_count());
+  EXPECT_EQ(c.engine(1).db_digest(), c.engine(0).db_digest());
+  EXPECT_EQ(c.check_all(), std::nullopt);
 }
 
 TEST_F(RecoveryTest, VolatileTailIsInvisible) {

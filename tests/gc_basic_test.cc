@@ -195,5 +195,45 @@ TEST(GcBasic, StatsDeliveriesMatchRecords) {
   EXPECT_EQ(c.gc(2).stats().deliveries, c.record(2).deliveries.size());
 }
 
+// Two-level stability: in a 48-member group (six cliques of eight) each
+// sender paces each of its stability streams to one message per ack
+// interval, so a member receives at most (clique - 1) acks from its mates,
+// (leaders - 1) clique minimums if it leads a clique, and one stable line
+// per interval; all-to-all acks would be 47.
+TEST(GcBasic, StabilityReceiptsPerIntervalAreBoundedInWideGroups) {
+  constexpr int kNodes = 48;
+  constexpr std::uint64_t kPerInterval = (8 - 1) + (6 - 1) + 1;
+  GcCluster c(kNodes);
+  c.run_for(seconds(2));
+  std::vector<NodeId> all;
+  for (NodeId i = 0; i < kNodes; ++i) all.push_back(i);
+  ASSERT_TRUE(c.converged(all));
+
+  std::vector<std::uint64_t> before;
+  for (NodeId i = 0; i < kNodes; ++i) before.push_back(c.gc(i).stats().stability_received);
+  const SimDuration interval = GcParams{}.ack_min_interval;
+  const SimDuration window = millis(300);
+  std::int64_t k = 0;
+  for (SimDuration t = 0; t < window; t += micros(250)) {
+    ++k;
+    c.multicast(static_cast<NodeId>(k % kNodes), k);
+    c.run_for(micros(250));
+  }
+  // Every message became safe everywhere, so the streams really flowed.
+  c.run_for(millis(100));
+  for (NodeId i = 0; i < kNodes; ++i) {
+    ASSERT_EQ(c.record(i).deliveries.size(), static_cast<std::size_t>(k)) << "node " << i;
+  }
+  // +2 intervals: the window's edges may each catch one extra send.
+  const std::uint64_t intervals = static_cast<std::uint64_t>((window + millis(100)) / interval) + 2;
+  for (NodeId i = 0; i < kNodes; ++i) {
+    const std::uint64_t got = c.gc(i).stats().stability_received - before[static_cast<std::size_t>(i)];
+    const bool leader = i % 8 == 0;
+    EXPECT_LE(got, (leader ? kPerInterval : 8u) * intervals) << "node " << i;
+    EXPECT_GT(got, 0u) << "node " << i;
+  }
+  c.check_all_invariants();
+}
+
 }  // namespace
 }  // namespace tordb::gc

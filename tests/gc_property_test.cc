@@ -17,6 +17,10 @@ struct Scenario {
   std::uint64_t seed;
   int nodes;
   bool crashes;
+  /// Half of the crashes hit a node that leads a clique of the full group
+  /// (ids 0, 8, 16, ... below the last clique's start; node 0 is also the
+  /// sequencer).
+  bool leader_crashes = false;
 };
 
 class GcRandomSchedule : public ::testing::TestWithParam<Scenario> {};
@@ -57,7 +61,8 @@ TEST_P(GcRandomSchedule, InvariantsHoldAndConverge) {
     } else if (what == 7) {
       c.net().heal();
     } else if (sc.crashes && what == 8 && down.size() + 1 < static_cast<std::size_t>(sc.nodes)) {
-      const NodeId n = static_cast<NodeId>(rng.next_below(static_cast<std::uint64_t>(sc.nodes)));
+      NodeId n = static_cast<NodeId>(rng.next_below(static_cast<std::uint64_t>(sc.nodes)));
+      if (sc.leader_crashes && rng.chance(0.5)) n = std::min(n / 8, sc.nodes / 8 - 1) * 8;
       if (!down.count(n)) {
         c.crash(n);
         down.insert(n);
@@ -85,6 +90,10 @@ std::vector<Scenario> scenarios() {
   for (std::uint64_t seed = 21; seed <= 44; ++seed) v.push_back({seed, 6, true});
   for (std::uint64_t seed = 45; seed <= 60; ++seed) v.push_back({seed, 9, true});
   for (std::uint64_t seed = 61; seed <= 68; ++seed) v.push_back({seed, 14, true});
+  // Multi-clique groups (cliques of 8 and 9 at 17, three of 8 at 24):
+  // partitions cut across cliques, leaders crash.
+  for (std::uint64_t seed = 69; seed <= 76; ++seed) v.push_back({seed, 17, true, true});
+  for (std::uint64_t seed = 77; seed <= 84; ++seed) v.push_back({seed, 24, true, true});
   return v;
 }
 

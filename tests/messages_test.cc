@@ -44,6 +44,25 @@ TEST(GcMessages, OrderedRoundTrip) {
   EXPECT_EQ(back.service, gc::Service::kAgreed);
 }
 
+TEST(GcMessages, AckAndStableRoundTrip) {
+  const ConfigId cfg{7, 3};
+  Bytes wire = gc::encode(gc::AckMsg{cfg, 41});
+  EXPECT_EQ(gc::peek_type(wire), gc::MsgType::kAck);
+  BufReader ra(wire);
+  ra.u8();
+  const gc::AckMsg ack = gc::decode_ack(ra);
+  EXPECT_EQ(ack.config, cfg);
+  EXPECT_EQ(ack.recv_contig, 41);
+
+  wire = gc::encode(gc::StableMsg{cfg, 40});
+  EXPECT_EQ(gc::peek_type(wire), gc::MsgType::kStable);
+  BufReader rs(wire);
+  rs.u8();
+  const gc::StableMsg stable = gc::decode_stable(rs);
+  EXPECT_EQ(stable.config, cfg);
+  EXPECT_EQ(stable.safe_line, 40);
+}
+
 TEST(GcMessages, PlanRoundTrip) {
   gc::PlanMsg m;
   m.token = gc::GatherToken{2, 8};

@@ -149,41 +149,71 @@ std::uint64_t sharded_churn_digest(bool with_checker) {
 
 // ---------------------------------------------------------------------------
 // Scenario 2: single-group EVS churn — the paper's deployment shape, no
-// router; partitions and crash/recovery against 7 replicas.
+// router; partitions and crash/recovery against one group. The 7-replica
+// group is a single gc clique; the 24-replica one has three, so stability
+// runs through the leader tier while partitions cut across cliques (leaving
+// two-clique components of 20 and 16) and crashes hit a clique leader (8)
+// and the sequencer (0, clique 0's leader).
 // ---------------------------------------------------------------------------
 
-std::uint64_t single_group_churn_digest() {
+using ChurnStep = std::function<void(EngineCluster&, int step)>;
+
+std::uint64_t single_group_churn_digest(int replicas, std::uint64_t seed, std::uint64_t h,
+                                        const ChurnStep& churn) {
   ClusterOptions o;
-  o.replicas = 7;
-  o.seed = 0xe5e5e5;
+  o.replicas = replicas;
+  o.seed = seed;
   EngineCluster c(o);
   c.run_for(seconds(2));
 
   Rng rng(o.seed);
   for (int step = 0; step < 40; ++step) {
-    const NodeId n = static_cast<NodeId>(rng.next_below(7));
+    const NodeId n = static_cast<NodeId>(rng.next_below(static_cast<std::uint64_t>(replicas)));
     if (c.node(n).running()) {
       c.engine(n).submit({}, db::Command::add("k" + std::to_string(step % 5), 1), n,
                          core::Semantics::kStrict, nullptr);
     }
-    if (step == 10) c.partition({{0, 1, 2, 3}, {4, 5, 6}});
-    if (step == 18) c.heal();
-    if (step == 24) c.crash(2);
-    if (step == 30) c.partition({{0, 1, 3}, {2, 4, 5, 6}});
-    if (step == 34) c.heal();
-    if (step == 36) c.recover(2);
+    churn(c, step);
     c.run_for(millis(static_cast<std::int64_t>(rng.next_range(20, 150))));
   }
   c.run_for(seconds(6));
 
   EXPECT_EQ(c.check_all(), std::nullopt);
 
-  std::uint64_t h = 0x190;
-  for (NodeId i = 0; i < 7; ++i) {
+  for (NodeId i = 0; i < replicas; ++i) {
     h = mix(h, c.node(i).running() ? 1 : 0);
     if (c.node(i).running()) h = fold_engine(h, c.engine(i));
   }
   return fold_net(h, c.net().stats(), c.sim().now());
+}
+
+std::uint64_t single_group_churn_digest() {
+  return single_group_churn_digest(7, 0xe5e5e5, 0x190, [](EngineCluster& c, int step) {
+    if (step == 10) c.partition({{0, 1, 2, 3}, {4, 5, 6}});
+    if (step == 18) c.heal();
+    if (step == 24) c.crash(2);
+    if (step == 30) c.partition({{0, 1, 3}, {2, 4, 5, 6}});
+    if (step == 34) c.heal();
+    if (step == 36) c.recover(2);
+  });
+}
+
+std::uint64_t wide_group_churn_digest() {
+  auto range = [](NodeId lo, NodeId hi) {
+    std::vector<NodeId> v;
+    for (NodeId i = lo; i < hi; ++i) v.push_back(i);
+    return v;
+  };
+  return single_group_churn_digest(24, 0x24c11, 0x24, [&](EngineCluster& c, int step) {
+    if (step == 8) c.partition({range(0, 20), range(20, 24)});  // splits clique 2
+    if (step == 14) c.heal();
+    if (step == 18) c.crash(8);
+    if (step == 24) c.crash(0);
+    if (step == 28) c.partition({range(0, 5), range(5, 21), range(21, 24)});
+    if (step == 33) c.heal();
+    if (step == 35) c.recover(0);
+    if (step == 37) c.recover(8);
+  });
 }
 
 // Golden digests pin the exact virtual-time trajectory; any change to
@@ -193,6 +223,8 @@ std::uint64_t single_group_churn_digest() {
 // changed exchange outcomes — both alter virtual time by design.
 constexpr std::uint64_t kShardedChurnGolden = 11526380015569540437ULL;
 constexpr std::uint64_t kSingleGroupChurnGolden = 4180164059539588840ULL;
+// Recorded with two-level gc stability (DESIGN.md §16).
+constexpr std::uint64_t kWideGroupChurnGolden = 8944459865319902815ULL;
 
 TEST(SimDigest, ShardedChurnMatchesGolden) {
   EXPECT_EQ(sharded_churn_digest(false), kShardedChurnGolden);
@@ -208,6 +240,10 @@ TEST(SimDigest, CheckerDoesNotPerturbVirtualTime) {
 
 TEST(SimDigest, SingleGroupChurnMatchesGolden) {
   EXPECT_EQ(single_group_churn_digest(), kSingleGroupChurnGolden);
+}
+
+TEST(SimDigest, WideGroupChurnMatchesGolden) {
+  EXPECT_EQ(wide_group_churn_digest(), kWideGroupChurnGolden);
 }
 
 // ---------------------------------------------------------------------------
