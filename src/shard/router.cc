@@ -169,19 +169,8 @@ void Router::route(std::int64_t client, db::Command update, RouteReplyFn reply, 
     }
   }
   if (has_check) {
-    if (cross_check_handler_) {
-      ++stats_.txn_handoffs;
-      cross_check_handler_(client, std::move(update), std::move(reply));
-      return;
-    }
-    ++stats_.rejected_cross_checks;
-    ++stats_.aborted;
-    if (reply) {
-      RouteReply out;
-      out.committed = false;
-      out.shards_involved = static_cast<int>(shards.size());
-      reply(out);
-    }
+    ++stats_.txn_handoffs;
+    cross_check_handler_(client, std::move(update), std::move(reply));
     return;
   }
   if (cross_hold_ > 0) {

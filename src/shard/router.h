@@ -26,12 +26,11 @@
 // every involved shard exactly once, or — when rejected up front — at none.
 // Cross-shard commands carrying user kCheck ops (a per-shard check cannot be
 // evaluated atomically across independent green orders) are handed to the
-// deployment's prepared-check transaction coordinator when one is wired
+// deployment's prepared-check transaction coordinator
 // (set_cross_check_handler; src/txn, DESIGN.md §13), which buffers each
 // shard's updates behind a prepare marker and confirms or cancels them
-// identically everywhere; without a coordinator they keep the legacy
-// up-front rejection. Genuinely unroutable mixes (range administration or
-// raw txn markers spanning shards) abort with a precise `unsupported_mix`
+// identically everywhere. Genuinely unroutable mixes (range administration
+// or raw txn markers spanning shards) abort with a precise `unsupported_mix`
 // error. Within one shard the effects are atomic and 1SR as in the paper; a
 // reader consulting two shards between the first and last green may observe
 // the action partially applied — unless it goes through the coordinator's
@@ -105,7 +104,6 @@ struct RouterStats {
   std::uint64_t committed = 0;
   std::uint64_t aborted = 0;
   std::uint64_t aborted_checks = 0;         ///< aborts whose cause was a failed kCheck
-  std::uint64_t rejected_cross_checks = 0;  ///< cross-shard kCheck with no coordinator wired
   std::uint64_t rejected_unsupported = 0;   ///< genuinely unroutable op mix (unsupported_mix)
   std::uint64_t txn_handoffs = 0;           ///< cross-shard kCheck commands handed to the coordinator
   std::uint64_t failovers = 0;              ///< sub-requests needing > 1 attempt
@@ -145,7 +143,7 @@ class Router {
 
   /// Handler for cross-shard commands carrying user kCheck preconditions:
   /// the deployment wires this to txn::TxnCoordinator::submit (DESIGN.md
-  /// §13). Unset, such commands keep the legacy up-front rejection.
+  /// §13) before the first submit.
   using CrossCheckHandler = std::function<void(std::int64_t client, db::Command, RouteReplyFn)>;
   void set_cross_check_handler(CrossCheckHandler handler) {
     cross_check_handler_ = std::move(handler);

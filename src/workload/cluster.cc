@@ -1,12 +1,26 @@
 #include "workload/cluster.h"
 
+#include <algorithm>
 #include <map>
 #include <sstream>
+#include <stdexcept>
+#include <utility>
 
 namespace tordb::workload {
 
 EngineCluster::EngineCluster(ClusterOptions options)
-    : options_(std::move(options)), sim_(options_.seed), net_(sim_, options_.net) {
+    : EngineCluster(std::move(options), 1, Lanes{}) {}
+
+EngineCluster::EngineCluster(ClusterOptions options, int groups, Lanes lanes)
+    : options_(std::move(options)),
+      groups_(groups),
+      sim_(options_.seed),
+      net_(sim_, options_.net) {
+  // Partition the simulator into lanes BEFORE anything is scheduled and
+  // before the trace bus exists (the bus sizes its per-lane buffers and
+  // installs the barrier hook at construction).
+  if (lanes.threads > 0) sim_.enable_lanes(groups_ + 1, lanes.threads, lanes.handoff);
+
   const bool check = options_.obs.check || obs::check_forced();
   if (options_.obs.trace || check) {
     obs::TraceBusOptions bus_opts;
@@ -24,12 +38,55 @@ EngineCluster::EngineCluster(ClusterOptions options)
     metrics_ = std::make_shared<obs::MetricsRegistry>();
     options_.node.engine.metrics = metrics_;
   }
-  std::vector<NodeId> all;
-  for (NodeId i = 0; i < options_.replicas; ++i) all.push_back(i);
-  for (NodeId i = 0; i < options_.replicas; ++i) {
-    nodes_.push_back(std::make_unique<core::ReplicaNode>(net_, i, all, options_.node));
+
+  // Scope every node to its group BEFORE construction where possible: the
+  // checker needs the node->group map before the engine's first event
+  // (kEngineStart fires inside the ReplicaNode constructor); the network
+  // group is set right after registration, before any simulated time
+  // elapses, so the first (detect-delay-deferred) reachability notification
+  // already sees the final assignment.
+  for (int g = 0; g < groups_; ++g) {
+    const std::vector<NodeId> members = group_ids(g);
+    // In lane mode, construct group g inside lane g: Network::add_node
+    // stamps the current lane, and every event the nodes schedule during
+    // construction (engine start, initial reachability notify) lands in
+    // their own lane's heap. Lane `groups` is the control lane.
+    std::optional<Simulator::LaneScope> scope;
+    if (lanes.threads > 0) scope.emplace(sim_, g);
+    for (NodeId id : members) {
+      if (checker_) checker_->set_node_group(id, g);
+      nodes_.push_back(std::make_unique<core::ReplicaNode>(net_, id, members, options_.node));
+      net_.set_group(id, g);
+    }
   }
   if (metrics_) schedule_metrics_roll();
+}
+
+std::vector<NodeId> EngineCluster::group_ids(int group) const {
+  // With one group, dormant joiners (ids past the initial members) belong to it.
+  const int size = groups_ == 1 ? std::max(options_.replicas, replicas()) : options_.replicas;
+  std::vector<NodeId> ids;
+  for (int i = 0; i < size; ++i) ids.push_back(static_cast<NodeId>(group * options_.replicas + i));
+  return ids;
+}
+
+void EngineCluster::in_node_lane(NodeId id, void (*fn)(core::ReplicaNode&)) {
+  core::ReplicaNode& n = node(id);
+  if (!sim_.lanes_enabled()) {
+    fn(n);
+    return;
+  }
+  if (sim_.running()) {
+    // Mid-run (a churn schedule driven from the control lane): defer by the
+    // handoff latency so the mutation lands at the start of a future
+    // window on the node's own lane.
+    sim_.call_in_lane(n.sim_lane(), [fn, &n] { fn(n); });
+    return;
+  }
+  // Parked: run inline, but scope any events the call schedules (engine
+  // restart timers, reachability notifies) to the node's lane.
+  Simulator::LaneScope scope(sim_, n.sim_lane());
+  fn(n);
 }
 
 void EngineCluster::schedule_metrics_roll() {
@@ -40,54 +97,74 @@ void EngineCluster::schedule_metrics_roll() {
   });
 }
 
+EngineCluster::Sample EngineCluster::sample_nodes(const std::vector<NodeId>& ids) {
+  Sample s;
+  std::int64_t min_white = -1, max_green = 0;
+  for (NodeId id : ids) {
+    core::ReplicaNode& n = node(id);
+    const auto& st = n.storage().stats();
+    s.forces += st.forces;
+    s.appends += st.appends;
+    if (!n.running()) continue;
+    core::ReplicationEngine& e = n.engine();
+    const auto& es = e.stats();
+    s.green += es.actions_green;
+    s.red += es.actions_red;
+    s.installs += es.primaries_installed;
+    s.exchanges += es.exchanges;
+    s.announces_sent += es.announces_sent;
+    s.announces_received += es.announces_received;
+    const std::int64_t wl = e.white_line();
+    min_white = min_white < 0 ? wl : std::min(min_white, wl);
+    max_green = std::max(max_green, e.green_count());
+    s.stored_bodies += static_cast<std::int64_t>(e.action_log().stored_bodies());
+    s.body_bytes += e.action_log().body_bytes();
+    const auto& gs = e.group_comm().stats();
+    s.safe_deliveries += gs.safe_deliveries;
+    s.configs += gs.regular_configs;
+    const db::DbStats ds = e.database().stats();
+    s.intern_keys += ds.interned_keys;
+    s.intern_bytes += ds.interned_bytes;
+    s.table_slots += ds.table_slots;
+    s.table_rehashes += ds.table_rehashes;
+  }
+  s.min_white = std::max<std::int64_t>(min_white, 0);
+  s.lag = max_green - s.min_white;
+  return s;
+}
+
 void EngineCluster::sample_metrics() {
   if (!metrics_) return;
-  std::uint64_t green = 0, red = 0, installs = 0, exchanges = 0;
-  std::uint64_t forces = 0, appends = 0;
-  std::uint64_t safe_deliveries = 0, configs = 0;
-  std::uint64_t announces_sent = 0, announces_received = 0;
-  std::int64_t min_white = -1, max_green = 0;
-  std::int64_t stored_bodies = 0, body_bytes = 0;
-  for (const auto& n : nodes_) {
-    const auto& st = n->storage().stats();
-    forces += st.forces;
-    appends += st.appends;
-    if (!n->running()) continue;
-    const auto& es = n->engine().stats();
-    green += es.actions_green;
-    red += es.actions_red;
-    installs += es.primaries_installed;
-    exchanges += es.exchanges;
-    announces_sent += es.announces_sent;
-    announces_received += es.announces_received;
-    const std::int64_t wl = n->engine().white_line();
-    min_white = min_white < 0 ? wl : std::min(min_white, wl);
-    max_green = std::max(max_green, n->engine().green_count());
-    stored_bodies += static_cast<std::int64_t>(n->engine().action_log().stored_bodies());
-    body_bytes += n->engine().action_log().body_bytes();
-    const auto& gs = n->engine().group_comm().stats();
-    safe_deliveries += gs.safe_deliveries;
-    configs += gs.regular_configs;
-  }
+  std::vector<Sample> groups;
+  for (int g = 0; g < groups_; ++g) groups.push_back(sample_nodes(group_ids(g)));
+  Sample t = sample_nodes(all_ids());
+  t.lag = 0;  // white-line lag is a per-group quantity: sum it
+  for (const Sample& g : groups) t.lag += g.lag;
   // Cumulative sources: set_total() so roll() turns them into per-window
   // deltas alongside the engines' directly-incremented counters.
-  metrics_->counter("cluster.actions_green").set_total(green);
-  metrics_->counter("cluster.actions_red").set_total(red);
-  metrics_->counter("cluster.primaries_installed").set_total(installs);
-  metrics_->counter("cluster.exchanges").set_total(exchanges);
-  metrics_->counter("storage.forces").set_total(forces);
-  metrics_->counter("storage.appends").set_total(appends);
-  metrics_->counter("gc.safe_deliveries").set_total(safe_deliveries);
-  metrics_->counter("gc.regular_configs").set_total(configs);
-  metrics_->counter("cluster.announces_sent").set_total(announces_sent);
-  metrics_->counter("cluster.announces_received").set_total(announces_received);
-  // White-line / body-store health (DESIGN.md §14): `lag` is how far the
-  // slowest white line trails the fastest green count — growing lag means
-  // trimming is starving and body stores are pinned.
-  metrics_->gauge("gc.whiteline.min").set(std::max<std::int64_t>(min_white, 0));
-  metrics_->gauge("gc.whiteline.lag").set(max_green - std::max<std::int64_t>(min_white, 0));
-  metrics_->gauge("gc.bodies.stored").set(stored_bodies);
-  metrics_->gauge("gc.bodies.bytes").set(body_bytes);
+  metrics_->counter("cluster.actions_green").set_total(t.green);
+  metrics_->counter("cluster.actions_red").set_total(t.red);
+  metrics_->counter("cluster.primaries_installed").set_total(t.installs);
+  metrics_->counter("cluster.exchanges").set_total(t.exchanges);
+  metrics_->counter("storage.forces").set_total(t.forces);
+  metrics_->counter("storage.appends").set_total(t.appends);
+  metrics_->counter("gc.safe_deliveries").set_total(t.safe_deliveries);
+  metrics_->counter("gc.regular_configs").set_total(t.configs);
+  metrics_->counter("cluster.announces_sent").set_total(t.announces_sent);
+  metrics_->counter("cluster.announces_received").set_total(t.announces_received);
+  // White-line / body-store health (DESIGN.md §14): `lag` is how far each
+  // group's slowest white line trails its fastest green count, summed over
+  // groups — growing lag means trimming is starving and body stores are
+  // pinned.
+  metrics_->gauge("gc.whiteline.min").set(t.min_white);
+  metrics_->gauge("gc.whiteline.lag").set(t.lag);
+  metrics_->gauge("gc.bodies.stored").set(t.stored_bodies);
+  metrics_->gauge("gc.bodies.bytes").set(t.body_bytes);
+  // Flat-layout accounting (DESIGN.md §11), summed over running replicas.
+  metrics_->counter("db.intern.keys").set_total(t.intern_keys);
+  metrics_->counter("db.intern.bytes").set_total(t.intern_bytes);
+  metrics_->counter("db.table.slots").set_total(t.table_slots);
+  metrics_->counter("db.table.rehashes").set_total(t.table_rehashes);
   metrics_->counter("net.messages").set_total(net_.stats().messages_sent);
   metrics_->counter("net.bytes").set_total(net_.stats().bytes_sent);
   metrics_->counter("net.payload_bytes_copied").set_total(net_.stats().payload_bytes_copied);
@@ -96,6 +173,7 @@ void EngineCluster::sample_metrics() {
   metrics_->counter("sim.events_executed").set_total(sim_.executed_events());
   metrics_->gauge("sim.queue_depth").set(static_cast<std::int64_t>(sim_.queue_depth()));
   metrics_->gauge("sim.peak_queue_depth").set(static_cast<std::int64_t>(sim_.peak_queue_depth()));
+  sample_tier_metrics(groups);
 }
 
 std::vector<NodeId> EngineCluster::all_ids() const {
@@ -142,15 +220,16 @@ bool EngineCluster::all_green_at_least(const std::vector<NodeId>& ids,
 }
 
 std::optional<std::string> EngineCluster::check_green_prefix_consistency() const {
+  // Groups own contiguous id ranges, so the inner loop stops at the first
+  // member of the next group.
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     if (!nodes_[i]->running()) continue;
     const auto& a = nodes_[i]->engine();
-    for (std::size_t j = i + 1; j < nodes_.size(); ++j) {
+    const int group = group_of(static_cast<NodeId>(i));
+    for (std::size_t j = i + 1; j < nodes_.size() && group_of(static_cast<NodeId>(j)) == group;
+         ++j) {
       if (!nodes_[j]->running()) continue;
       const auto& b = nodes_[j]->engine();
-      const std::int64_t lo =
-          std::max(a.green_count() - static_cast<std::int64_t>(0), std::int64_t{0});
-      (void)lo;
       const std::int64_t overlap_end = std::min(a.green_count(), b.green_count());
       for (std::int64_t pos = 1; pos <= overlap_end; ++pos) {
         const ActionId ia = a.green_action_at(pos);
@@ -158,15 +237,16 @@ std::optional<std::string> EngineCluster::check_green_prefix_consistency() const
         if (ia.server_id == kNoNode || ib.server_id == kNoNode) continue;  // white-trimmed
         if (!(ia == ib)) {
           std::ostringstream os;
-          os << "green divergence at position " << pos << ": node " << a.id() << " has "
-             << to_string(ia) << ", node " << b.id() << " has " << to_string(ib);
+          os << "group " << group << " green divergence at position " << pos << ": node "
+             << a.id() << " has " << to_string(ia) << ", node " << b.id() << " has "
+             << to_string(ib);
           return os.str();
         }
       }
       if (a.green_count() == b.green_count() && a.db_digest() != b.db_digest()) {
         std::ostringstream os;
-        os << "equal green count " << a.green_count() << " but different digests at nodes "
-           << a.id() << " and " << b.id();
+        os << "group " << group << ": equal green count " << a.green_count()
+           << " but different digests at nodes " << a.id() << " and " << b.id();
         return os.str();
       }
     }
@@ -196,16 +276,19 @@ std::optional<std::string> EngineCluster::check_green_fifo() const {
 }
 
 std::optional<std::string> EngineCluster::check_single_primary() const {
-  std::map<std::int64_t, std::vector<NodeId>> prim_members;
+  // Keyed by (group, prim_index): every group numbers its primaries from 1.
+  std::map<std::pair<int, std::int64_t>, std::vector<NodeId>> prim_members;
   for (const auto& n : nodes_) {
     if (!n->running()) continue;
     const auto& e = n->engine();
     if (!e.in_primary()) continue;
     const auto& p = e.prim_component();
-    auto [it, inserted] = prim_members.emplace(p.prim_index, p.servers);
+    const int group = group_of(e.id());
+    auto [it, inserted] = prim_members.emplace(std::make_pair(group, p.prim_index), p.servers);
     if (!inserted && it->second != p.servers) {
       std::ostringstream os;
-      os << "two primaries with index " << p.prim_index << " but different memberships";
+      os << "group " << group << ": two primaries with index " << p.prim_index
+         << " but different memberships";
       return os.str();
     }
   }

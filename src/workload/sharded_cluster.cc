@@ -10,99 +10,65 @@
 
 namespace tordb::workload {
 
-ShardedCluster::ShardedCluster(ShardedClusterOptions options)
-    : options_(std::move(options)), sim_(options_.seed), net_(sim_, options_.net) {
-  if (options_.shards < 1 || options_.replicas_per_shard < 1) {
+namespace {
+
+ClusterOptions group_options(const ShardedClusterOptions& o) {
+  if (o.shards < 1 || o.replicas_per_shard < 1) {
     throw std::invalid_argument("shards and replicas_per_shard must be >= 1");
   }
-  if (!options_.range_splits.empty() &&
-      static_cast<int>(options_.range_splits.size()) != options_.shards - 1) {
+  if (!o.range_splits.empty() && static_cast<int>(o.range_splits.size()) != o.shards - 1) {
     throw std::invalid_argument("range_splits must have shards - 1 entries");
   }
-  options_.session.retry_when_unavailable = true;  // cross-shard all-or-nothing
+  ClusterOptions c;
+  c.replicas = o.replicas_per_shard;
+  c.seed = o.seed;
+  c.net = o.net;
+  c.node = o.node;
+  c.obs = o.obs;
+  return c;
+}
 
-  // Event lanes (DESIGN.md §15): resolve the knobs, then partition the
-  // simulator BEFORE anything is scheduled and before the trace bus exists
-  // (the bus sizes its per-lane buffers and installs the barrier hook at
-  // construction).
-  int threads = options_.sim_threads;
-  bool lanes = options_.sim_lanes;
-  if (options_.sim_env) {
+}  // namespace
+
+EngineCluster::Lanes ShardedCluster::resolve_lanes(const ShardedClusterOptions& o) {
+  int threads = o.sim_threads;
+  bool lanes = o.sim_lanes;
+  if (o.sim_env) {
     if (const char* v = std::getenv("TORDB_SIM_THREADS")) threads = std::max(1, std::atoi(v));
     if (const char* v = std::getenv("TORDB_SIM_LANES")) lanes = lanes || std::strcmp(v, "0") != 0;
   }
   if (threads < 1) throw std::invalid_argument("sim_threads must be >= 1");
-  lanes = lanes || threads > 1;
-  if (lanes) {
-    const SimDuration handoff =
-        options_.sim_handoff > 0 ? options_.sim_handoff : options_.net.base_latency;
-    if (handoff > options_.net.detect_delay) {
-      // Reachability notifications are posted cross-lane with detect_delay;
-      // the conservative windows require every cross-lane delay >= handoff.
-      throw std::invalid_argument("lane handoff latency must be <= net.detect_delay");
-    }
-    sim_.enable_lanes(options_.shards + 1, threads, handoff);
+  if (!lanes && threads == 1) return Lanes{};
+  const SimDuration handoff = o.sim_handoff > 0 ? o.sim_handoff : o.net.base_latency;
+  if (handoff > o.net.detect_delay) {
+    // Reachability notifications are posted cross-lane with detect_delay;
+    // the conservative windows require every cross-lane delay >= handoff.
+    throw std::invalid_argument("lane handoff latency must be <= net.detect_delay");
   }
+  return Lanes{threads, handoff};
+}
 
-  const bool check = options_.obs.check || obs::check_forced();
-  if (options_.obs.trace || check) {
-    obs::TraceBusOptions bus_opts;
-    bus_opts.ring_capacity = options_.obs.ring_capacity;
-    trace_bus_ = std::make_shared<obs::TraceBus>(sim_, bus_opts);
-    trace_bus_->capture_logs();
-    options_.node.engine.trace_bus = trace_bus_;
-    if (check) {
-      obs::CheckerOptions copts;
-      copts.fail_fast = options_.obs.checker_fail_fast;
-      checker_ = std::make_unique<obs::SafetyChecker>(*trace_bus_, copts);
-    }
-  }
-  if (options_.obs.metrics_window > 0) {
-    metrics_ = std::make_shared<obs::MetricsRegistry>();
-    options_.node.engine.metrics = metrics_;
-  }
-
-  // Scope every node to its group BEFORE construction where possible: the
-  // checker needs the node->group map before the engine's first event
-  // (kEngineStart fires inside the ReplicaNode constructor); the network
-  // group is set right after registration, before any simulated time
-  // elapses, so the first (detect-delay-deferred) reachability notification
-  // already sees the final assignment.
-  for (int s = 0; s < options_.shards; ++s) {
-    const std::vector<NodeId> members = shard_ids(s);
-    // In lane mode, construct shard s inside lane s: Network::add_node
-    // stamps the current lane, and every event the nodes schedule during
-    // construction (engine start, initial reachability notify) lands in
-    // their own lane's heap. Lane `shards` is the control lane.
-    std::optional<Simulator::LaneScope> scope;
-    if (lanes) scope.emplace(sim_, s);
-    for (int i = 0; i < options_.replicas_per_shard; ++i) {
-      const NodeId id = node_id(s, i);
-      if (checker_) checker_->set_node_group(id, s);
-      nodes_.push_back(std::make_unique<core::ReplicaNode>(net_, id, members, options_.node));
-      net_.set_group(id, s);
-    }
+ShardedCluster::ShardedCluster(ShardedClusterOptions options)
+    : EngineCluster(group_options(options), options.shards, resolve_lanes(options)),
+      options_(std::move(options)) {
+  options_.session.retry_when_unavailable = true;  // cross-shard all-or-nothing
+  for (int s = 0; s < shards(); ++s) {
+    std::vector<core::ReplicaNode*> g;
+    for (int i = 0; i < replicas_per_shard(); ++i) g.push_back(&node(s, i));
+    members_.push_back(std::move(g));
     shard_components_.push_back({});  // one implicit component: all members
   }
 
   shard::RouterOptions ropts;
   ropts.session = options_.session;
-  ropts.metrics = metrics_;
-  if (trace_bus_) ropts.tracer = obs::Tracer(trace_bus_, kNoNode);
+  ropts.metrics = metrics();
+  if (trace_bus()) ropts.tracer = obs::Tracer(trace_bus(), kNoNode);
   // One shared Directory: the rebalancer mutates it, the router observes
   // the new epoch on its very next routing decision.
   auto dir = std::make_shared<shard::Directory>(
-      options_.range_splits.empty() ? shard::Directory::hashed(options_.shards)
+      options_.range_splits.empty() ? shard::Directory::hashed(shards())
                                     : shard::Directory::ranged(options_.range_splits));
-  std::vector<std::vector<core::ReplicaNode*>> groups;
-  for (int s = 0; s < options_.shards; ++s) {
-    std::vector<core::ReplicaNode*> g;
-    for (int i = 0; i < options_.replicas_per_shard; ++i) {
-      g.push_back(nodes_[static_cast<std::size_t>(node_id(s, i))].get());
-    }
-    groups.push_back(std::move(g));
-  }
-  router_ = std::make_unique<shard::Router>(sim_, dir, groups, std::move(ropts));
+  router_ = std::make_unique<shard::Router>(sim(), dir, members_, std::move(ropts));
 
   make_txn_coordinator(options_.txn_halt_at_stage);
   // The handler dereferences txn_ at call time, so it survives coordinator
@@ -114,61 +80,24 @@ ShardedCluster::ShardedCluster(ShardedClusterOptions options)
 
   shard::RebalancerOptions bopts = options_.rebalance;
   bopts.session = options_.session;
-  bopts.metrics = metrics_;
-  if (trace_bus_) bopts.tracer = obs::Tracer(trace_bus_, kNoNode);
-  rebalancer_ = std::make_unique<shard::Rebalancer>(sim_, dir, std::move(groups),
-                                                    std::move(bopts));
-
-  if (metrics_) schedule_metrics_roll();
-}
-
-void ShardedCluster::in_node_lane(int shard, int idx, void (*fn)(core::ReplicaNode&)) {
-  core::ReplicaNode& n = node(shard, idx);
-  if (!sim_.lanes_enabled()) {
-    fn(n);
-    return;
-  }
-  if (sim_.running()) {
-    // Mid-run (a churn schedule driven from the control lane): defer by the
-    // handoff latency so the mutation lands at the start of a future
-    // window on the node's own lane.
-    sim_.call_in_lane(n.sim_lane(), [fn, &n] { fn(n); });
-    return;
-  }
-  // Parked: run inline, but scope any events the call schedules (engine
-  // restart timers, reachability notifies) to the node's lane.
-  Simulator::LaneScope scope(sim_, n.sim_lane());
-  fn(n);
+  bopts.metrics = metrics();
+  if (trace_bus()) bopts.tracer = obs::Tracer(trace_bus(), kNoNode);
+  rebalancer_ = std::make_unique<shard::Rebalancer>(sim(), dir, members_, std::move(bopts));
 }
 
 void ShardedCluster::make_txn_coordinator(int halt_at_stage) {
   txn::TxnOptions topts;
   topts.session = options_.session;
-  topts.metrics = metrics_;
-  if (trace_bus_) topts.tracer = obs::Tracer(trace_bus_, kNoNode);
+  topts.metrics = metrics();
+  if (trace_bus()) topts.tracer = obs::Tracer(trace_bus(), kNoNode);
   topts.halt_at_stage = halt_at_stage;
   topts.session_epoch = txn_session_epoch_;
-  std::vector<std::vector<core::ReplicaNode*>> groups;
-  for (int s = 0; s < options_.shards; ++s) {
-    std::vector<core::ReplicaNode*> g;
-    for (int i = 0; i < options_.replicas_per_shard; ++i) {
-      g.push_back(nodes_[static_cast<std::size_t>(node_id(s, i))].get());
-    }
-    groups.push_back(std::move(g));
-  }
-  txn_ = std::make_unique<txn::TxnCoordinator>(sim_, *router_, std::move(groups),
-                                               std::move(topts));
+  txn_ = std::make_unique<txn::TxnCoordinator>(sim(), *router_, members_, std::move(topts));
 }
 
 void ShardedCluster::restart_txn_coordinator(int halt_at_stage) {
   ++txn_session_epoch_;
   make_txn_coordinator(halt_at_stage);
-}
-
-std::vector<NodeId> ShardedCluster::shard_ids(int shard) const {
-  std::vector<NodeId> ids;
-  for (int i = 0; i < options_.replicas_per_shard; ++i) ids.push_back(node_id(shard, i));
-  return ids;
 }
 
 std::uint64_t ShardedCluster::shard_seed(int shard) const {
@@ -181,10 +110,10 @@ std::uint64_t ShardedCluster::shard_seed(int shard) const {
 }
 
 void ShardedCluster::partition_shard(int shard, const std::vector<std::vector<int>>& components) {
-  std::vector<bool> seen(static_cast<std::size_t>(options_.replicas_per_shard), false);
+  std::vector<bool> seen(static_cast<std::size_t>(replicas_per_shard()), false);
   for (const auto& comp : components) {
     for (int idx : comp) {
-      if (idx < 0 || idx >= options_.replicas_per_shard || seen[static_cast<std::size_t>(idx)]) {
+      if (idx < 0 || idx >= replicas_per_shard() || seen[static_cast<std::size_t>(idx)]) {
         throw std::invalid_argument("each shard member must appear in exactly one component");
       }
       seen[static_cast<std::size_t>(idx)] = true;
@@ -214,7 +143,7 @@ void ShardedCluster::apply_components() {
   // invisible to the protocol — shards exchange no network traffic and the
   // reachability service is group-scoped anyway.
   std::vector<std::vector<NodeId>> global;
-  for (int s = 0; s < options_.shards; ++s) {
+  for (int s = 0; s < shards(); ++s) {
     const auto& comps = shard_components_[static_cast<std::size_t>(s)];
     if (comps.empty()) {
       global.push_back(shard_ids(s));
@@ -226,65 +155,19 @@ void ShardedCluster::apply_components() {
       global.push_back(std::move(g));
     }
   }
-  net_.set_components(global);
+  net().set_components(global);
 }
 
 bool ShardedCluster::converged(int shard) const {
-  std::int64_t green = -1;
-  std::uint64_t digest = 0;
-  for (int i = 0; i < options_.replicas_per_shard; ++i) {
-    const auto& n = node(shard, i);
-    if (!n.running()) continue;
-    const auto& e = n.engine();
-    if (e.state() != core::EngineState::kRegPrim) return false;
-    if (green == -1) {
-      green = e.green_count();
-      digest = e.db_digest();
-    } else if (e.green_count() != green || e.db_digest() != digest) {
-      return false;
-    }
+  std::vector<NodeId> running;
+  for (NodeId id : shard_ids(shard)) {
+    if (EngineCluster::node(id).running()) running.push_back(id);
   }
-  return green >= 0;
-}
-
-std::optional<std::string> ShardedCluster::check_green_prefix_consistency() const {
-  for (int s = 0; s < options_.shards; ++s) {
-    for (int i = 0; i < options_.replicas_per_shard; ++i) {
-      const auto& a = node(s, i);
-      if (!a.running()) continue;
-      for (int j = i + 1; j < options_.replicas_per_shard; ++j) {
-        const auto& b = node(s, j);
-        if (!b.running()) continue;
-        const auto& ea = a.engine();
-        const auto& eb = b.engine();
-        const std::int64_t overlap = std::min(ea.green_count(), eb.green_count());
-        for (std::int64_t pos = 1; pos <= overlap; ++pos) {
-          const ActionId ia = ea.green_action_at(pos);
-          const ActionId ib = eb.green_action_at(pos);
-          if (ia.server_id == kNoNode || ib.server_id == kNoNode) continue;  // white-trimmed
-          if (!(ia == ib)) {
-            std::ostringstream os;
-            os << "shard " << s << " green divergence at position " << pos << ": node "
-               << ea.id() << " has " << to_string(ia) << ", node " << eb.id() << " has "
-               << to_string(ib);
-            return os.str();
-          }
-        }
-        if (ea.green_count() == eb.green_count() && ea.db_digest() != eb.db_digest()) {
-          std::ostringstream os;
-          os << "shard " << s << ": equal green count " << ea.green_count()
-             << " but different digests at nodes " << ea.id() << " and " << eb.id();
-          return os.str();
-        }
-      }
-    }
-  }
-  return std::nullopt;
+  return converged_primary(running);
 }
 
 std::optional<std::string> ShardedCluster::check_all() const {
-  if (checker_ && !checker_->ok()) return checker_->report();
-  if (auto v = check_green_prefix_consistency()) return v;
+  if (auto v = EngineCluster::check_all()) return v;
   if (router_->stats().cross_partial_aborts > 0) {
     std::ostringstream os;
     os << router_->stats().cross_partial_aborts
@@ -294,130 +177,65 @@ std::optional<std::string> ShardedCluster::check_all() const {
   return std::nullopt;
 }
 
-void ShardedCluster::schedule_metrics_roll() {
-  sim_.after(options_.obs.metrics_window, [this] {
-    sample_metrics();
-    metrics_->roll(sim_.now());
-    schedule_metrics_roll();
-  });
-}
-
-void ShardedCluster::sample_metrics() {
-  if (!metrics_) return;
-  std::uint64_t total_green = 0, total_red = 0, total_installs = 0;
-  std::uint64_t intern_keys = 0, intern_bytes = 0, table_slots = 0, table_rehashes = 0;
-  std::uint64_t total_announces_sent = 0, total_announces_received = 0;
-  std::int64_t total_bodies = 0, total_body_bytes = 0, total_lag = 0;
-  for (int s = 0; s < options_.shards; ++s) {
-    std::uint64_t green = 0, red = 0, installs = 0, forces = 0;
-    std::uint64_t announces_sent = 0, announces_received = 0;
-    std::int64_t min_white = -1, max_green = 0, bodies = 0, body_bytes = 0;
-    for (int i = 0; i < options_.replicas_per_shard; ++i) {
-      auto& n = node(s, i);
-      forces += n.storage().stats().forces;
-      if (!n.running()) continue;
-      const auto& es = n.engine().stats();
-      green += es.actions_green;
-      red += es.actions_red;
-      installs += es.primaries_installed;
-      announces_sent += es.announces_sent;
-      announces_received += es.announces_received;
-      const std::int64_t wl = n.engine().white_line();
-      min_white = min_white < 0 ? wl : std::min(min_white, wl);
-      max_green = std::max(max_green, n.engine().green_count());
-      bodies += static_cast<std::int64_t>(n.engine().action_log().stored_bodies());
-      body_bytes += n.engine().action_log().body_bytes();
-      const db::DbStats ds = n.engine().database().stats();
-      intern_keys += ds.interned_keys;
-      intern_bytes += ds.interned_bytes;
-      table_slots += ds.table_slots;
-      table_rehashes += ds.table_rehashes;
-    }
+void ShardedCluster::sample_tier_metrics(const std::vector<Sample>& groups) {
+  obs::MetricsRegistry& m = *metrics();
+  for (int s = 0; s < shards(); ++s) {
+    const Sample& g = groups[static_cast<std::size_t>(s)];
     const std::string prefix = "shard." + std::to_string(s) + ".";
-    metrics_->counter(prefix + "actions_green").set_total(green);
-    metrics_->counter(prefix + "actions_red").set_total(red);
-    metrics_->counter(prefix + "primaries_installed").set_total(installs);
-    metrics_->counter(prefix + "storage_forces").set_total(forces);
-    metrics_->gauge(prefix + "whiteline.min").set(std::max<std::int64_t>(min_white, 0));
-    metrics_->gauge(prefix + "whiteline.lag")
-        .set(max_green - std::max<std::int64_t>(min_white, 0));
-    total_green += green;
-    total_red += red;
-    total_installs += installs;
-    total_announces_sent += announces_sent;
-    total_announces_received += announces_received;
-    total_bodies += bodies;
-    total_body_bytes += body_bytes;
-    total_lag += max_green - std::max<std::int64_t>(min_white, 0);
+    m.counter(prefix + "actions_green").set_total(g.green);
+    m.counter(prefix + "actions_red").set_total(g.red);
+    m.counter(prefix + "primaries_installed").set_total(g.installs);
+    m.counter(prefix + "storage_forces").set_total(g.forces);
+    m.gauge(prefix + "whiteline.min").set(g.min_white);
+    m.gauge(prefix + "whiteline.lag").set(g.lag);
   }
-  metrics_->counter("cluster.actions_green").set_total(total_green);
-  metrics_->counter("cluster.actions_red").set_total(total_red);
-  metrics_->counter("cluster.primaries_installed").set_total(total_installs);
-  metrics_->counter("cluster.announces_sent").set_total(total_announces_sent);
-  metrics_->counter("cluster.announces_received").set_total(total_announces_received);
-  // White-line / body-store health across the deployment (DESIGN.md §14):
-  // lag summed over shards — growing lag means trimming is starving.
-  metrics_->gauge("gc.whiteline.lag").set(total_lag);
-  metrics_->gauge("gc.bodies.stored").set(total_bodies);
-  metrics_->gauge("gc.bodies.bytes").set(total_body_bytes);
-  metrics_->counter("net.messages").set_total(net_.stats().messages_sent);
-  metrics_->counter("net.bytes").set_total(net_.stats().bytes_sent);
-  metrics_->counter("net.payload_bytes_copied").set_total(net_.stats().payload_bytes_copied);
-  metrics_->counter("net.reachable_cache_hits").set_total(net_.stats().reachable_cache_hits);
-  metrics_->counter("net.reachable_cache_misses").set_total(net_.stats().reachable_cache_misses);
-  metrics_->counter("sim.events_executed").set_total(sim_.executed_events());
-  metrics_->gauge("sim.queue_depth").set(static_cast<std::int64_t>(sim_.queue_depth()));
-  metrics_->gauge("sim.peak_queue_depth").set(static_cast<std::int64_t>(sim_.peak_queue_depth()));
-  if (sim_.lanes_enabled()) {
+  const Simulator& sim = this->sim();
+  if (sim.lanes_enabled()) {
     // Lane health (DESIGN.md §15): window count and handoff volume tell how
     // often the lanes synchronize; the per-lane event spread and the clock
     // skew inside the current window tell whether the load is balanced
     // enough for the worker pool to help (see docs/OPERATIONS.md).
-    metrics_->gauge("sim.lanes.count").set(sim_.lane_count());
-    metrics_->gauge("sim.lanes.threads").set(sim_.worker_threads());
-    metrics_->counter("sim.lanes.windows").set_total(sim_.windows_run());
-    metrics_->counter("sim.lanes.handoffs").set_total(sim_.handoffs_posted());
+    m.gauge("sim.lanes.count").set(sim.lane_count());
+    m.gauge("sim.lanes.threads").set(sim.worker_threads());
+    m.counter("sim.lanes.windows").set_total(sim.windows_run());
+    m.counter("sim.lanes.handoffs").set_total(sim.handoffs_posted());
     std::uint64_t ev_min = ~0ull, ev_max = 0;
     SimTime now_min = 0, now_max = 0;
     std::size_t depth_max = 0;
-    for (int l = 0; l < sim_.lane_count() - 1; ++l) {  // worker lanes only
-      ev_min = std::min<std::uint64_t>(ev_min, sim_.lane_executed(l));
-      ev_max = std::max<std::uint64_t>(ev_max, sim_.lane_executed(l));
-      now_min = l == 0 ? sim_.lane_now(l) : std::min(now_min, sim_.lane_now(l));
-      now_max = std::max(now_max, sim_.lane_now(l));
-      depth_max = std::max(depth_max, sim_.lane_queue_depth(l));
+    for (int l = 0; l < sim.lane_count() - 1; ++l) {  // worker lanes only
+      ev_min = std::min<std::uint64_t>(ev_min, sim.lane_executed(l));
+      ev_max = std::max<std::uint64_t>(ev_max, sim.lane_executed(l));
+      now_min = l == 0 ? sim.lane_now(l) : std::min(now_min, sim.lane_now(l));
+      now_max = std::max(now_max, sim.lane_now(l));
+      depth_max = std::max(depth_max, sim.lane_queue_depth(l));
     }
-    metrics_->gauge("sim.lanes.events.min").set(static_cast<std::int64_t>(ev_min));
-    metrics_->gauge("sim.lanes.events.max").set(static_cast<std::int64_t>(ev_max));
-    metrics_->gauge("sim.lanes.skew_ns").set(now_max - now_min);
-    metrics_->gauge("sim.lanes.queue_depth.max").set(static_cast<std::int64_t>(depth_max));
+    m.gauge("sim.lanes.events.min").set(static_cast<std::int64_t>(ev_min));
+    m.gauge("sim.lanes.events.max").set(static_cast<std::int64_t>(ev_max));
+    m.gauge("sim.lanes.skew_ns").set(now_max - now_min);
+    m.gauge("sim.lanes.queue_depth.max").set(static_cast<std::int64_t>(depth_max));
   }
-  metrics_->counter("router.committed").set_total(router_->stats().committed);
-  metrics_->counter("router.aborted").set_total(router_->stats().aborted);
-  metrics_->counter("router.aborted_checks").set_total(router_->stats().aborted_checks);
-  metrics_->counter("router.cross").set_total(router_->stats().routed_cross);
-  metrics_->counter("router.failovers").set_total(router_->stats().failovers);
-  metrics_->counter("router.fenced_bounces").set_total(router_->stats().fenced_bounces);
-  metrics_->counter("router.txn.handoffs").set_total(router_->stats().txn_handoffs);
-  metrics_->counter("router.txn.prepares").set_total(txn_->stats().prepares);
-  metrics_->counter("router.txn.confirms").set_total(txn_->stats().confirms);
-  metrics_->counter("router.txn.cancels").set_total(txn_->stats().cancels);
-  metrics_->counter("router.rejected_unsupported").set_total(router_->stats().rejected_unsupported);
-  metrics_->counter("txn.committed").set_total(txn_->stats().committed);
-  metrics_->counter("txn.aborted.check").set_total(txn_->stats().aborted_check);
-  metrics_->counter("txn.aborted.fenced").set_total(txn_->stats().aborted_fenced);
-  metrics_->counter("txn.restarts").set_total(txn_->stats().restarts);
-  metrics_->counter("txn.confirm_rerouted").set_total(txn_->stats().confirm_rerouted);
-  metrics_->counter("txn.snapshot_reads").set_total(txn_->stats().snapshot_reads);
-  metrics_->gauge("directory.epoch").set(router_->directory().epoch());
-  // Flat-layout accounting (DESIGN.md §11), summed over running replicas.
-  metrics_->counter("db.intern.keys").set_total(intern_keys);
-  metrics_->counter("db.intern.bytes").set_total(intern_bytes);
-  metrics_->counter("db.table.slots").set_total(table_slots);
-  metrics_->counter("db.table.rehashes").set_total(table_rehashes);
+  const shard::RouterStats& rs = router_->stats();
+  m.counter("router.committed").set_total(rs.committed);
+  m.counter("router.aborted").set_total(rs.aborted);
+  m.counter("router.aborted_checks").set_total(rs.aborted_checks);
+  m.counter("router.cross").set_total(rs.routed_cross);
+  m.counter("router.failovers").set_total(rs.failovers);
+  m.counter("router.fenced_bounces").set_total(rs.fenced_bounces);
+  m.counter("router.txn.handoffs").set_total(rs.txn_handoffs);
+  m.counter("router.txn.prepares").set_total(txn_->stats().prepares);
+  m.counter("router.txn.confirms").set_total(txn_->stats().confirms);
+  m.counter("router.txn.cancels").set_total(txn_->stats().cancels);
+  m.counter("router.rejected_unsupported").set_total(rs.rejected_unsupported);
+  m.counter("txn.committed").set_total(txn_->stats().committed);
+  m.counter("txn.aborted.check").set_total(txn_->stats().aborted_check);
+  m.counter("txn.aborted.fenced").set_total(txn_->stats().aborted_fenced);
+  m.counter("txn.restarts").set_total(txn_->stats().restarts);
+  m.counter("txn.confirm_rerouted").set_total(txn_->stats().confirm_rerouted);
+  m.counter("txn.snapshot_reads").set_total(txn_->stats().snapshot_reads);
+  m.gauge("directory.epoch").set(router_->directory().epoch());
   const auto& rc = router_->directory().route_cache_stats();
-  metrics_->counter("directory.route_cache.hits").set_total(rc.hits);
-  metrics_->counter("directory.route_cache.misses").set_total(rc.misses);
+  m.counter("directory.route_cache.hits").set_total(rc.hits);
+  m.counter("directory.route_cache.misses").set_total(rc.misses);
 }
 
 }  // namespace tordb::workload

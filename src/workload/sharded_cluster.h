@@ -1,25 +1,30 @@
-// Sharded deployment harness: N independent replication groups (one per
-// shard of the key space) over ONE simulated network and ONE virtual clock,
-// fronted by a shard::Router (DESIGN.md §8).
+// Sharded deployment harness: partial replication as N unmodified engine
+// groups (one per shard of the key space) on ONE simulated network and ONE
+// virtual clock, fronted by a router tier (DESIGN.md §8).
 //
-// Each shard is a full engine group exactly as EngineCluster builds one —
-// its own EVS membership, quorum state and stable storage — and the engine
-// itself is untouched: isolation comes from Network::set_group scoping the
-// reachability service per shard, so the groups never see each other's
-// membership events while sharing the network's clock, latency model and
-// per-node CPU accounting.
+// ShardedCluster IS an EngineCluster built with N groups: the base builds
+// the simulator, network, observability wiring and nodes, and runs the
+// crash/recover, convergence and per-group invariant checks. This class
+// adds only what is sharded: the shared Directory, the shard::Router, the
+// prepared-check txn::TxnCoordinator, the shard::Rebalancer, per-shard
+// partitions, the TORDB_SIM_* lane resolution and the shard/router/txn/lane
+// metrics. The engine itself is untouched: isolation comes from
+// Network::set_group scoping the reachability service per group, so the
+// groups never see each other's membership events while sharing the
+// network's clock, latency model and per-node CPU accounting.
 //
 // Node ids are global and contiguous: shard s owns ids
 // [s * replicas_per_shard, (s+1) * replicas_per_shard). Topology controls
 // take (shard, local index) so tests speak per-group; partitions compose
 // across shards (each shard's component layout is tracked separately and
-// the global component set is rebuilt from the product).
+// the global component set is rebuilt from the product). The single-group
+// controls (add_dormant, a global partition) are not available here.
 //
 // Determinism: the Simulator is seeded with the base seed — a 1-shard
 // ShardedCluster schedules events bit-identically to an EngineCluster of
-// the same seed and size. Per-shard workload seeds come from shard_seed(),
-// a splitmix64 derivation of (base seed, shard id), so shards drive
-// uncorrelated but reproducible load.
+// the same seed and size (sim_digest_test pins this). Per-shard workload
+// seeds come from shard_seed(), a splitmix64 derivation of (base seed,
+// shard id), so shards drive uncorrelated but reproducible load.
 #pragma once
 
 #include <memory>
@@ -75,12 +80,10 @@ struct ShardedClusterOptions {
   bool sim_env = true;
 };
 
-class ShardedCluster {
+class ShardedCluster : public EngineCluster {
  public:
   explicit ShardedCluster(ShardedClusterOptions options);
 
-  Simulator& sim() { return sim_; }
-  Network& net() { return net_; }
   shard::Router& router() { return *router_; }
   shard::Rebalancer& rebalancer() { return *rebalancer_; }
   txn::TxnCoordinator& txn() { return *txn_; }
@@ -91,33 +94,29 @@ class ShardedCluster {
   void restart_txn_coordinator(int halt_at_stage = 0);
   const shard::Directory& directory() const { return router_->directory(); }
   std::int64_t directory_epoch() const { return router_->directory().epoch(); }
-  int shards() const { return options_.shards; }
-  int replicas_per_shard() const { return options_.replicas_per_shard; }
+  int shards() const { return groups(); }
+  int replicas_per_shard() const { return group_size(); }
   /// True when the simulator runs partitioned into per-shard event lanes
   /// (sim_threads >= 2, sim_lanes, or the TORDB_SIM_* environment).
-  bool lanes_enabled() const { return sim_.lanes_enabled(); }
+  bool lanes_enabled() const { return sim().lanes_enabled(); }
   /// Worker threads actually executing lanes (1 in classic mode).
-  int sim_threads() const { return sim_.lanes_enabled() ? sim_.worker_threads() : 1; }
+  int sim_threads() const { return lanes_enabled() ? sim().worker_threads() : 1; }
   /// The event-schedule digest of one shard's lane: every (time, sequence)
   /// pair executed there, folded in order. Bit-identical across worker
   /// thread counts — the object the parallel equivalence tests compare.
   /// Lane mode only (0 in classic mode, where no per-shard split exists).
   std::uint64_t shard_digest(int shard) const {
-    return sim_.lanes_enabled() ? sim_.lane_digest(shard) : 0;
+    return lanes_enabled() ? sim().lane_digest(shard) : 0;
   }
 
   NodeId node_id(int shard, int idx) const {
-    return static_cast<NodeId>(shard * options_.replicas_per_shard + idx);
+    return static_cast<NodeId>(shard * group_size() + idx);
   }
-  core::ReplicaNode& node(int shard, int idx) {
-    return *nodes_.at(static_cast<std::size_t>(node_id(shard, idx)));
-  }
+  core::ReplicaNode& node(int shard, int idx) { return EngineCluster::node(node_id(shard, idx)); }
   const core::ReplicaNode& node(int shard, int idx) const {
-    return *nodes_.at(static_cast<std::size_t>(node_id(shard, idx)));
+    return EngineCluster::node(node_id(shard, idx));
   }
-  std::vector<NodeId> shard_ids(int shard) const;
-
-  void run_for(SimDuration d) { sim_.run_for(d); }
+  std::vector<NodeId> shard_ids(int shard) const { return group_ids(shard); }
 
   /// Deterministic per-shard workload seed: splitmix64 over the base seed
   /// and the shard id. Distinct per shard, stable across runs.
@@ -133,19 +132,18 @@ class ShardedCluster {
   bool merge_at(const std::string& key) { return rebalancer_->merge_at(key); }
 
   // --- topology, addressed per shard ----------------------------------------
-  /// Crash/recover route through the shard's lane in lane mode (a recover
-  /// constructs a fresh engine, whose timers must live on the node's lane);
-  /// plain direct calls in classic mode.
-  void crash(int shard, int idx) { in_node_lane(shard, idx, [](core::ReplicaNode& n) { n.crash(); }); }
-  void recover(int shard, int idx) {
-    in_node_lane(shard, idx, [](core::ReplicaNode& n) { n.recover(); });
-  }
+  void crash(int shard, int idx) { EngineCluster::crash(node_id(shard, idx)); }
+  void recover(int shard, int idx) { EngineCluster::recover(node_id(shard, idx)); }
   /// Partition ONE shard's members into the given components (local
   /// indices, each member exactly once). Other shards keep their current
   /// layout — the global component set is the union over shards.
   void partition_shard(int shard, const std::vector<std::vector<int>>& components);
   void heal_shard(int shard);
   void heal();
+  /// Single-group controls: a joiner has no shard, and a global partition
+  /// would bypass the per-shard layouts.
+  core::ReplicaNode& add_dormant(NodeId id) = delete;
+  void partition(const std::vector<std::vector<NodeId>>& components) = delete;
 
   // --- convergence & invariants ----------------------------------------------
   /// Every running member of `shard` is in RegPrim with identical green
@@ -154,34 +152,22 @@ class ShardedCluster {
   /// Highest green count among the shard's running members.
   std::int64_t green_count(int shard) const { return router_->green_watermark(shard); }
 
-  /// Theorem 1 per replication group: green sequences of a shard's members
-  /// agree on shared positions; equal counts imply equal digests.
-  std::optional<std::string> check_green_prefix_consistency() const;
+  /// The per-group checks of EngineCluster::check_all, then cross-shard
+  /// atomicity: no cross-shard action committed at some shards only.
   std::optional<std::string> check_all() const;
 
-  // --- observability ---------------------------------------------------------
-  const std::shared_ptr<obs::TraceBus>& trace_bus() const { return trace_bus_; }
-  obs::SafetyChecker* checker() const { return checker_.get(); }
-  const std::shared_ptr<obs::MetricsRegistry>& metrics() const { return metrics_; }
-  /// Sample per-shard cumulative stats under `shard.<id>.*` plus the
-  /// deployment-wide aggregates EngineCluster publishes.
-  void sample_metrics();
-
  private:
-  void schedule_metrics_roll();
+  /// Publishes `shard.<id>.*`, lane, router, txn and directory names.
+  void sample_tier_metrics(const std::vector<Sample>& groups) override;
+  /// Resolve the lane knobs (TORDB_SIM_* included, unless sim_env is off).
+  static Lanes resolve_lanes(const ShardedClusterOptions& o);
   void apply_components();
   void make_txn_coordinator(int halt_at_stage);
-  /// Run `fn(node)` on the node's own lane: inline in classic mode, under a
-  /// LaneScope when parked, via a handoff when the simulation is running.
-  void in_node_lane(int shard, int idx, void (*fn)(core::ReplicaNode&));
 
   ShardedClusterOptions options_;
-  Simulator sim_;
-  Network net_;
-  std::shared_ptr<obs::TraceBus> trace_bus_;
-  std::unique_ptr<obs::SafetyChecker> checker_;
-  std::shared_ptr<obs::MetricsRegistry> metrics_;
-  std::vector<std::unique_ptr<core::ReplicaNode>> nodes_;  ///< indexed by global id
+  /// Each shard's members, in fail-over order; shared by the router, the
+  /// coordinator and the rebalancer.
+  std::vector<std::vector<core::ReplicaNode*>> members_;
   std::unique_ptr<shard::Router> router_;
   /// Declared after router_ (the coordinator holds a Router&): destruction
   /// runs in reverse order, so the coordinator dies first.

@@ -164,7 +164,6 @@ TEST_F(RouterTest, CrossShardChecksHandOffToCoordinatorAndAbortAtomically) {
   EXPECT_FALSE(committed);
   EXPECT_TRUE(check_aborted);
   EXPECT_EQ(c_.router().stats().txn_handoffs, 1u);
-  EXPECT_EQ(c_.router().stats().rejected_cross_checks, 0u);
   // Applied at NO shard.
   EXPECT_EQ(db_at(1, 0, key_in(1)), "");
   // Single-shard commands still carry checks (evaluated inside one group).

@@ -247,6 +247,59 @@ TEST(SimDigest, WideGroupChurnMatchesGolden) {
 }
 
 // ---------------------------------------------------------------------------
+// Harness contract: a 1-shard ShardedCluster is an EngineCluster of the same
+// seed and size plus a router tier, so the two must schedule bit-identically.
+// Closed-loop strict submits at every member; member 1 crashes mid-run.
+// ---------------------------------------------------------------------------
+
+core::ReplicaNode& member(EngineCluster& c, NodeId id) { return c.node(id); }
+core::ReplicaNode& member(ShardedCluster& c, NodeId id) { return c.node(0, id); }
+void crash_member(EngineCluster& c, NodeId id) { c.crash(id); }
+void crash_member(ShardedCluster& c, NodeId id) { c.crash(0, id); }
+
+template <typename Cluster>
+std::uint64_t closed_loop_digest(Cluster& c, int replicas) {
+  c.run_for(seconds(2));  // the primary forms
+  std::function<void(NodeId)> issue = [&](NodeId id) {
+    member(c, id).engine().submit({}, db::Command::add("k" + std::to_string(id % 4), 1), id,
+                                  core::Semantics::kStrict, [&issue, &c, id](const core::Reply&) {
+                                    if (member(c, id).running() && c.sim().now() < seconds(5)) {
+                                      issue(id);
+                                    }
+                                  });
+  };
+  for (NodeId i = 0; i < replicas; ++i) issue(i);
+  c.run_for(millis(1500));
+  crash_member(c, 1);
+  c.run_for(seconds(6));  // load stops at 5 s; drain and settle
+
+  EXPECT_EQ(c.check_all(), std::nullopt);
+  std::uint64_t h = 0x1c1a5;
+  for (NodeId i = 0; i < replicas; ++i) {
+    const core::ReplicaNode& n = member(c, i);
+    h = mix(h, n.running() ? 1 : 0);
+    if (n.running()) h = fold_engine(h, n.engine());
+  }
+  return fold_net(h, c.net().stats(), c.sim().now());
+}
+
+TEST(SimDigest, OneShardClusterSchedulesLikeEngineCluster) {
+  for (const int n : {3, 5, 12}) {
+    ClusterOptions eo;
+    eo.replicas = n;
+    eo.seed = 0x0e5a + static_cast<std::uint64_t>(n);
+    EngineCluster engine(eo);
+    ShardedClusterOptions so;
+    so.shards = 1;
+    so.replicas_per_shard = n;
+    so.seed = eo.seed;
+    so.sim_env = false;  // the classic loop, like the EngineCluster
+    ShardedCluster sharded(so);
+    EXPECT_EQ(closed_loop_digest(sharded, n), closed_loop_digest(engine, n)) << n << " replicas";
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Lane-mode equivalence: the parallel simulator (DESIGN.md §15) must produce
 // bit-identical results for ANY worker thread count. Each scenario runs a
 // randomized churn + rebalance + cross-shard-txn schedule (same style as the
