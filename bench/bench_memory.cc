@@ -139,6 +139,7 @@ RunResult run_mode(bool announce, std::int64_t target_actions, std::uint64_t see
   }
   *stop = true;
   cluster.run_for(millis(200));  // drain in-flight submissions
+  *issue = nullptr;  // the closure holds `issue` itself: break the cycle
 
   r.greens = total_green(cluster) - green_start;
   r.final_bytes = r.curve.empty() ? total_body_bytes(cluster) : r.curve.back().body_bytes;

@@ -411,41 +411,40 @@ void ReplicationEngine::submit(db::Command query, db::Command update, std::int64
 }
 
 void ReplicationEngine::submit_query(db::Command query, QueryMode mode, ReplyFn reply) {
-  Reply rep;
   switch (mode) {
-    case QueryMode::kWeak: {
+    case QueryMode::kWeak:
       // §6: consistent but possibly obsolete — answered from the green
       // state even in a non-primary component.
-      auto res = db_.peek(query);
-      rep.aborted = res.aborted;
-      rep.reads = std::move(res.reads);
-      ++stats_.replies;
-      if (reply) reply(rep);
+      answer_query(db_, query, reply);
       return;
-    }
-    case QueryMode::kDirty: {
-      // §6: latest local information, red actions included.
-      db::Database dirty = dirty_database();
-      auto res = dirty.peek(query);
-      rep.aborted = res.aborted;
-      rep.reads = std::move(res.reads);
-      ++stats_.replies;
-      if (reply) reply(rep);
+    case QueryMode::kDirty:
+      // §6: latest local information, red actions included. With no red
+      // pending the overlay equals the green state, so answer in place; it
+      // is built only when reds wait (non-primary component, mid-exchange).
+      if (log_.red_count() == 0) {
+        answer_query(db_, query, reply);
+      } else {
+        answer_query(dirty_database(), query, reply);
+      }
       return;
-    }
-    case QueryMode::kStrict: {
+    case QueryMode::kStrict:
       if (state_ == EngineState::kRegPrim && ongoing_.empty()) {
-        auto res = db_.peek(query);
-        rep.aborted = res.aborted;
-        rep.reads = std::move(res.reads);
-        ++stats_.replies;
-        if (reply) reply(rep);
+        answer_query(db_, query, reply);
       } else {
         pending_strict_queries_.push_back(PendingQuery{std::move(query), std::move(reply)});
       }
       return;
-    }
   }
+}
+
+void ReplicationEngine::answer_query(const db::Database& db, const db::Command& query,
+                                     const ReplyFn& fn) {
+  auto res = db.peek(query);
+  Reply rep;
+  rep.aborted = res.aborted;
+  rep.reads = std::move(res.reads);
+  ++stats_.replies;
+  if (fn) fn(rep);
 }
 
 void ReplicationEngine::flush_strict_queries() {
@@ -454,14 +453,7 @@ void ReplicationEngine::flush_strict_queries() {
   }
   std::vector<PendingQuery> ready;
   ready.swap(pending_strict_queries_);
-  for (PendingQuery& q : ready) {
-    auto res = db_.peek(q.query);
-    Reply rep;
-    rep.aborted = res.aborted;
-    rep.reads = std::move(res.reads);
-    ++stats_.replies;
-    if (q.fn) q.fn(rep);
-  }
+  for (PendingQuery& q : ready) answer_query(db_, q.query, q.fn);
 }
 
 void ReplicationEngine::handle_join_request(NodeId joiner) {

@@ -293,6 +293,8 @@ class ReplicationEngine {
   void maybe_compact();
   void maybe_reply_red(const Action& a);
   void reply_green(const Action& a, const db::ApplyResult& result);
+  /// Answers `query` from `db` at once (§6 query fast path).
+  void answer_query(const db::Database& db, const db::Command& query, const ReplyFn& fn);
   void flush_strict_queries();
   void send_snapshot_to(NodeId joiner);
   void enter_left();

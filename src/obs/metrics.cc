@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdio>
+#include <string_view>
 
 namespace tordb::obs {
 
@@ -11,6 +12,22 @@ namespace {
 int bucket_of(std::int64_t v) {
   if (v <= 0) return 0;
   return std::bit_width(static_cast<std::uint64_t>(v));  // 1..63
+}
+
+/// Shortest dotted suffix of `name` that no other of `names` ends in, so
+/// "engine.actions_green" prints as "actions_green" while
+/// "tpcc.new_order.committed" and "tpcc.payment.committed" keep one more
+/// component each.
+std::string column_label(const std::vector<std::string>& names, const std::string& name) {
+  for (auto dot = name.rfind('.'); dot != std::string::npos && dot > 0;
+       dot = name.rfind('.', dot - 1)) {
+    const std::string_view tail = std::string_view(name).substr(dot);  // ".committed"
+    const auto sharing = std::count_if(names.begin(), names.end(), [&](const std::string& n) {
+      return ("." + n).ends_with(tail);
+    });
+    if (sharing == 1) return std::string(tail.substr(1));
+  }
+  return name;
 }
 
 double bucket_low(int b) { return b == 0 ? 0 : static_cast<double>(1ull << (b - 1)); }
@@ -130,13 +147,13 @@ std::string MetricsRegistry::totals() const {
 std::string MetricsRegistry::window_table(const std::vector<std::string>& counter_names) const {
   std::string out;
   char buf[256];
-  std::snprintf(buf, sizeof(buf), "%14s", "window");
+  std::snprintf(buf, sizeof(buf), "%13s", "window");
   out += buf;
+  std::vector<int> widths;
   for (const auto& n : counter_names) {
-    // Last path component keeps columns narrow: "engine.actions_green" ->
-    // "actions_green".
-    const auto dot = n.rfind('.');
-    std::snprintf(buf, sizeof(buf), " | %16s", n.substr(dot == std::string::npos ? 0 : dot + 1).c_str());
+    const std::string label = column_label(counter_names, n);
+    widths.push_back(std::max(16, static_cast<int>(label.size())));
+    std::snprintf(buf, sizeof(buf), " | %*s", widths.back(), label.c_str());
     out += buf;
   }
   bool any_hist = false;
@@ -146,9 +163,9 @@ std::string MetricsRegistry::window_table(const std::vector<std::string>& counte
   for (const auto& w : windows_) {
     std::snprintf(buf, sizeof(buf), "%6.2f-%5.2fs", to_seconds(w.start), to_seconds(w.end));
     out += buf;
-    for (const auto& n : counter_names) {
-      auto it = w.counter_deltas.find(n);
-      std::snprintf(buf, sizeof(buf), " | %16llu",
+    for (std::size_t i = 0; i < counter_names.size(); ++i) {
+      auto it = w.counter_deltas.find(counter_names[i]);
+      std::snprintf(buf, sizeof(buf), " | %*llu", widths[i],
                     static_cast<unsigned long long>(it == w.counter_deltas.end() ? 0 : it->second));
       out += buf;
     }

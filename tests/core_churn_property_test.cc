@@ -7,7 +7,9 @@
 // quiescence.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
+#include <string>
 
 #include "obs_enable.h"  // run every cluster under the online safety checker
 #include "db/database.h"
@@ -113,6 +115,15 @@ TEST_P(ChurnSchedule, DynamicSafetyAndLiveness) {
     c.run_for(millis(static_cast<std::int64_t>(rng.next_range(10, 250))));
     ASSERT_EQ(c.check_green_prefix_consistency(), std::nullopt) << "seed " << sc.seed;
     ASSERT_EQ(c.check_single_primary(), std::nullopt) << "seed " << sc.seed;
+    // §6 dirty query: answered in place when no red is pending, from the
+    // overlay otherwise; both must equal the reference overlay.
+    for (const NodeId n : running_members()) {
+      std::optional<std::string> read;
+      c.engine(n).submit_query(Command::get("total"), QueryMode::kDirty,
+                               [&](const Reply& r) { read = r.reads.at(0); });
+      ASSERT_EQ(read, c.engine(n).dirty_database().get("total"))
+          << "node " << n << " step " << step << " seed " << sc.seed;
+    }
   }
 
   // Quiesce.

@@ -342,5 +342,25 @@ TEST(ObsChecker, MetricsWindowTableHasHeaderAndRows) {
   EXPECT_EQ(reg.windows()[1].counter_deltas.at("x"), 2);
 }
 
+TEST(ObsChecker, MetricsWindowTableKeepsSharedLastComponentsApart) {
+  MetricsRegistry reg;
+  reg.counter("tpcc.new_order.committed").inc(4);
+  reg.counter("tpcc.payment.committed").inc(5);
+  reg.counter("engine.actions_green").inc(6);
+  reg.roll(millis(100));
+  const std::string table = reg.window_table(
+      {"tpcc.new_order.committed", "tpcc.payment.committed", "engine.actions_green"});
+  const std::string header = table.substr(0, table.find('\n'));
+  EXPECT_NE(header.find(" new_order.committed"), std::string::npos) << header;
+  EXPECT_NE(header.find(" payment.committed"), std::string::npos) << header;
+  EXPECT_NE(header.find(" actions_green"), std::string::npos) << header;
+  EXPECT_EQ(header.find("tpcc."), std::string::npos) << header;
+  EXPECT_EQ(header.find("engine."), std::string::npos) << header;
+  // Every row lines up with the header.
+  const std::string row = table.substr(header.size() + 1, table.find('\n', header.size() + 1) -
+                                                              header.size() - 1);
+  EXPECT_EQ(row.size(), header.size()) << table;
+}
+
 }  // namespace
 }  // namespace tordb::obs
