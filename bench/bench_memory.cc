@@ -1,29 +1,27 @@
-// Long-run memory curve: body-store growth with and without green-line
-// announcements (DESIGN.md §14, experiment A11).
+// Long-run memory curve: body-store growth with and without white
+// trimming (DESIGN.md §14, experiment A11).
 //
 // A router-driven deployment concentrates action creation on each shard's
 // representative replica; the other replicas never originate actions, so
-// before the announcement protocol their green lines were invisible to
-// peers, every white line stayed pinned at its last exchange, and the body
-// stores grew linearly with committed work. With announcements, knowledge
-// flows even from silent replicas and the stores plateau at the announce
-// interval's worth of in-flight history.
+// their green lines reach peers only as the knowledge words on their gc
+// stability traffic. With trimming on, the body stores plateau at the few
+// milliseconds of in-flight history those words trail by; with it off they
+// grow linearly with committed work.
 //
 // This bench runs the same closed-loop put workload through shard::Router
-// twice — announce_interval = 0 (the pre-announcement configuration) and
-// the default 250 ms — sampling the summed body-store bytes over virtual
-// time, and prints both curves plus a summary. The announce-off run is
-// capped at a fraction of the announce-on horizon: its growth is linear by
-// then, and letting it run the full horizon would only burn host memory to
-// re-measure a known slope.
+// twice — white_trim = false and the default true — sampling the summed
+// body-store bytes over virtual time, and prints both curves plus a
+// summary. The trim-off run is capped at a fraction of the trim-on
+// horizon: its growth is linear by then, and letting it run the full
+// horizon would only burn host memory to re-measure a known slope.
 //
 // Assertions (exit 1 on failure):
-//   - plateau: the announce-on run's PEAK bytes stay below the announce-off
-//     run's FINAL bytes even though the on-run commits several times more
+//   - plateau: the trim-on run's PEAK bytes stay below the trim-off run's
+//     FINAL bytes even though the on-run commits several times more
 //     actions;
-//   - throughput: announce-on green throughput is within 5% of announce-off
-//     (the token is rate-limited and piggybacking is free);
-//   - budget: if TORDB_MEM_BUDGET is set (bytes), the announce-on peak must
+//   - throughput: trim-on green throughput is within 5% of trim-off (the
+//     words ride traffic the gc sends anyway);
+//   - budget: if TORDB_MEM_BUDGET is set (bytes), the trim-on peak must
 //     stay under it — the CI smoke guard against a trim-starvation
 //     regression.
 //
@@ -94,12 +92,12 @@ std::int64_t white_lag(ShardedCluster& c) {
   return lag;
 }
 
-RunResult run_mode(bool announce, std::int64_t target_actions, std::uint64_t seed) {
+RunResult run_mode(bool trim, std::int64_t target_actions, std::uint64_t seed) {
   ShardedClusterOptions o;
   o.shards = 2;
   o.replicas_per_shard = 3;
   o.seed = seed;
-  o.node.engine.announce_interval = announce ? millis(250) : SimDuration{0};
+  o.node.engine.white_trim = trim;
   ShardedCluster cluster(o);
   cluster.run_for(seconds(2));  // every shard forms its primary component
 
@@ -187,22 +185,22 @@ int main(int argc, char** argv) {
   }
 
   bench::header("Body-store memory over a long router-driven run",
-                "not a paper figure: DESIGN.md §14 / EXPERIMENTS.md A11 — the "
-                "announcement protocol turns unbounded body-store growth into a "
-                "plateau without measurable throughput cost");
+                "not a paper figure: DESIGN.md §14 / EXPERIMENTS.md A11 — white "
+                "trimming on the gc's knowledge words turns unbounded body-store "
+                "growth into a plateau without measurable throughput cost");
 
-  // The announce-off horizon is a fraction of the announce-on one (see the
+  // The trim-off horizon is a fraction of the trim-on one (see the
   // file comment): linear growth is established long before the cap, and
   // the peak-vs-final assertion below is *stronger* for the shorter run.
   const std::int64_t on_target = smoke ? 40'000 : 1'000'000;
   const std::int64_t off_target = smoke ? 20'000 : 200'000;
 
-  std::printf("announce OFF (pre-announcement configuration, capped at %lld actions):\n",
+  std::printf("trim OFF (white_trim = false, capped at %lld actions):\n",
               static_cast<long long>(off_target));
   const RunResult off = run_mode(false, off_target, /*seed=*/7);
   print_curve("off", off);
 
-  std::printf("announce ON (250 ms token, %lld actions):\n",
+  std::printf("trim ON (knowledge words on the gc stability streams, %lld actions):\n",
               static_cast<long long>(on_target));
   const RunResult on = run_mode(true, on_target, /*seed=*/7);
   print_curve("on ", on);
@@ -212,7 +210,7 @@ int main(int argc, char** argv) {
   // Plateau: several times more committed work must still need less memory.
   if (on.peak_bytes >= off.final_bytes) {
     std::fprintf(stderr,
-                 "FAIL: announce-on peak %lld B >= announce-off final %lld B — the body "
+                 "FAIL: trim-on peak %lld B >= trim-off final %lld B — the body "
                  "stores are not plateauing\n",
                  static_cast<long long>(on.peak_bytes),
                  static_cast<long long>(off.final_bytes));
@@ -225,13 +223,13 @@ int main(int argc, char** argv) {
                                                      off.greens, 1)));
   }
 
-  // Throughput: the token is rate-limited; piggybacked knowledge is free.
+  // Throughput: the words ride stability traffic the gc sends anyway.
   const double rel = off.green_per_second > 0
                          ? (on.green_per_second - off.green_per_second) / off.green_per_second
                          : 0;
   if (rel < -0.05) {
-    std::fprintf(stderr, "FAIL: announce-on throughput %.0f green/s is %.1f%% below "
-                 "announce-off %.0f green/s (budget: 5%%)\n",
+    std::fprintf(stderr, "FAIL: trim-on throughput %.0f green/s is %.1f%% below "
+                 "trim-off %.0f green/s (budget: 5%%)\n",
                  on.green_per_second, -rel * 100.0, off.green_per_second);
     ok = false;
   } else {
@@ -239,11 +237,11 @@ int main(int argc, char** argv) {
                 on.green_per_second, off.green_per_second, rel * 100.0);
   }
 
-  // CI budget guard: peak announce-on body bytes across the deployment.
+  // CI budget guard: peak trim-on body bytes across the deployment.
   if (const char* b = std::getenv("TORDB_MEM_BUDGET")) {
     const std::int64_t budget = std::atoll(b);
     if (budget > 0 && on.peak_bytes > budget) {
-      std::fprintf(stderr, "FAIL: announce-on peak %lld B over TORDB_MEM_BUDGET %lld B\n",
+      std::fprintf(stderr, "FAIL: trim-on peak %lld B over TORDB_MEM_BUDGET %lld B\n",
                    static_cast<long long>(on.peak_bytes), static_cast<long long>(budget));
       ok = false;
     } else {

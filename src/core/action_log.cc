@@ -16,6 +16,17 @@ void ActionLog::recycle(std::unique_ptr<StoredAction> p) {
   if (pool_.size() < 4096) pool_.push_back(std::move(p));
 }
 
+void ActionLog::put_body(std::unique_ptr<StoredAction>& slot, Action&& a) {
+  if (!slot) {
+    slot = alloc_stored();
+  } else {
+    body_bytes_ -= slot->bytes;
+  }
+  slot->bytes = static_cast<std::int64_t>(a.wire_size());
+  body_bytes_ += slot->bytes;
+  slot->body = std::move(a);
+}
+
 std::span<const Action* const> ActionLog::mark_red(Action&& a) {
   admitted_.clear();
   const ActionId aid = a.id;
@@ -35,13 +46,7 @@ std::span<const Action* const> ActionLog::mark_red(Action&& a) {
     // Fetch-or-create (not overwrite) so a body re-admitted after a
     // green-during-gap keeps the green position it already earned.
     auto& slot = store_[pack_action_id(cid)];
-    if (!slot) {
-      slot = alloc_stored();
-    } else {
-      body_bytes_ -= static_cast<std::int64_t>(slot->body.wire_size());
-    }
-    body_bytes_ += static_cast<std::int64_t>(current.wire_size());
-    slot->body = std::move(current);
+    put_body(slot, std::move(current));
     admitted_.push_back(&slot->body);
     const std::uint64_t next_key = pack_action_id(ActionId{aid.server_id, cs.red_cut + 1});
     Action* next = red_waiting_.find(next_key);
@@ -70,8 +75,7 @@ ActionLog::GreenResult ActionLog::mark_green(Action&& a) {
     cell = slot->get();
   } else if (const Action* parked = red_waiting_.find(key)) {
     auto& fresh = store_[key];
-    fresh = std::make_unique<StoredAction>(StoredAction{*parked, 0});
-    body_bytes_ += static_cast<std::int64_t>(parked->wire_size());
+    put_body(fresh, Action(*parked));
     cell = fresh.get();
   }
   if (cell != nullptr) {
@@ -165,7 +169,7 @@ std::size_t ActionLog::trim_white_to(std::int64_t white_line) {
     ++white_count_;
     const std::uint64_t key = pack_action_id(aid);
     if (auto* slot = store_.find(key)) {
-      body_bytes_ -= static_cast<std::int64_t>((*slot)->body.wire_size());
+      body_bytes_ -= (*slot)->bytes;
       recycle(std::move(*slot));
       store_.erase(key);
     }
@@ -217,7 +221,7 @@ std::span<const Action* const> ActionLog::adopt_green_prefix(
   std::vector<std::uint64_t> dead;
   store_.for_each([&](std::uint64_t key, const std::unique_ptr<StoredAction>& s) {
     if (is_green(unpack_action_id(key))) {
-      body_bytes_ -= static_cast<std::int64_t>(s->body.wire_size());
+      body_bytes_ -= s->bytes;
       dead.push_back(key);
     }
   });
@@ -244,13 +248,7 @@ std::span<const Action* const> ActionLog::adopt_green_prefix(
       if (w == nullptr) break;
       ++cs.red_cut;
       auto& slot = store_[key];
-      if (!slot) {
-        slot = alloc_stored();
-      } else {
-        body_bytes_ -= static_cast<std::int64_t>(slot->body.wire_size());
-      }
-      body_bytes_ += static_cast<std::int64_t>(w->wire_size());
-      slot->body = std::move(*w);
+      put_body(slot, std::move(*w));
       red_waiting_.erase(key);
       admitted_.push_back(&slot->body);
     }
@@ -266,14 +264,8 @@ bool ActionLog::replay_green(std::int64_t position, const Action& a) {
   cs.green_red_cut = std::max(cs.green_red_cut, a.id.index);
   cs.red_cut = std::max(cs.red_cut, a.id.index);
   auto& slot = store_[pack_action_id(a.id)];
-  if (!slot) {
-    slot = alloc_stored();
-  } else {
-    body_bytes_ -= static_cast<std::int64_t>(slot->body.wire_size());
-  }
-  slot->body = a;
+  put_body(slot, Action(a));
   slot->green_pos = green_count_;
-  body_bytes_ += static_cast<std::int64_t>(a.wire_size());
   return true;
 }
 

@@ -176,7 +176,11 @@ class ActionLog {
   struct StoredAction {
     Action body;
     std::int64_t green_pos = 0;
+    std::int64_t bytes = 0;  ///< body.wire_size(), computed once at store time
   };
+  /// Store `a` in `slot`, allocating it when empty (a filled slot keeps its
+  /// green position), and keep body_bytes_ in step.
+  void put_body(std::unique_ptr<StoredAction>& slot, Action&& a);
 
   void compact_green_seq();
 

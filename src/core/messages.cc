@@ -177,20 +177,6 @@ Bytes encode_catchup(const SnapshotMessage& s) {
                    [&](BufWriter& w) { encode_snapshot_body(w, s); });
 }
 
-Bytes encode_announce(const AnnounceMessage& m) {
-  return with_type(static_cast<std::uint8_t>(EngineMsgType::kAnnounce), [&](BufWriter& w) {
-    w.i32(m.server_id);
-    encode_pairs(w, m.known);
-  });
-}
-
-AnnounceMessage decode_announce(BufReader& r) {
-  AnnounceMessage m;
-  m.server_id = r.i32();
-  m.known = decode_pairs(r);
-  return m;
-}
-
 EngineMsgType peek_engine_type(const Bytes& wire) {
   if (wire.empty()) throw SerdeError("empty engine message");
   return static_cast<EngineMsgType>(wire[0]);

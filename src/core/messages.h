@@ -101,24 +101,6 @@ enum class EngineMsgType : std::uint8_t {
   kActionBatch = 7,   ///< several client actions in one multicast; members
                       ///  process them in batch order (used when buffered
                       ///  requests flush together)
-  kAnnounce = 8,      ///< green-line / knowledge announcement (DESIGN.md §14):
-                      ///  a replica's knowledge vector, multicast so white
-                      ///  trimming advances even at replicas that never
-                      ///  originate actions
-};
-
-/// Green-line announcement (DESIGN.md §14). Carries the sender's full
-/// knowledge vector — its own green line plus every green line it has
-/// learned — so knowledge propagates transitively: one multicast teaches
-/// the whole component everything the sender knows. Announced lines are
-/// lower-bound claims ("I have marked at least this prefix green"); merging
-/// them is a per-entry max, which makes duplicated or reordered
-/// announcements harmless.
-struct AnnounceMessage {
-  NodeId server_id = kNoNode;
-  std::vector<std::pair<NodeId, std::int64_t>> known;  ///< server -> green line
-
-  friend bool operator==(const AnnounceMessage&, const AnnounceMessage&) = default;
 };
 
 Bytes encode_action_msg(const Action& a);
@@ -129,8 +111,6 @@ Bytes encode_cpc_msg(const CpcMessage& c);
 Bytes encode_green_retrans(std::int64_t position, const Action& a);
 Bytes encode_red_retrans(const Action& a);
 Bytes encode_catchup(const struct SnapshotMessage& s);
-Bytes encode_announce(const AnnounceMessage& m);
-AnnounceMessage decode_announce(BufReader& r);
 
 EngineMsgType peek_engine_type(const Bytes& wire);
 

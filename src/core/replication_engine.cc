@@ -113,9 +113,6 @@ void ReplicationEngine::init_obs() {
     metric_green_ = &params_.metrics->counter("engine.actions_green");
     metric_red_ = &params_.metrics->counter("engine.actions_red");
     metric_installs_ = &params_.metrics->counter("engine.primaries_installed");
-    metric_announce_sent_ = &params_.metrics->counter("engine.announce.sent");
-    metric_announce_recv_ = &params_.metrics->counter("engine.announce.received");
-    metric_announce_supp_ = &params_.metrics->counter("engine.announce.suppressed");
   }
 }
 
@@ -158,8 +155,11 @@ void ReplicationEngine::construct_gc(std::int64_t initial_counter) {
     on_transitional_config(c);
   };
   listener.on_deliver = [this](const gc::Delivery& d) { on_deliver(d); };
+  listener.on_knowledge = [this] { on_knowledge(); };
   gc_ = std::make_unique<gc::GroupCommunication>(net_, id_, std::move(listener), initial_counter,
                                                  params_.gc);
+  gc_->set_knowledge(log_.green_count());
+  raise_white(/*rescan=*/true);  // from the lines the log or snapshot carried
 }
 
 void ReplicationEngine::recover_from_log(const std::vector<NodeId>& fallback_servers) {
@@ -272,6 +272,7 @@ void ReplicationEngine::adopt_snapshot(const SnapshotMessage& s, bool set_prim) 
     on_newly_red(*r);
   }
   server_set_ = s.server_set;
+  track_view();
   for (const auto& [n, g] : s.green_lines) {
     std::int64_t& v = green_lines_[n];
     v = std::max(v, g);
@@ -310,9 +311,6 @@ Action ReplicationEngine::make_action(ActionType type, db::Command query, db::Co
   a.type = type;
   a.id = ActionId{id_, ++action_index_};
   a.green_line = log_.green_count();
-  // The action piggybacks our green line to the whole component, so a
-  // pending announcement token for the same (or an older) line is moot.
-  last_announced_green_ = std::max(last_announced_green_, a.green_line);
   a.client = client;
   a.semantics = semantics;
   a.query = std::move(query);
@@ -513,6 +511,8 @@ void ReplicationEngine::handle_buffered_requests() {
 
 void ReplicationEngine::on_transitional_config(const gc::Configuration& conf) {
   (void)conf;
+  // Keep what the old configuration's words taught: they reset at install.
+  refresh_green_lines();
   switch (state_) {
     case EngineState::kRegPrim:
       set_state(EngineState::kTransPrim);  // A.2
@@ -532,6 +532,7 @@ void ReplicationEngine::on_transitional_config(const gc::Configuration& conf) {
 
 void ReplicationEngine::on_regular_config(const gc::Configuration& conf) {
   conf_ = conf;
+  track_view();
   switch (state_) {
     case EngineState::kTransPrim:
       // A.3: we processed the primary component to its end; complete
@@ -608,9 +609,6 @@ void ReplicationEngine::on_deliver(const gc::Delivery& d) {
     case EngineMsgType::kCatchup:
       handle_catchup(decode_snapshot(r));
       break;
-    case EngineMsgType::kAnnounce:
-      handle_announce(decode_announce(r));
-      break;
   }
 }
 
@@ -624,6 +622,7 @@ void ReplicationEngine::handle_action(Action&& a) {
       mark_green(std::move(a));
       std::int64_t& v = green_lines_[creator];
       v = std::max(v, line);
+      raise_white();
       trim_white();
       break;
     }
@@ -738,7 +737,7 @@ void ReplicationEngine::shift_to_exchange_actions() {
         snap.green_count = log_.green_count();
         snap.green_red_cut = log_.green_red_cut_pairs();
         snap.server_set = server_set_;
-        snap.green_lines = green_lines_.entries();
+        snap.green_lines = green_line_entries();
         snap.prim = prim_;
         gc_->multicast(encode_catchup(snap), gc::Service::kAgreed);
         ++stats_.snapshots_sent;
@@ -822,6 +821,7 @@ void ReplicationEngine::handle_catchup(const SnapshotMessage& s) {
   ++received_retrans_;
   if (s.green_count > log_.green_count()) {
     adopt_snapshot(s, /*set_prim=*/false);
+    gc_->set_knowledge(log_.green_count());
     // Persist the adopted prefix as a compaction record so recovery does
     // not mix the old per-action log with the jumped green count.
     DbSnapshotRecord rec;
@@ -832,8 +832,6 @@ void ReplicationEngine::handle_catchup(const SnapshotMessage& s) {
     log_.for_each_pending_red([&](const Action& a2) { rec.red_actions.push_back(a2); });
     rec.ongoing_actions = sorted_ongoing();
     storage_.append(encode_log_db_snapshot(rec));
-    green_lines_[id_] = log_.green_count();
-    maybe_arm_announce();
   }
   maybe_end_of_retrans();
 }
@@ -851,6 +849,7 @@ void ReplicationEngine::end_of_retrans() {
     g = std::max(g, s.green_count);
   }
   compute_knowledge();
+  raise_white(/*rescan=*/true);
   trim_white();
 
   if (is_quorum()) {
@@ -1019,9 +1018,8 @@ void ReplicationEngine::check_construct_complete() {
     if (!cpc_received_.count(m)) return;
   }
   // A.9: everyone reached the same state during the exchange, so after
-  // install all members share this server's green line. (Copy the own line
-  // out first: inserting other members may reallocate the flat entries.)
-  const std::int64_t own_line = green_lines_[id_];
+  // install all members share this server's green line.
+  const std::int64_t own_line = log_.green_count();
   for (NodeId m : conf_.members) {
     std::int64_t& v = green_lines_[m];
     v = std::max(v, own_line);
@@ -1030,6 +1028,7 @@ void ReplicationEngine::check_construct_complete() {
   set_state(EngineState::kRegPrim);
   handle_buffered_requests();
   flush_strict_queries();
+  raise_white(/*rescan=*/true);
   trim_white();
 }
 
@@ -1084,8 +1083,6 @@ void ReplicationEngine::install() {
                    static_cast<std::int64_t>(m));
     }
   }
-  green_lines_[id_] = log_.green_count();
-  maybe_arm_announce();
   append_meta();
   storage_.sync([] {});
 }
@@ -1166,8 +1163,7 @@ void ReplicationEngine::mark_green(Action&& a) {
   const Action* self =
       !res.newly_red.empty() && res.newly_red.front()->id == aid ? res.newly_red.front() : nullptr;
   for (const Action* r : res.newly_red) on_newly_red(*r, /*log_red=*/r != self);
-  green_lines_[id_] = log_.green_count();
-  maybe_arm_announce();
+  gc_->set_knowledge(log_.green_count());
   ++stats_.actions_green;
   if (tracer_) tracer_.emit_action(obs::EventKind::kActionGreen, aid, res.position);
   if (metric_green_ != nullptr) metric_green_->inc();
@@ -1280,6 +1276,7 @@ void ReplicationEngine::on_join_green(const Action& a) {
     insert_sorted(server_set_, j);
     // 5.1 line 7: the joiner's green line is the join action's position.
     green_lines_[j] = log_.green_count();
+    track_view();
     if (tracer_) tracer_.emit(obs::EventKind::kMemberAdd, static_cast<std::int64_t>(j));
     if (callbacks_.on_join_green) callbacks_.on_join_green(j);
     if (a.id.server_id == id_ || pending_join_transfers_.count(j)) {
@@ -1295,6 +1292,7 @@ void ReplicationEngine::on_leave_green(const Action& a) {
   if (!contains(server_set_, l)) return;
   erase_value(server_set_, l);
   green_lines_.erase(l);
+  track_view();
   if (tracer_) tracer_.emit(obs::EventKind::kMemberRemove, static_cast<std::int64_t>(l));
   // Remove the departed member from the dynamic-linear-voting denominator:
   // it can never vote again, and without this a leave of a recent-primary
@@ -1314,7 +1312,7 @@ void ReplicationEngine::send_snapshot_to(NodeId joiner) {
   s.green_count = log_.green_count();
   s.green_red_cut = log_.green_red_cut_pairs();
   s.server_set = server_set_;
-  s.green_lines = green_lines_.entries();
+  s.green_lines = green_line_entries();
   s.prim = prim_;
   net_.send(id_, joiner, encode_snapshot(s), Channel::kDirect);
   pending_join_transfers_.erase(joiner);
@@ -1361,119 +1359,68 @@ db::Database ReplicationEngine::dirty_database() const {
   return dirty;
 }
 
-std::int64_t ReplicationEngine::white_line() const {
-  std::int64_t line = log_.green_count();
-  for (NodeId s : server_set_) {
-    const std::int64_t* g = green_lines_.find(s);
-    line = std::min(line, g == nullptr ? 0 : *g);
-  }
-  return line;
-}
-
 ActionId ReplicationEngine::green_action_at(std::int64_t position) const {
   return log_.green_action_at(position);
 }
 
 void ReplicationEngine::trim_white() {
-  if (!params_.white_trim) return;
-  const std::int64_t line = white_line();
-  const auto trimmed = log_.trim_white_to(line);
+  if (!params_.white_trim || white_ <= log_.white_count()) return;
+  const auto trimmed = log_.trim_white_to(white_);
   stats_.actions_white_trimmed += trimmed;
   if (trimmed > 0 && tracer_) {
-    tracer_.emit(obs::EventKind::kWhiteTrim, line, static_cast<std::int64_t>(trimmed));
+    tracer_.emit(obs::EventKind::kWhiteTrim, white_, static_cast<std::int64_t>(trimmed));
   }
 }
 
 // ---------------------------------------------------------------------------
-// Green-line announcements (DESIGN.md §14)
+// Knowledge and the white line (DESIGN.md §14)
 // ---------------------------------------------------------------------------
 
-void ReplicationEngine::maybe_arm_announce() {
-  // Lazy one-shot token: arm only when there is something new to say, and
-  // let piggybacking (make_action advancing last_announced_green_) win the
-  // race. A recurring timer would never let run-until-idle sims quiesce.
-  if (params_.announce_interval <= 0 || announce_armed_) return;
-  if (log_.green_count() <= last_announced_green_) return;
-  announce_armed_ = true;
-  sim_.after(params_.announce_interval, [this, alive = alive_] {
-    if (!*alive) return;
-    announce_armed_ = false;
-    fire_announce();
-  });
+void ReplicationEngine::on_knowledge() {
+  // Words are lower-bound claims, so merging them is a max. Trim only in
+  // settled states: mid-exchange the retransmission plan assumes the bodies
+  // it promised to resend are still in the log.
+  if (state_ != EngineState::kRegPrim && state_ != EngineState::kNonPrim) return;
+  raise_white();
+  trim_white();
 }
 
-void ReplicationEngine::fire_announce() {
-  if (state_ == EngineState::kLeft) return;
-  if (log_.green_count() <= last_announced_green_) {
-    // An originated action carried our line since arming; stay quiet. The
-    // next mark_green past the announced line re-arms.
-    ++stats_.announces_suppressed;
-    if (metric_announce_supp_ != nullptr) metric_announce_supp_->inc();
-    return;
-  }
-  if (state_ != EngineState::kRegPrim && state_ != EngineState::kNonPrim) {
-    // Mid-exchange: the membership is in flux and a multicast would land in
-    // an unsettled configuration; defer one interval and retry.
-    maybe_arm_announce();
-    return;
-  }
-  send_announce();
-}
-
-void ReplicationEngine::send_announce() {
-  AnnounceMessage m;
-  m.server_id = id_;
-  m.known = green_lines_.entries();
-  last_announced_green_ = log_.green_count();
-  ++stats_.announces_sent;
-  if (metric_announce_sent_ != nullptr) metric_announce_sent_->inc();
-  if (tracer_) {
-    tracer_.emit(obs::EventKind::kAnnounceSend, last_announced_green_,
-                 static_cast<std::int64_t>(m.known.size()));
-  }
-  gc_->multicast(encode_announce(m), gc::Service::kAgreed);
-}
-
-void ReplicationEngine::handle_announce(const AnnounceMessage& m) {
-  ++stats_.announces_received;
-  if (metric_announce_recv_ != nullptr) metric_announce_recv_->inc();
-  if (tracer_) {
-    const std::int64_t* own = nullptr;
-    for (const auto& [n, g] : m.known) {
-      if (n == m.server_id) own = &g;
-    }
-    tracer_.emit(obs::EventKind::kAnnounceRecv, static_cast<std::int64_t>(m.server_id),
-                 own != nullptr ? *own : 0);
-  }
-  // Announced lines are lower-bound claims, so merging is a per-entry max.
-  // Entries for servers outside our current server set are dropped: a stale
-  // announcement must not resurrect a departed member's green line (which
-  // on_leave erased) and pin the white line forever.
-  bool advanced = false;
-  for (const auto& [n, g] : m.known) {
-    if (!contains(server_set_, n)) continue;
-    std::int64_t& v = green_lines_[n];
-    if (g > v) {
-      v = g;
-      advanced = true;
+void ReplicationEngine::raise_white(bool rescan) {
+  std::int64_t line = log_.green_count();
+  if (servers_in_view_ && !rescan) {
+    line = std::min(line, gc_->knowledge_floor());
+  } else {
+    // Some server is outside the view (or the lines were just merged):
+    // its last claim in greenLines[] pins the line until it is heard again.
+    refresh_green_lines();
+    for (NodeId s : server_set_) {
+      const std::int64_t* g = green_lines_.find(s);
+      line = std::min(line, g == nullptr ? 0 : *g);
     }
   }
-  // Trim only in settled states: mid-exchange the retransmission plan
-  // assumes the bodies it promised to resend are still in the log.
-  if (advanced &&
-      (state_ == EngineState::kRegPrim || state_ == EngineState::kNonPrim)) {
-    trim_white();
+  white_ = std::max(white_, line);
+}
+
+void ReplicationEngine::refresh_green_lines() {
+  if (!gc_) return;
+  for (NodeId s : server_set_) {
+    if (std::int64_t* g = green_lines_.find(s)) *g = std::max(*g, gc_->knowledge_of(s));
   }
 }
 
-MetaRecord ReplicationEngine::current_meta() const {
+std::vector<std::pair<NodeId, std::int64_t>> ReplicationEngine::green_line_entries() {
+  refresh_green_lines();
+  return green_lines_.entries();
+}
+
+MetaRecord ReplicationEngine::current_meta() {
   MetaRecord m;
   m.server_set = server_set_;
   m.prim = prim_;
   m.attempt_index = attempt_index_;
   m.vulnerable = vulnerable_;
   m.yellow = yellow_;
-  m.green_lines = green_lines_.entries();
+  m.green_lines = green_line_entries();
   m.gc_counter = gc_ ? gc_->max_counter_seen() : 0;
   return m;
 }

@@ -94,13 +94,6 @@ struct EngineParams {
   std::uint32_t action_padding = 110;  ///< pads actions to ~200 wire bytes
   std::int64_t compact_every_greens = 8000;  ///< log compaction cadence (0 = off)
   bool white_trim = true;  ///< discard white action bodies (paper Figure 1)
-  /// Green-line announcement cadence (DESIGN.md §14; 0 = off). A replica
-  /// whose green line advanced beyond what it last told the group arms a
-  /// one-shot virtual-time timer; when it fires, the replica multicasts its
-  /// knowledge vector — unless its own traffic already piggybacked the line
-  /// in the meantime, which suppresses the token. This is what lets white
-  /// trimming advance at replicas that never originate actions.
-  SimDuration announce_interval = millis(250);
   /// Batch multi-action persist+multicast: one StableStorage append+sync
   /// and one group multicast per batch of buffered client actions instead
   /// of per action. Single-action submissions are unaffected.
@@ -128,11 +121,9 @@ struct EngineStats {
   std::uint64_t retrans_received = 0;
   std::uint64_t replies = 0;
   std::uint64_t snapshots_sent = 0;
-  // Green-line announcements (DESIGN.md §14).
-  std::uint64_t announces_sent = 0;        ///< announcement tokens multicast
-  std::uint64_t announces_received = 0;    ///< announcements merged (incl. own)
-  std::uint64_t announces_suppressed = 0;  ///< timer fired but own traffic
-                                           ///  already piggybacked the line
+  /// Always 0: green lines ride the gc stability streams, no announcement
+  /// token is sent any more (DESIGN.md §14). perfbench/workloads.cc reads it.
+  std::uint64_t announces_sent = 0;
   // Write batching (one forced append+sync and one multicast per batch).
   std::uint64_t persist_batches = 0;        ///< multi-action batches issued
   std::uint64_t persist_batch_actions = 0;  ///< actions carried by them
@@ -198,7 +189,9 @@ class ReplicationEngine {
   }
   std::int64_t green_count() const { return log_.green_count(); }
   std::size_t red_count() const { return log_.red_count(); }
-  std::int64_t white_line() const;
+  /// Known green at every server-set member (paper Figure 1): kept
+  /// incrementally from greenLines[] and the gc's knowledge words.
+  std::int64_t white_line() const { return white_; }
   /// The colored-action history (read-only; all mutation goes through the
   /// engine's protocol paths).
   const ActionLog& action_log() const { return log_; }
@@ -239,17 +232,22 @@ class ReplicationEngine {
   void handle_green_retrans(std::int64_t position, const Action& a);
   void handle_red_retrans(const Action& a);
   void handle_catchup(const SnapshotMessage& s);
-  void handle_announce(const AnnounceMessage& m);
 
-  // --- green-line announcements (DESIGN.md §14) ------------------------------
-  /// Arm the one-shot announcement timer iff the green line advanced past
-  /// what the group was last told and no timer is pending. Lazy arming (no
-  /// unconditional rescheduling) keeps run-until-idle simulations finite.
-  void maybe_arm_announce();
-  /// Timer body: suppress if own traffic piggybacked the line since arming,
-  /// defer (re-arm) mid-exchange, otherwise multicast the knowledge vector.
-  void fire_announce();
-  void send_announce();
+  // --- knowledge and the white line (DESIGN.md §14) ---------------------------
+  /// The gc learned a higher knowledge word: raise the white line, and trim
+  /// in RegPrim/NonPrim.
+  void on_knowledge();
+  /// Raise white_. O(1) from the gc's knowledge floor while the view is the
+  /// server set; otherwise, or with `rescan`, the minimum of greenLines[]
+  /// refreshed from the gc.
+  void raise_white(bool rescan = false);
+  /// Max-merge the gc's per-member knowledge into greenLines[] (in-view
+  /// members only; the gc knows nothing of the others).
+  void refresh_green_lines();
+  /// greenLines[] as persisted and shipped in snapshots, refreshed first.
+  std::vector<std::pair<NodeId, std::int64_t>> green_line_entries();
+  /// Recompute servers_in_view_ after the server set or the view changed.
+  void track_view() { servers_in_view_ = server_set_ == conf_.members; }
 
   // --- paper procedures (Appendix A) -----------------------------------------
   void shift_to_exchange_states();             // A.5
@@ -287,7 +285,7 @@ class ReplicationEngine {
   /// Append a green log record framed in place (hot: one per green action).
   void append_log_green(std::int64_t position, const Bytes& body);
   bool is_green(const ActionId& id) const { return log_.is_green(id); }
-  MetaRecord current_meta() const;
+  MetaRecord current_meta();
   void append_meta();
   void trim_white();
   void maybe_compact();
@@ -343,11 +341,11 @@ class ReplicationEngine {
   /// A: greenLines (as counts). Group-sized; the sorted vector keeps
   /// map_to_pairs-style wire encodings in creator order for free.
   util::VecMap<NodeId, std::int64_t> green_lines_;
-  /// Announcement state (DESIGN.md §14): the green line the group was last
-  /// told (via a piggybacking own action or an announcement token), and
-  /// whether the one-shot timer is pending.
-  std::int64_t last_announced_green_ = 0;
-  bool announce_armed_ = false;
+  /// The white line, monotone: knowledge never becomes false.
+  std::int64_t white_ = 0;
+  /// The view is exactly the server set, so the gc's knowledge floor bounds
+  /// every server's green count.
+  bool servers_in_view_ = false;
   /// A: ongoingQueue, keyed by pack_action_id. Values are the canonical
   /// encoded action bodies: the hot path only ever inserts and erases
   /// (one buffer memcpy instead of a deep Action copy), and the cold
@@ -398,9 +396,6 @@ class ReplicationEngine {
   obs::Counter* metric_green_ = nullptr;
   obs::Counter* metric_red_ = nullptr;
   obs::Counter* metric_installs_ = nullptr;
-  obs::Counter* metric_announce_sent_ = nullptr;
-  obs::Counter* metric_announce_recv_ = nullptr;
-  obs::Counter* metric_announce_supp_ = nullptr;
   util::FlatMap64<SimTime> submit_times_;  ///< by pack_action_id; only when metrics on
   SimTime exchange_started_at_ = -1;          ///< -1 = no exchange in flight
 };

@@ -197,11 +197,10 @@ void GroupCommunication::store_buffered(std::int64_t seq, BufferedMsg&& m) {
   if (advanced) after_contig_advance();
 }
 
-std::int64_t* GroupCommunication::known_slot(NodeId m) {
-  auto it = std::lower_bound(
-      known_contig_.begin(), known_contig_.end(), m,
-      [](const std::pair<NodeId, std::int64_t>& p, NodeId n) { return p.first < n; });
-  return (it != known_contig_.end() && it->first == m) ? &it->second : nullptr;
+const GroupCommunication::Line* GroupCommunication::known_slot(NodeId m) const {
+  auto it = std::lower_bound(known_.begin(), known_.end(), m,
+                             [](const std::pair<NodeId, Line>& p, NodeId n) { return p.first < n; });
+  return (it != known_.end() && it->first == m) ? &it->second : nullptr;
 }
 
 int GroupCommunication::clique_of(NodeId m) const {
@@ -210,20 +209,26 @@ int GroupCommunication::clique_of(NodeId m) const {
   return static_cast<int>(clique_at(static_cast<std::size_t>(it - config_.members.begin())));
 }
 
-std::int64_t GroupCommunication::clique_min() const {
-  std::int64_t line = recv_contig_;
-  for (const auto& [m, v] : known_contig_) line = std::min(line, v);
+GroupCommunication::Line GroupCommunication::clique_min() const {
+  Line line{recv_contig_, word_};
+  for (const auto& [m, v] : known_) {
+    line.contig = std::min(line.contig, v.contig);
+    line.word = std::min(line.word, v.word);
+  }
   return line;
 }
 
-std::int64_t GroupCommunication::group_line() const {
-  std::int64_t line = clique_min();
-  for (const std::int64_t v : leader_mins_) line = std::min(line, v);
+GroupCommunication::Line GroupCommunication::group_line() const {
+  Line line = clique_min();
+  for (const Line& v : leader_mins_) {
+    line.contig = std::min(line.contig, v.contig);
+    line.word = std::min(line.word, v.word);
+  }
   return line;
 }
 
 std::int64_t GroupCommunication::safe_line() const {
-  return multi_clique() ? stable_ : clique_min();
+  return multi_clique() ? stable_.contig : clique_min().contig;
 }
 
 void GroupCommunication::reset_stability() {
@@ -234,21 +239,93 @@ void GroupCommunication::reset_stability() {
   const std::size_t clique = clique_at(pos);
   clique_lo_ = clique * kClique;
   const std::size_t hi = clique + 1 == cliques() ? n : clique_lo_ + kClique;
-  known_contig_.clear();
-  for (std::size_t i = clique_lo_; i < hi; ++i) known_contig_.emplace_back(config_.members[i], 0);
+  known_.clear();
+  for (std::size_t i = clique_lo_; i < hi; ++i) known_.emplace_back(config_.members[i], Line{});
+  // Words are per-member facts, not per-configuration: the own one stays.
+  if (Line* self = known_slot(id_)) self->word = word_;
   leader_mins_.clear();
   if (multi_clique() && is_leader()) {
-    leader_mins_.assign(cliques(), 0);
+    leader_mins_.assign(cliques(), Line{});
     // The own clique's minimum comes from direct acks; its slot never binds.
-    leader_mins_[clique] = std::numeric_limits<std::int64_t>::max();
+    constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+    leader_mins_[clique] = Line{kMax, kMax};
   }
-  stable_ = 0;
+  stable_ = Line{};
   last_acked_value_ = -1;
   last_min_sent_ = 0;
+  for (Pacer& p : pacers_) p.word_sent = 0;
+  word_floor_ = 0;
+  refresh_floor();
+}
+
+void GroupCommunication::set_knowledge(std::int64_t word) {
+  if (word <= word_) return;
+  word_ = word;
+  if (Line* self = known_slot(id_)) self->word = word;
+  refresh_floor();
+  note_word(Stream::kAck);
+  if (multi_clique() && is_leader()) {
+    note_word(Stream::kCliqueMin);
+    note_word(Stream::kStable);
+  }
+}
+
+std::int64_t GroupCommunication::knowledge_of(NodeId m) const {
+  if (m == id_) return word_;
+  const int c = clique_of(m);
+  if (c < 0) return 0;
+  std::int64_t v = word_floor_;
+  if (const Line* mate = known_slot(m)) {
+    v = std::max(v, mate->word);
+  } else if (!leader_mins_.empty()) {
+    v = std::max(v, leader_mins_[static_cast<std::size_t>(c)].word);
+  }
+  return v;
+}
+
+void GroupCommunication::refresh_floor() {
+  // A single clique sees every word directly; a multi-clique leader folds
+  // in the other leaders' clique minimums; its clique mates learn the
+  // group minimum from the stable stream.
+  const std::int64_t floor = !multi_clique() ? clique_min().word
+                             : is_leader()   ? group_line().word
+                                             : stable_.word;
+  word_floor_ = std::max(word_floor_, floor);
+}
+
+std::int64_t GroupCommunication::stream_word(Stream stream) const {
+  switch (stream) {
+    case Stream::kAck: return word_;
+    case Stream::kCliqueMin: return clique_min().word;
+    case Stream::kStable: return group_line().word;
+  }
+  return 0;
+}
+
+void GroupCommunication::note_word(Stream stream) {
+  Pacer& p = pacers_[static_cast<std::size_t>(stream)];
+  if (p.flush_armed || state_ != GcState::kOperational || config_.members.size() < 2) return;
+  if (stream_word(stream) <= p.word_sent) return;
+  p.flush_armed = true;
+  const ConfigId cfg = config_.id;
+  const SimTime armed_at = sim_.now();
+  schedule(kWordFlushIntervals * params_.ack_min_interval, [this, cfg, stream, armed_at] {
+    Pacer& q = pacers_[static_cast<std::size_t>(stream)];
+    q.flush_armed = false;
+    if (state_ != GcState::kOperational || !(config_.id == cfg)) return;
+    if (stream_word(stream) <= q.word_sent) return;  // a prefix send carried it
+    if (q.scheduled || q.last_sent > armed_at) {
+      note_word(stream);  // the stream is busy: the next prefix send carries it
+      return;
+    }
+    // Quiescent: send the word alone. It does not take the stream's
+    // ack_min_interval slot, so a prefix that moves next is not delayed.
+    if (send_stream(stream, /*word_only=*/true)) ++stats_.word_only_sends;
+  });
 }
 
 void GroupCommunication::after_contig_advance() {
-  if (std::int64_t* self = known_slot(id_)) *self = recv_contig_;
+  if (Line* self = known_slot(id_)) self->contig = recv_contig_;
   if (config_.members.size() > 1) schedule_stream(Stream::kAck);
   schedule_leader();
   try_deliver();
@@ -304,29 +381,57 @@ void GroupCommunication::deliver_one(std::int64_t seq, DeliveryKind kind) {
 
 void GroupCommunication::schedule_stream(Stream stream) {
   Pacer& p = pacers_[static_cast<std::size_t>(stream)];
-  if (p.scheduled || state_ != GcState::kOperational) return;
-  p.scheduled = true;
+  if (state_ != GcState::kOperational) return;
+  // A leader stream whose value moved within a quarter interval after a
+  // paced send fires at once instead of a whole interval later: its input
+  // just missed that send, and firing behind the input moves the stream's
+  // phase after its inputs. The next send is paced again, so a stream sends
+  // at most twice per interval.
+  const bool realign = stream != Stream::kAck && !p.realigned &&
+                       sim_.now() - p.last_sent < params_.ack_min_interval / 4 &&
+                       leader_value_moved(stream);
   const SimTime fire =
-      std::max(p.last_sent + params_.ack_min_interval, sim_.now() + params_.ack_coalesce);
+      realign ? sim_.now() + params_.ack_coalesce
+              : std::max(p.last_sent + params_.ack_min_interval, sim_.now() + params_.ack_coalesce);
+  if (p.scheduled && fire >= p.due) return;
+  p.scheduled = true;
+  p.due = fire;
   const ConfigId cfg = config_.id;
-  schedule(fire - sim_.now(), [this, cfg, stream] {
+  schedule(fire - sim_.now(), [this, cfg, stream, fire, realign] {
     Pacer& q = pacers_[static_cast<std::size_t>(stream)];
+    // Superseded by an earlier fire, or armed in an older configuration.
+    if (!q.scheduled || q.due != fire || !(config_.id == cfg)) return;
     q.scheduled = false;
-    if (state_ != GcState::kOperational || !(config_.id == cfg)) return;
-    if (send_stream(stream)) q.last_sent = sim_.now();
+    if (state_ != GcState::kOperational) return;
+    if (send_stream(stream)) {
+      q.last_sent = sim_.now();
+      q.realigned = realign;
+    }
   });
 }
 
-bool GroupCommunication::send_stream(Stream stream) {
+bool GroupCommunication::leader_value_moved(Stream stream) const {
+  return stream == Stream::kCliqueMin ? clique_min().contig > last_min_sent_
+                                      : group_line().contig > stable_.contig;
+}
+
+bool GroupCommunication::send_stream(Stream stream, bool word_only) {
   std::int64_t value = 0;
   std::int64_t* last = nullptr;
   switch (stream) {
     case Stream::kAck: value = recv_contig_; last = &last_acked_value_; break;
-    case Stream::kCliqueMin: value = clique_min(); last = &last_min_sent_; break;
-    case Stream::kStable: value = group_line(); last = &stable_; break;
+    case Stream::kCliqueMin: value = clique_min().contig; last = &last_min_sent_; break;
+    case Stream::kStable: value = group_line().contig; last = &stable_.contig; break;
   }
-  if (value == *last) return false;
+  Pacer& p = pacers_[static_cast<std::size_t>(stream)];
+  const std::int64_t word = stream_word(stream);
+  if (value == *last && (!word_only || word <= p.word_sent)) return false;
   *last = value;
+  if (stream == Stream::kAck && word > p.word_sent && params_.tracer) {
+    // Invariant 10 watches each new own word as it leaves this member.
+    params_.tracer.emit(obs::EventKind::kKnowledgeSend, word);
+  }
+  p.word_sent = word;
   std::vector<NodeId> to;
   if (stream == Stream::kCliqueMin) {
     for (std::size_t c = 0; c < cliques(); ++c) {
@@ -337,12 +442,12 @@ bool GroupCommunication::send_stream(Stream stream) {
     // multicast), so safe delivery in a single-clique group costs three
     // one-way hops (DATA, ORDERED, ACK) rather than four — the difference
     // matters on wide-area links.
-    for (const auto& [m, v] : known_contig_) {
+    for (const auto& [m, v] : known_) {
       if (m != id_) to.push_back(m);
     }
   }
-  send_all(to, stream == Stream::kStable ? encode(StableMsg{config_.id, value})
-                                         : encode(AckMsg{config_.id, value}));
+  send_all(to, stream == Stream::kStable ? encode(StableMsg{config_.id, value, word})
+                                         : encode(AckMsg{config_.id, value, word}));
   // A leader delivers up to the line it has published, no further, so its
   // clique mates deliver in step with it even if it leaves right after.
   if (stream == Stream::kStable) try_deliver();
@@ -358,28 +463,45 @@ void GroupCommunication::schedule_leader() {
 void GroupCommunication::handle_ack(NodeId from, const AckMsg& msg) {
   ++stats_.stability_received;
   if (state_ != GcState::kOperational || msg.config != config_.id) return;
-  if (std::int64_t* known = known_slot(from)) {
-    if (msg.recv_contig <= *known) return;
-    *known = msg.recv_contig;  // a clique mate's contiguous prefix
-  } else {
-    // Only another clique's leader acks across cliques, with its minimum;
-    // leader_mins_ is non-empty exactly at the leaders of a multi-clique group.
+  // A clique mate reports its own prefix and word. Only another clique's
+  // leader acks across cliques, with its clique's minimums; leader_mins_ is
+  // non-empty exactly at the leaders of a multi-clique group.
+  Line* reported = known_slot(from);
+  const bool from_mate = reported != nullptr;
+  if (!from_mate) {
     const int c = clique_of(from);
     if (leader_mins_.empty() || c < 0) return;
-    std::int64_t& reported = leader_mins_[static_cast<std::size_t>(c)];
-    if (msg.recv_contig <= reported) return;
-    reported = msg.recv_contig;
+    reported = &leader_mins_[static_cast<std::size_t>(c)];
   }
+  if (msg.knowledge > reported->word) {
+    reported->word = msg.knowledge;
+    if (multi_clique() && is_leader()) {  // the word moves up the tier
+      if (from_mate) note_word(Stream::kCliqueMin);
+      note_word(Stream::kStable);
+    }
+    on_word_rise();
+  }
+  if (msg.recv_contig <= reported->contig) return;
+  reported->contig = msg.recv_contig;
   // A leader forwards a moved clique minimum or group line.
   schedule_leader();
   try_deliver();
 }
 
+void GroupCommunication::on_word_rise() {
+  refresh_floor();
+  if (listener_.on_knowledge) listener_.on_knowledge();
+}
+
 void GroupCommunication::handle_stable(const StableMsg& msg) {
   ++stats_.stability_received;
   if (state_ != GcState::kOperational || msg.config != config_.id) return;
-  if (msg.safe_line <= stable_) return;
-  stable_ = msg.safe_line;
+  if (msg.knowledge > stable_.word) {
+    stable_.word = msg.knowledge;
+    on_word_rise();
+  }
+  if (msg.safe_line <= stable_.contig) return;
+  stable_.contig = msg.safe_line;
   try_deliver();
 }
 
@@ -471,11 +593,11 @@ JoinInfoMsg GroupCommunication::make_join_info(const GatherToken& token) const {
       info.known_contig.push_back(recv_contig_);
       continue;
     }
-    std::int64_t v = stable_;
-    if (const std::int64_t* direct = const_cast<GroupCommunication*>(this)->known_slot(m)) {
-      v = std::max(v, *direct);
+    std::int64_t v = stable_.contig;
+    if (const Line* direct = known_slot(m)) {
+      v = std::max(v, direct->contig);
     } else if (!leader_mins_.empty()) {
-      v = std::max(v, leader_mins_[static_cast<std::size_t>(clique_of(m))]);
+      v = std::max(v, leader_mins_[static_cast<std::size_t>(clique_of(m))].contig);
     }
     info.known_contig.push_back(v);
   }
@@ -714,8 +836,9 @@ void GroupCommunication::run_install() {
   reset_stability();
   // Pacing timers armed in the old configuration will no-op on config
   // mismatch; clear the flags so the new configuration can arm its own.
-  for (Pacer& p : pacers_) p.scheduled = false;
+  for (Pacer& p : pacers_) p.scheduled = p.flush_armed = false;
   state_ = GcState::kOperational;
+  note_word(Stream::kAck);  // in case the new configuration stays silent
   committed_.reset();
   plan_.reset();
   plan_acked_ = false;

@@ -23,6 +23,13 @@
 //                   JOIN_INFO reports, per old member, the best of its
 //                   direct ACK, its leader's clique minimum and the stable
 //                   line (DESIGN.md §16).
+//   knowledge     : every stability message also carries a monotone
+//     words         per-member *knowledge word* the application sets (the
+//                   engine's green count): a member ACK its own word, a
+//                   leader's ACK its clique's minimum word, STABLE the
+//                   group's minimum word. Words ride sends the prefixes
+//                   cause anyway; one a send has not carried goes out alone
+//                   only after a lazy flush period (DESIGN.md §14).
 //   membership    : on any reachability change a flush protocol runs: the
 //     (flush)       lowest reachable node INQUIREs, members reply JOIN_INFO
 //                   (what they hold and what they know others received), the
@@ -56,6 +63,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "gc/messages.h"
@@ -87,6 +95,7 @@ struct GcStats {
   std::uint64_t retransmissions = 0;
   std::uint64_t resent_after_install = 0;
   std::uint64_t stability_received = 0;  ///< ACK and STABLE messages received
+  std::uint64_t word_only_sends = 0;     ///< lazy flushes of a knowledge word alone
 };
 
 class GroupCommunication {
@@ -112,6 +121,15 @@ class GroupCommunication {
   /// recoveries and feed back as initial_config_counter).
   std::int64_t max_counter_seen() const { return counter_floor_; }
   const GcStats& stats() const { return stats_; }
+
+  /// Knowledge words (DESIGN.md §14). Raise this member's word; a lower
+  /// value is ignored. No send is armed: the word rides the next stability
+  /// send, or a lazy flush if none comes.
+  void set_knowledge(std::int64_t word);
+  /// A lower bound on the word of every member of the current configuration.
+  std::int64_t knowledge_floor() const { return word_floor_; }
+  /// The best lower bound on member `m`'s word; 0 for a non-member.
+  std::int64_t knowledge_of(NodeId m) const;
 
  private:
   enum class GcState { kOperational, kGathering };
@@ -163,9 +181,14 @@ class GroupCommunication {
   void try_deliver();
   void deliver_one(std::int64_t seq, DeliveryKind kind);
   void emit_config(const Configuration& c);
-  std::int64_t clique_min() const;
+  /// One member's (or clique's) stability report: prefix and knowledge word.
+  struct Line {
+    std::int64_t contig = 0;
+    std::int64_t word = 0;
+  };
+  Line clique_min() const;
   /// Leaders: min of the own clique's minimum and the other leaders' reports.
-  std::int64_t group_line() const;
+  Line group_line() const;
   std::int64_t safe_line() const;
   void after_contig_advance();
   /// The three stability streams a member may send, each paced on its own.
@@ -175,10 +198,20 @@ class GroupCommunication {
     kStable,     ///< leader: group-wide safe line to the clique mates
   };
   void schedule_stream(Stream stream);
-  /// Send `stream`'s value if it moved since its last send; false if not.
-  bool send_stream(Stream stream);
+  /// Send `stream`'s value if it moved since its last send, or, for a
+  /// `word_only` flush, if its word did; false if nothing was sent.
+  bool send_stream(Stream stream, bool word_only = false);
+  /// The knowledge word `stream` carries.
+  std::int64_t stream_word(Stream stream) const;
+  /// Arm `stream`'s lazy flush if its word moved past what it last carried.
+  void note_word(Stream stream);
+  /// A received word rose: refresh the floor and tell the listener.
+  void on_word_rise();
+  void refresh_floor();
   /// Multi-clique leaders: arm the clique-minimum and stable streams.
   void schedule_leader();
+  /// A leader stream's value moved past what it last sent.
+  bool leader_value_moved(Stream stream) const;
   void reset_stability();
   /// Clique index of config member `m`, or -1 when `m` is not a member.
   int clique_of(NodeId m) const;
@@ -239,25 +272,39 @@ class GroupCommunication {
   /// Groups below 2K stay one clique: a second, smaller clique would save
   /// few receipts and cost every safe delivery two more paced hops.
   static constexpr std::size_t kClique = 8;
-  /// Own clique: config_.members[clique_lo_, clique_lo_ + known_contig_.size()).
+  /// A word no send has carried goes out alone after this many
+  /// ack_min_intervals, unless the stream sent a prefix meanwhile.
+  static constexpr int kWordFlushIntervals = 16;
+  /// Own clique: config_.members[clique_lo_, clique_lo_ + known_.size()).
   std::size_t clique_lo_ = 0;
   /// Direct ack knowledge of the own clique's members, sorted by member id.
   /// Flat storage: probed on every ack and scanned by clique_min().
-  std::vector<std::pair<NodeId, std::int64_t>> known_contig_;
-  std::int64_t* known_slot(NodeId m);  ///< value for m, or nullptr
+  std::vector<std::pair<NodeId, Line>> known_;
+  const Line* known_slot(NodeId m) const;  ///< report of m, or nullptr
+  Line* known_slot(NodeId m) {
+    return const_cast<Line*>(std::as_const(*this).known_slot(m));
+  }
   /// Leaders only: the clique minimum each other clique's leader reported,
   /// by clique index (the own clique's slot is pinned to the maximum).
-  std::vector<std::int64_t> leader_mins_;
+  std::vector<Line> leader_mins_;
   /// Multi-clique groups: the group-wide safe line as the own leader last
-  /// published it on the stable stream (a leader records its own sends).
-  std::int64_t stable_ = 0;
+  /// published it on the stable stream (a leader records its own sends),
+  /// and at its clique mates the group-wide minimum word.
+  Line stable_;
   std::int64_t counter_floor_ = 0;
+  std::int64_t word_ = 0;        ///< own knowledge word
+  std::int64_t word_floor_ = 0;  ///< knowledge_floor()
 
   // Stability pacing: a stream fires ack_coalesce after the change that
-  // armed it, and at most once per ack_min_interval.
+  // armed it, and at most once per ack_min_interval — except that a leader
+  // stream realigns once behind an input that just missed its send.
   struct Pacer {
     bool scheduled = false;
+    bool flush_armed = false;  ///< lazy word flush pending
+    bool realigned = false;    ///< the last send was a realignment
+    SimTime due = 0;           ///< fire time of the pending send
     SimTime last_sent = -1'000'000'000;
+    std::int64_t word_sent = 0;  ///< word the stream last carried
   };
   std::array<Pacer, 3> pacers_;  ///< indexed by Stream
   std::int64_t last_acked_value_ = -1;

@@ -110,6 +110,7 @@ Bytes encode(const AckMsg& m) {
   return encode_message(MsgType::kAck, [&](BufWriter& w) {
     w.config_id(m.config);
     w.i64(m.recv_contig);
+    w.i64(m.knowledge);
   });
 }
 
@@ -117,6 +118,7 @@ AckMsg decode_ack(BufReader& r) {
   AckMsg m;
   m.config = r.config_id();
   m.recv_contig = r.i64();
+  m.knowledge = r.i64();
   return m;
 }
 
@@ -124,6 +126,7 @@ Bytes encode(const StableMsg& m) {
   return encode_message(MsgType::kStable, [&](BufWriter& w) {
     w.config_id(m.config);
     w.i64(m.safe_line);
+    w.i64(m.knowledge);
   });
 }
 
@@ -131,6 +134,7 @@ StableMsg decode_stable(BufReader& r) {
   StableMsg m;
   m.config = r.config_id();
   m.safe_line = r.i64();
+  m.knowledge = r.i64();
   return m;
 }
 

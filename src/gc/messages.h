@@ -65,11 +65,15 @@ struct AckMsg {
   /// From a clique mate: the highest contiguous seq it received. From
   /// another clique's leader: the minimum of that over its clique.
   std::int64_t recv_contig = 0;
+  /// Knowledge word (DESIGN.md §14), with the same two readings: a clique
+  /// mate's own word, or the minimum word over the leader's clique.
+  std::int64_t knowledge = 0;
 };
 
 struct StableMsg {
   ConfigId config;
   std::int64_t safe_line = 0;  ///< every member of the group received up to here
+  std::int64_t knowledge = 0;  ///< minimum knowledge word over the whole group
 };
 
 struct InquireMsg {

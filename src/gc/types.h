@@ -78,6 +78,10 @@ struct Listener {
   std::function<void(const Configuration&)> on_regular_config;
   std::function<void(const Configuration&)> on_transitional_config;
   std::function<void(const Delivery&)> on_deliver;
+  /// A knowledge bound rose: knowledge_floor() or some member's
+  /// knowledge_of() (DESIGN.md §14). Fired from received stability
+  /// messages only, never from set_knowledge().
+  std::function<void()> on_knowledge;
 };
 
 }  // namespace tordb::gc

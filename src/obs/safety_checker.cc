@@ -133,8 +133,8 @@ void SafetyChecker::on_event(const TraceEvent& e) {
     case EventKind::kTxnCancel:
       on_txn_event(e);
       break;
-    case EventKind::kAnnounceSend:
-      on_announce(e);
+    case EventKind::kKnowledgeSend:
+      on_knowledge_send(e);
       break;
     default:
       break;  // observed for export/metrics only
@@ -209,31 +209,32 @@ void SafetyChecker::on_adopt(NodeId node, std::int64_t green_count, const char* 
   v.green_highwater = std::max(v.green_highwater, green_count);
   v.recent.clear();
   // Invariant 10 baseline resets: a recovered or snapshot-adopting node may
-  // legitimately announce a line below its pre-crash maximum.
-  v.last_announced = -1;
+  // legitimately send a word below its pre-crash maximum.
+  v.last_word = -1;
 }
 
-void SafetyChecker::on_announce(const TraceEvent& e) {
-  // Invariant 10: announcements (a = announced own green line) are
-  // lower-bound claims, so they must be honest (<= true green count) and
-  // monotone per node between adoption resets.
+void SafetyChecker::on_knowledge_send(const TraceEvent& e) {
+  // Invariant 10: knowledge words (a = the sender's green count as its
+  // stability stream first carries it) are lower-bound claims, so they must
+  // be honest (<= true green count) and monotone per node between adoption
+  // resets.
   NodeView& v = view(e.node);
-  const std::int64_t line = e.a;
+  const std::int64_t word = e.a;
   std::ostringstream os;
-  if (line > v.green_count) {
-    os << "t=" << e.time << " ANNOUNCED GREEN LINE BEYOND TRUE GREEN COUNT: node " << e.node
-       << " announced line " << line << " but has only " << v.green_count
-       << " greens (peers would trim history the announcer does not hold)";
+  if (word > v.green_count) {
+    os << "t=" << e.time << " KNOWLEDGE WORD BEYOND TRUE GREEN COUNT: node " << e.node
+       << " sent word " << word << " but has only " << v.green_count
+       << " greens (peers would trim history the sender does not hold)";
     violation(os.str());
     return;
   }
-  if (line < v.last_announced) {
-    os << "t=" << e.time << " NON-MONOTONE GREEN-LINE ANNOUNCEMENT: node " << e.node
-       << " announced line " << line << " after announcing " << v.last_announced;
+  if (word < v.last_word) {
+    os << "t=" << e.time << " NON-MONOTONE KNOWLEDGE WORD: node " << e.node << " sent word "
+       << word << " after sending " << v.last_word;
     violation(os.str());
     return;
   }
-  v.last_announced = line;
+  v.last_word = word;
 }
 
 void SafetyChecker::on_primary_install(const TraceEvent& e) {

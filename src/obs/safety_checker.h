@@ -40,12 +40,13 @@
 //      green after a prepare, and the two decisions are mutually exclusive
 //      — a group that confirmed never cancels and vice versa, so every
 //      replica of a shard resolves each prepare the same single way.
-//  10. Honest announcements (DESIGN.md §14): a green-line announcement is a
-//      lower-bound claim, so per node it must be monotone non-decreasing
-//      and must never exceed the announcer's true green count — a "lying"
-//      announcement would let peers trim white past history the announcer
-//      does not actually hold. Crash recovery and snapshot adoption reset
-//      the baseline (a recovered node may legitimately re-announce lower).
+//  10. Honest knowledge words (DESIGN.md §14): the green count a node's gc
+//      stability stream carries is a lower-bound claim, so per node it must
+//      be monotone non-decreasing and must never exceed the sender's true
+//      green count — a "lying" word would let peers trim white past history
+//      the sender does not actually hold. Crash recovery and snapshot
+//      adoption reset the baseline (a recovered node may legitimately send
+//      a lower word).
 //
 // Violations fail fast: the checker prints a report — including a diff of
 // the divergent histories around the offending position — and aborts the
@@ -125,7 +126,7 @@ class SafetyChecker {
     std::int64_t green_highwater = 0;
     std::set<NodeId> members;
     std::vector<ActionId> recent;  ///< trailing green ids, for diffs
-    std::int64_t last_announced = -1;  ///< invariant 10; -1 = no announcement yet
+    std::int64_t last_word = -1;  ///< invariant 10; -1 = no word sent yet
   };
   struct PrimInfo {
     std::int64_t attempt = 0;
@@ -191,7 +192,7 @@ class SafetyChecker {
   void on_safe_deliver(const TraceEvent& e);
   void on_range_event(const TraceEvent& e);
   void on_txn_event(const TraceEvent& e);
-  void on_announce(const TraceEvent& e);
+  void on_knowledge_send(const TraceEvent& e);
 
   CheckerOptions options_;
   std::uint64_t events_checked_ = 0;

@@ -47,8 +47,7 @@ const char* to_string(EventKind k) {
     case EventKind::kTxnBegin: return "txn_begin";
     case EventKind::kTxnDecide: return "txn_decide";
     case EventKind::kTxnSnapshotRead: return "txn_snapshot_read";
-    case EventKind::kAnnounceSend: return "announce_send";
-    case EventKind::kAnnounceRecv: return "announce_recv";
+    case EventKind::kKnowledgeSend: return "knowledge_send";
   }
   return "?";
 }

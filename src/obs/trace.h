@@ -84,9 +84,8 @@ enum class EventKind : std::uint8_t {
   kTxnBegin,             ///< a=txn fingerprint, b=involved shard count
   kTxnDecide,            ///< a=txn fingerprint, b=commit (1/0), c=prepare->decide ns
   kTxnSnapshotRead,      ///< a=involved shard count, b=drain wait ns
-  // Green-line announcements (DESIGN.md §14).
-  kAnnounceSend,         ///< a=announced own green line, b=knowledge-vector size
-  kAnnounceRecv,         ///< a=sender node, b=sender's announced own green line
+  // Knowledge words (DESIGN.md §14), emitted by the gc layer.
+  kKnowledgeSend,        ///< a=own knowledge word (green count) a stability send first carries
 };
 
 const char* to_string(EventKind k);

@@ -112,8 +112,6 @@ EngineCluster::Sample EngineCluster::sample_nodes(const std::vector<NodeId>& ids
     s.red += es.actions_red;
     s.installs += es.primaries_installed;
     s.exchanges += es.exchanges;
-    s.announces_sent += es.announces_sent;
-    s.announces_received += es.announces_received;
     const std::int64_t wl = e.white_line();
     min_white = min_white < 0 ? wl : std::min(min_white, wl);
     max_green = std::max(max_green, e.green_count());
@@ -150,8 +148,6 @@ void EngineCluster::sample_metrics() {
   metrics_->counter("storage.appends").set_total(t.appends);
   metrics_->counter("gc.safe_deliveries").set_total(t.safe_deliveries);
   metrics_->counter("gc.regular_configs").set_total(t.configs);
-  metrics_->counter("cluster.announces_sent").set_total(t.announces_sent);
-  metrics_->counter("cluster.announces_received").set_total(t.announces_received);
   // White-line / body-store health (DESIGN.md §14): `lag` is how far each
   // group's slowest white line trails its fastest green count, summed over
   // groups — growing lag means trimming is starving and body stores are

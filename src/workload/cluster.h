@@ -137,7 +137,6 @@ class EngineCluster {
     std::uint64_t green = 0, red = 0, installs = 0, exchanges = 0;
     std::uint64_t forces = 0, appends = 0;
     std::uint64_t safe_deliveries = 0, configs = 0;
-    std::uint64_t announces_sent = 0, announces_received = 0;
     std::uint64_t intern_keys = 0, intern_bytes = 0, table_slots = 0, table_rehashes = 0;
     std::int64_t min_white = 0;  ///< slowest white line (0 with no running member)
     std::int64_t lag = 0;        ///< fastest green count minus min_white

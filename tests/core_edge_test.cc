@@ -132,10 +132,10 @@ TEST(CoreEdge, ManyPendingStrictQueriesFlushTogether) {
 }
 
 TEST(CoreEdge, GreenActionAtOutOfRange) {
-  // Announcements off: the probe below wants position 1 still untrimmed,
-  // and the periodic token would advance the white line past it.
+  // Trimming off: the probe below wants position 1 still untrimmed, and
+  // the knowledge words would advance the white line past it.
   ClusterOptions o = small(3);
-  o.node.engine.announce_interval = SimDuration{0};
+  o.node.engine.white_trim = false;
   EngineCluster c(o);
   c.run_for(seconds(1));
   c.engine(0).submit({}, Command::put("k", "v"), 1, Semantics::kStrict, nullptr);

@@ -46,21 +46,25 @@ TEST(GcMessages, OrderedRoundTrip) {
 
 TEST(GcMessages, AckAndStableRoundTrip) {
   const ConfigId cfg{7, 3};
-  Bytes wire = gc::encode(gc::AckMsg{cfg, 41});
+  Bytes wire = gc::encode(gc::AckMsg{cfg, 41, 1234});
   EXPECT_EQ(gc::peek_type(wire), gc::MsgType::kAck);
   BufReader ra(wire);
   ra.u8();
   const gc::AckMsg ack = gc::decode_ack(ra);
+  EXPECT_TRUE(ra.done());
   EXPECT_EQ(ack.config, cfg);
   EXPECT_EQ(ack.recv_contig, 41);
+  EXPECT_EQ(ack.knowledge, 1234);
 
-  wire = gc::encode(gc::StableMsg{cfg, 40});
+  wire = gc::encode(gc::StableMsg{cfg, 40, 1200});
   EXPECT_EQ(gc::peek_type(wire), gc::MsgType::kStable);
   BufReader rs(wire);
   rs.u8();
   const gc::StableMsg stable = gc::decode_stable(rs);
+  EXPECT_TRUE(rs.done());
   EXPECT_EQ(stable.config, cfg);
   EXPECT_EQ(stable.safe_line, 40);
+  EXPECT_EQ(stable.knowledge, 1200);
 }
 
 TEST(GcMessages, PlanRoundTrip) {
@@ -324,19 +328,6 @@ TEST(CoreMessages, GreenAndRedRetransEncodings) {
 
   Bytes rr = core::encode_red_retrans(a);
   EXPECT_EQ(core::peek_engine_type(rr), core::EngineMsgType::kRedRetrans);
-}
-
-TEST(CoreMessages, AnnounceRoundTrip) {
-  core::AnnounceMessage m;
-  m.server_id = 3;
-  m.known = {{0, 12}, {1, 7}, {3, 12}};
-  Bytes wire = core::encode_announce(m);
-  EXPECT_EQ(core::peek_engine_type(wire), core::EngineMsgType::kAnnounce);
-  BufReader r(wire);
-  r.u8();
-  const core::AnnounceMessage back = core::decode_announce(r);
-  EXPECT_TRUE(r.done());
-  EXPECT_EQ(back, m);
 }
 
 TEST(CoreMessages, JoinRequestRoundTrip) {

@@ -142,37 +142,36 @@ TEST(ObsChecker, CatchesTrimBeyondOwnGreens) {
   EXPECT_NE(f.checker.violations()[0].find("beyond its own green count"), std::string::npos);
 }
 
-TEST(ObsChecker, CatchesLyingAnnouncement) {
+TEST(ObsChecker, CatchesLyingKnowledgeWord) {
   Forge f;
-  // Invariant 10: announcing a green line beyond the sender's true green
-  // count would let peers trim history the announcer does not hold.
+  // Invariant 10: a knowledge word beyond the sender's true green count
+  // would let peers trim history the sender does not hold.
   f.green(0, {0, 1}, 1);
-  f.node(0).emit(EventKind::kAnnounceSend, /*line=*/3, /*vec=*/1);
+  f.node(0).emit(EventKind::kKnowledgeSend, /*word=*/3);
   ASSERT_FALSE(f.checker.ok());
-  EXPECT_NE(f.checker.violations()[0].find("ANNOUNCED GREEN LINE BEYOND TRUE GREEN COUNT"),
+  EXPECT_NE(f.checker.violations()[0].find("KNOWLEDGE WORD BEYOND TRUE GREEN COUNT"),
             std::string::npos);
 }
 
-TEST(ObsChecker, CatchesNonMonotoneAnnouncement) {
+TEST(ObsChecker, CatchesRetreatingKnowledgeWord) {
   Forge f;
   f.green(0, {0, 1}, 1);
   f.green(0, {0, 2}, 2);
-  f.node(0).emit(EventKind::kAnnounceSend, /*line=*/2, /*vec=*/1);
-  f.node(0).emit(EventKind::kAnnounceSend, /*line=*/1, /*vec=*/1);
+  f.node(0).emit(EventKind::kKnowledgeSend, /*word=*/2);
+  f.node(0).emit(EventKind::kKnowledgeSend, /*word=*/1);
   ASSERT_FALSE(f.checker.ok());
-  EXPECT_NE(f.checker.violations()[0].find("NON-MONOTONE GREEN-LINE ANNOUNCEMENT"),
-            std::string::npos);
+  EXPECT_NE(f.checker.violations()[0].find("NON-MONOTONE KNOWLEDGE WORD"), std::string::npos);
 }
 
-TEST(ObsChecker, AnnouncementMayRelowerAfterRecovery) {
+TEST(ObsChecker, KnowledgeWordMayRelowerAfterRecovery) {
   Forge f;
-  // A recovered node legitimately re-announces below its pre-crash line:
+  // A recovered node legitimately sends a word below its pre-crash line:
   // kEngineStart resets the invariant-10 monotonicity baseline.
   f.green(0, {0, 1}, 1);
   f.green(0, {0, 2}, 2);
-  f.node(0).emit(EventKind::kAnnounceSend, /*line=*/2, /*vec=*/1);
+  f.node(0).emit(EventKind::kKnowledgeSend, /*word=*/2);
   f.node(0).emit(EventKind::kEngineStart, /*green=*/1, /*how=*/1);
-  f.node(0).emit(EventKind::kAnnounceSend, /*line=*/1, /*vec=*/1);
+  f.node(0).emit(EventKind::kKnowledgeSend, /*word=*/1);
   EXPECT_TRUE(f.checker.ok()) << f.checker.report();
 }
 

@@ -217,14 +217,15 @@ std::uint64_t wide_group_churn_digest() {
 }
 
 // Golden digests pin the exact virtual-time trajectory; any change to
-// message contents or timing shifts them. Regenerated deliberately for the
-// green-line announcement protocol (DESIGN.md §14): announcement tokens add
-// scheduled sends, and the adopt-time drain of parked retransmissions
-// changed exchange outcomes — both alter virtual time by design.
-constexpr std::uint64_t kShardedChurnGolden = 11526380015569540437ULL;
-constexpr std::uint64_t kSingleGroupChurnGolden = 4180164059539588840ULL;
-// Recorded with two-level gc stability (DESIGN.md §16).
-constexpr std::uint64_t kWideGroupChurnGolden = 8944459865319902815ULL;
+// message contents or timing shifts them. Regenerated deliberately when
+// green lines moved onto the gc stability streams (DESIGN.md §14): ACK and
+// STABLE carry an 8-byte knowledge word and the announcement multicasts are
+// gone, both of which alter virtual time by design.
+constexpr std::uint64_t kShardedChurnGolden = 13211854414094015073ULL;
+constexpr std::uint64_t kSingleGroupChurnGolden = 18022610439948901203ULL;
+// A 24-replica group: three cliques, so it also pins the leader streams'
+// realignment (DESIGN.md §16).
+constexpr std::uint64_t kWideGroupChurnGolden = 2208650153488996496ULL;
 
 TEST(SimDigest, ShardedChurnMatchesGolden) {
   EXPECT_EQ(sharded_churn_digest(false), kShardedChurnGolden);
@@ -455,7 +456,7 @@ TEST(SimLanes, SerialVsParallelBitIdentical) {
 // determinism of the window/handoff machinery the equivalence test can't
 // see (it compares runs within one build). Regenerate deliberately, like
 // the classic goldens above, when the lane model changes.
-constexpr std::uint64_t kLaneChurnGolden = 4991929521294260419ULL;
+constexpr std::uint64_t kLaneChurnGolden = 862955939420258791ULL;
 
 TEST(SimLanes, LaneChurnMatchesGolden) {
   EXPECT_EQ(lane_churn_run(1, 0xb0b1ULL).state, kLaneChurnGolden);
