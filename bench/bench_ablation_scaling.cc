@@ -5,11 +5,24 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "workload/experiments.h"
+
+namespace {
+
+using namespace tordb;
+
+/// Closed-loop engine throughput at `replicas` replicas, each action padded
+/// by `action_padding` bytes.
+bench::Throughput measure_scaling(int replicas, std::uint32_t action_padding, int clients,
+                                  SimDuration warmup, SimDuration measure) {
+  bench::DeployOptions o;
+  o.node.engine.action_padding = action_padding;
+  bench::Deployment dep(bench::Algorithm::kEngine, replicas, 1, o);
+  return bench::run_closed_loop(dep, clients, warmup, measure);
+}
+
+}  // namespace
 
 int main() {
-  using namespace tordb;
-  using namespace tordb::workload;
 
   bench::header("Ablation A3: engine scaling in replica count and action size",
                 "mild degradation with replicas; throughput falls as actions grow");
@@ -23,7 +36,7 @@ int main() {
   std::printf("%9s | %12s | %14s\n", "replicas", "actions/s", "mean lat (ms)");
   bench::row_sep(44);
   for (int n : replica_counts) {
-    const auto p = measure_engine_scaling(n, 110, n, warmup, measure, 1);
+    const auto p = measure_scaling(n, 110, n, warmup, measure);
     std::printf("%9d | %12.0f | %14.2f\n", n, p.actions_per_second, p.mean_latency_ms);
   }
 
@@ -35,9 +48,9 @@ int main() {
   std::printf("%12s | %12s | %14s\n", "action bytes", "actions/s", "mean lat (ms)");
   bench::row_sep(46);
   for (std::uint32_t pad : paddings) {
-    const auto p = measure_engine_scaling(14, pad, 14, warmup, measure, 1);
-    std::printf("%12u | %12.0f | %14.2f\n", p.action_bytes, p.actions_per_second,
-                p.mean_latency_ms);
+    const auto p = measure_scaling(14, pad, 14, warmup, measure);
+    std::printf("%12u | %12.0f | %14.2f\n", pad + 90,  // + header and command overhead
+                p.actions_per_second, p.mean_latency_ms);
   }
   return 0;
 }

@@ -23,11 +23,107 @@
 #include <cstring>
 
 #include "bench_util.h"
-#include "workload/experiments.h"
+#include "util/rng.h"
+#include "workload/sharded_cluster.h"
+
+namespace {
+
+using namespace tordb;
+
+struct ShardingPoint {
+  double actions_per_second = 0;  ///< router-committed actions/s in the window
+  double green_per_second = 0;    ///< aggregate engine green actions/s
+  double mean_latency_ms = 0;
+  double mean_barrier_ms = 0;     ///< cross-shard first-green -> last-green
+  std::uint64_t cross_committed = 0;
+};
+
+/// `shards` engine groups of `replicas_per_shard` replicas behind the
+/// router; closed-loop clients write one key at their home shard, or with
+/// probability `cross_ratio` one key in each of two distinct shards.
+ShardingPoint measure_sharding(int shards, int replicas_per_shard, int clients,
+                               double cross_ratio, SimDuration warmup, SimDuration measure) {
+  workload::ShardedClusterOptions o;
+  o.shards = shards;
+  o.replicas_per_shard = replicas_per_shard;
+  o.seed = 1;
+  workload::ShardedCluster cluster(o);
+  cluster.run_for(seconds(2));  // every shard forms its primary component
+
+  // Pre-bucket keys by owning shard so the workload can hit a target shard
+  // under hash sharding (and measure an exact cross-shard ratio).
+  std::vector<std::vector<std::string>> pool(static_cast<std::size_t>(shards));
+  const std::size_t keys_per_shard = 64;
+  for (int i = 0;; ++i) {
+    std::string key = "key-" + std::to_string(i);
+    auto& bucket = pool[static_cast<std::size_t>(cluster.directory().shard_of(key))];
+    if (bucket.size() < keys_per_shard) bucket.push_back(std::move(key));
+    bool full = true;
+    for (const auto& b : pool) full = full && b.size() >= keys_per_shard;
+    if (full) break;
+  }
+
+  Simulator& sim = cluster.sim();
+  bench::ClosedLoopDriver driver(sim, sim.now() + warmup, sim.now() + warmup + measure);
+  double barrier_sum = 0;
+  std::uint64_t cross_committed = 0;
+  for (int c = 0; c < clients; ++c) {
+    const int home = c % shards;
+    // Per-client stream derived from the home shard's seed: reproducible,
+    // and uncorrelated across shards.
+    auto rng = std::make_shared<Rng>(cluster.shard_seed(home) +
+                                     static_cast<std::uint64_t>(c) * 0x9e3779b97f4a7c15ULL);
+    auto counter = std::make_shared<std::int64_t>(0);
+    driver.add_client([&, rng, counter, c, home](std::function<void(bool)> done) {
+      const std::string value = bench::value_tag(++*counter);
+      db::Command cmd;
+      const bool cross = shards > 1 && rng->chance(cross_ratio);
+      const auto& ph = pool[static_cast<std::size_t>(home)];
+      if (cross) {
+        // Draw order (other shard, home key, other key) is part of the seed.
+        const int other =
+            (home + 1 + static_cast<int>(rng->next_below(static_cast<std::uint64_t>(shards - 1)))) %
+            shards;
+        const auto& po = pool[static_cast<std::size_t>(other)];
+        cmd.ops.push_back(db::Op{db::OpType::kPut, ph[rng->next_below(ph.size())], value, 0});
+        cmd.ops.push_back(db::Op{db::OpType::kPut, po[rng->next_below(po.size())], value, 0});
+      } else {
+        cmd.ops.push_back(db::Op{db::OpType::kPut, ph[rng->next_below(ph.size())], value, 0});
+      }
+      cluster.router().submit(c, std::move(cmd),
+                              [&, done = std::move(done)](const shard::RouteReply& r) {
+                                if (r.committed && r.shards_involved > 1) {
+                                  ++cross_committed;
+                                  barrier_sum += to_seconds(r.barrier_wait) * 1e3;
+                                }
+                                done(r.committed);
+                              });
+    });
+  }
+
+  // Aggregate green throughput: sum of per-shard green watermarks over the
+  // measure window (the acceptance metric for shard scaling).
+  std::int64_t green_start = 0, green_end = 0;
+  sim.after(warmup, [&] {
+    for (int s = 0; s < shards; ++s) green_start += cluster.green_count(s);
+  });
+  sim.after(warmup + measure, [&] {
+    for (int s = 0; s < shards; ++s) green_end += cluster.green_count(s);
+  });
+  cluster.run_for(warmup + measure + millis(200));
+
+  ShardingPoint p;
+  p.actions_per_second = static_cast<double>(driver.completed_in_window()) / to_seconds(measure);
+  p.green_per_second = static_cast<double>(green_end - green_start) / to_seconds(measure);
+  p.mean_latency_ms = driver.latencies().mean_ms();
+  p.cross_committed = cross_committed;
+  p.mean_barrier_ms = cross_committed ? barrier_sum / static_cast<double>(cross_committed) : 0;
+  return p;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
-  using namespace tordb;
-  using namespace tordb::workload;
 
   bool quick = bench::fast_mode();
   bool smoke = false;

@@ -18,11 +18,10 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "workload/experiments.h"
 
 int main() {
   using namespace tordb;
-  using namespace tordb::workload;
+  using bench::Algorithm;
 
   bench::header("Ablation A4: WAN deployment (9 replicas, 3 sites, 20ms one-way)",
                 "engine best at unconstrained bandwidth; all protocols converge toward the "
@@ -51,12 +50,16 @@ int main() {
   std::printf("%18s | %20s | %20s | %20s\n", "WAN egress/site", "engine", "COReL", "2PC");
   bench::row_sep(92);
   for (const Bw& bw : bandwidths) {
-    const auto e = measure_throughput_wan(Algorithm::kEngine, replicas, clients, sites,
-                                          wan_latency, bw.per_byte, warmup, measure);
-    const auto k = measure_throughput_wan(Algorithm::kCorel, replicas, clients, sites,
-                                          wan_latency, bw.per_byte, warmup, measure);
-    const auto t = measure_throughput_wan(Algorithm::kTwoPc, replicas, clients, sites,
-                                          wan_latency, bw.per_byte, warmup, measure);
+    bench::DeployOptions wan;
+    wan.sites = sites;
+    wan.net.inter_site_latency = wan_latency;
+    wan.net.wan_per_byte = bw.per_byte;
+    const auto e =
+        bench::measure_throughput(Algorithm::kEngine, replicas, clients, warmup, measure, wan);
+    const auto k =
+        bench::measure_throughput(Algorithm::kCorel, replicas, clients, warmup, measure, wan);
+    const auto t =
+        bench::measure_throughput(Algorithm::kTwoPc, replicas, clients, warmup, measure, wan);
     std::printf("%18s | %8.0f (%7.2fms) | %8.0f (%7.2fms) | %8.0f (%7.2fms)\n", bw.label,
                 e.actions_per_second, e.mean_latency_ms, k.actions_per_second,
                 k.mean_latency_ms, t.actions_per_second, t.mean_latency_ms);

@@ -11,11 +11,10 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "workload/experiments.h"
 
 int main() {
   using namespace tordb;
-  using namespace tordb::workload;
+  using bench::Algorithm;
 
   bench::header("Figure 5(a): throughput, 14 replicas, engine vs COReL vs 2PC",
                 "engine highest and still rising at 14 clients; COReL second; 2PC lowest");
@@ -30,9 +29,9 @@ int main() {
               "COReL (actions/s)", "2PC (actions/s)");
   bench::row_sep();
   for (int c : clients) {
-    const auto e = measure_throughput(Algorithm::kEngine, replicas, c, warmup, measure, 1);
-    const auto k = measure_throughput(Algorithm::kCorel, replicas, c, warmup, measure, 1);
-    const auto t = measure_throughput(Algorithm::kTwoPc, replicas, c, warmup, measure, 1);
+    const auto e = bench::measure_throughput(Algorithm::kEngine, replicas, c, warmup, measure);
+    const auto k = bench::measure_throughput(Algorithm::kCorel, replicas, c, warmup, measure);
+    const auto t = bench::measure_throughput(Algorithm::kTwoPc, replicas, c, warmup, measure);
     std::printf("%8d | %10.0f (%6.2fms) | %10.0f (%6.2fms) | %10.0f (%6.2fms)\n", c,
                 e.actions_per_second, e.mean_latency_ms, k.actions_per_second,
                 k.mean_latency_ms, t.actions_per_second, t.mean_latency_ms);
@@ -45,9 +44,11 @@ int main() {
   // column is the disk-write budget the paper's batching argument is about.
   const int peak_clients = clients.back();
   const SimDuration window = millis(500);
-  std::string table;
-  measure_engine_throughput_windowed(/*delayed=*/false, replicas, peak_clients, warmup,
-                                     measure, window, 1, &table);
+  bench::DeployOptions o;
+  o.metrics_window = window;
+  bench::Deployment dep(Algorithm::kEngine, replicas, 1, o);
+  bench::run_closed_loop(dep, peak_clients, warmup, measure);
+  const std::string table = dep.window_table(bench::kWindowColumns);
   std::printf("\nengine metrics windows (%d clients, %.1fs windows):\n%s", peak_clients,
               to_seconds(window), table.c_str());
   return 0;

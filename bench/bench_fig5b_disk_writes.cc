@@ -7,11 +7,10 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "workload/experiments.h"
 
 int main() {
   using namespace tordb;
-  using namespace tordb::workload;
+  using bench::Algorithm;
 
   bench::header("Figure 5(b): engine throughput, forced vs delayed disk writes",
                 "delayed-writes curve far above forced; flattens at the processing limit "
@@ -27,9 +26,9 @@ int main() {
               "delayed writes (actions/s)", "ratio");
   bench::row_sep();
   for (int c : clients) {
-    const auto f = measure_throughput(Algorithm::kEngine, replicas, c, warmup, measure, 1);
+    const auto f = bench::measure_throughput(Algorithm::kEngine, replicas, c, warmup, measure);
     const auto d =
-        measure_throughput(Algorithm::kEngineDelayed, replicas, c, warmup, measure, 1);
+        bench::measure_throughput(Algorithm::kEngineDelayed, replicas, c, warmup, measure);
     std::printf("%8d | %14.0f (%6.2fms) | %14.0f (%6.2fms) | %5.1fx\n", c,
                 f.actions_per_second, f.mean_latency_ms, d.actions_per_second,
                 d.mean_latency_ms, d.actions_per_second / std::max(1.0, f.actions_per_second));

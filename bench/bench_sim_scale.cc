@@ -35,11 +35,161 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "workload/experiments.h"
+#include "util/rng.h"
+#include "workload/sharded_cluster.h"
+
+namespace {
+
+using namespace tordb;
+
+struct SimScalePoint {
+  int shards = 0;  ///< 1 = one plain engine group (no router)
+  int replicas_per_shard = 0;
+  int total_replicas = 0;
+  int clients = 0;
+  int sim_threads = 0;  ///< lane-mode worker threads; 0 = classic event loop
+  double green_per_second = 0;  ///< aggregate engine green actions/s (sim time)
+  std::uint64_t completed = 0;  ///< client-visible commits in the window
+  // Cost of the simulation itself:
+  std::uint64_t events = 0;    ///< simulator events executed, whole run
+  std::uint64_t messages = 0;  ///< network messages sent, whole run
+  double wall_ms = 0;          ///< host wall clock for the whole run
+  double events_per_wall_second = 0;
+  double wall_ms_per_sim_second = 0;  ///< wall cost per simulated second
+  std::size_t peak_queue_depth = 0;
+  std::uint64_t payload_bytes_copied = 0;
+  std::uint64_t reachable_cache_hits = 0;
+  std::uint64_t reachable_cache_misses = 0;
+  // Lane-mode health (0 in classic mode): conservative windows run and
+  // cross-lane handoffs committed over the whole run.
+  std::uint64_t lane_windows = 0;
+  std::uint64_t lane_handoffs = 0;
+};
+
+/// Highest green count among a cluster's running engines (the group's
+/// committed watermark — any lagging member converges to it).
+std::int64_t max_green(workload::EngineCluster& c) {
+  std::int64_t g = 0;
+  for (int i = 0; i < c.replicas(); ++i) {
+    const NodeId id = static_cast<NodeId>(i);
+    if (c.node(id).running()) g = std::max(g, c.engine(id).green_count());
+  }
+  return g;
+}
+
+/// Drives a closed-loop put workload over either one plain engine group
+/// (`shards` == 1, the single-group EVS run) or a ShardedCluster of
+/// `shards` groups, and reports what the simulation run itself cost the
+/// host alongside the simulated throughput. `sim_threads` = 0 runs the
+/// classic single-threaded event loop; >= 1 runs the sharded
+/// configurations in lane mode on that many worker threads (ignored for
+/// shards == 1).
+SimScalePoint measure_sim_scale(int shards, int replicas_per_shard, int clients,
+                                SimDuration warmup, SimDuration measure, int sim_threads) {
+  SimScalePoint p;
+  p.shards = shards;
+  p.replicas_per_shard = replicas_per_shard;
+  p.total_replicas = shards * replicas_per_shard;
+  p.clients = clients;
+  p.sim_threads = shards > 1 ? sim_threads : 0;
+
+  bench::Stopwatch wall;
+  std::int64_t green_start = 0, green_end = 0;
+  double sim_seconds = 0;
+
+  // Everything read from the deployment is captured before it leaves
+  // scope (NetworkStats in particular aggregates lazily in lane mode).
+  auto capture = [&](Simulator& sim, const NetworkStats& ns,
+                     const bench::ClosedLoopDriver& driver) {
+    p.completed = driver.completed_in_window();
+    p.peak_queue_depth = sim.peak_queue_depth();
+    p.events = sim.executed_events();
+    p.messages = ns.messages_sent;
+    p.payload_bytes_copied = ns.payload_bytes_copied;
+    p.reachable_cache_hits = ns.reachable_cache_hits;
+    p.reachable_cache_misses = ns.reachable_cache_misses;
+    if (sim.lanes_enabled()) {
+      p.lane_windows = sim.windows_run();
+      p.lane_handoffs = sim.handoffs_posted();
+    }
+    sim_seconds = to_seconds(sim.now());
+    p.wall_ms = wall.ms();
+  };
+
+  if (shards == 1) {
+    // Single engine group: the pure EVS data path (one sequencer, group-wide
+    // multicasts, coalesced acks) with no router in front.
+    bench::Deployment dep(bench::Algorithm::kEngine, replicas_per_shard);
+    workload::EngineCluster& cluster = dep.cluster();
+    Simulator& sim = cluster.sim();
+    bench::ClosedLoopDriver driver(sim, sim.now() + warmup, sim.now() + warmup + measure);
+    for (int c = 0; c < clients; ++c) driver.add_client(dep.client(c));
+    sim.after(warmup, [&] { green_start = max_green(cluster); });
+    sim.after(warmup + measure, [&] { green_end = max_green(cluster); });
+    cluster.run_for(warmup + measure + millis(200));
+    capture(sim, cluster.net().stats(), driver);
+  } else {
+    workload::ShardedClusterOptions o;
+    o.shards = shards;
+    o.replicas_per_shard = replicas_per_shard;
+    o.seed = 1;
+    // 0 = classic loop; >= 1 = lane mode (sim_lanes makes 1 worker still run
+    // the lane scheduler — the baseline the thread sweep compares against).
+    o.sim_lanes = sim_threads >= 1;
+    o.sim_threads = std::max(1, sim_threads);
+    // Maximum lookahead: windows as wide as the failure-detection delay,
+    // the upper bound the cluster accepts. Wider windows amortize the
+    // per-window pool rendezvous over more parallel work.
+    o.sim_handoff = o.net.detect_delay;
+    o.sim_env = false;  // this sweep pins its own thread counts
+    workload::ShardedCluster cluster(o);
+    cluster.run_for(seconds(2));  // every shard forms its primary component
+    Simulator& sim = cluster.sim();
+    bench::ClosedLoopDriver driver(sim, sim.now() + warmup, sim.now() + warmup + measure);
+    // Key pool built once per shard — the drivers copy from it instead of
+    // re-concatenating "key-<home>-<n>" per request.
+    std::vector<std::vector<std::string>> pool(static_cast<std::size_t>(shards));
+    for (int s = 0; s < shards; ++s) {
+      for (int n = 0; n < 64; ++n) {
+        pool[static_cast<std::size_t>(s)].push_back("key-" + std::to_string(s) + "-" +
+                                                    std::to_string(n));
+      }
+    }
+    for (int c = 0; c < clients; ++c) {
+      const int home = c % shards;
+      auto counter = std::make_shared<std::int64_t>(0);
+      auto rng = std::make_shared<Rng>(cluster.shard_seed(home) +
+                                       static_cast<std::uint64_t>(c) * 0x9e3779b97f4a7c15ULL);
+      driver.add_client([&, rng, counter, c, home](std::function<void(bool)> done) {
+        const auto& keys = pool[static_cast<std::size_t>(home)];
+        db::Command cmd =
+            db::Command::put(keys[rng->next_below(keys.size())], bench::value_tag(++*counter));
+        cluster.router().submit(c, std::move(cmd),
+                                [done = std::move(done)](const shard::RouteReply& r) {
+                                  done(r.committed);
+                                });
+      });
+    }
+    sim.after(warmup, [&] {
+      for (int s = 0; s < shards; ++s) green_start += cluster.green_count(s);
+    });
+    sim.after(warmup + measure, [&] {
+      for (int s = 0; s < shards; ++s) green_end += cluster.green_count(s);
+    });
+    cluster.run_for(warmup + measure + millis(200));
+    capture(sim, cluster.net().stats(), driver);
+  }
+
+  p.green_per_second = static_cast<double>(green_end - green_start) / to_seconds(measure);
+  p.events_per_wall_second =
+      p.wall_ms > 0 ? static_cast<double>(p.events) / (p.wall_ms / 1e3) : 0;
+  p.wall_ms_per_sim_second = sim_seconds > 0 ? p.wall_ms / sim_seconds : 0;
+  return p;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
-  using namespace tordb;
-  using namespace tordb::workload;
 
   bool smoke = bench::fast_mode();
   for (int i = 1; i < argc; ++i) {
@@ -96,7 +246,7 @@ int main(int argc, char** argv) {
       // every thread count, including the 1-worker lane baseline.
       const int t_arg = c.threads_sweep ? t : 0;
       const auto p =
-          measure_sim_scale(c.shards, c.replicas_per_shard, clients, warmup, measure, 1, t_arg);
+          measure_sim_scale(c.shards, c.replicas_per_shard, clients, warmup, measure, t_arg);
       const std::uint64_t lookups = p.reachable_cache_hits + p.reachable_cache_misses;
       if (t == threads.front()) {
         wall_1t = p.wall_ms;

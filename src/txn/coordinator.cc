@@ -123,8 +123,8 @@ bool TxnCoordinator::idle() const {
   sessions_.for_each([&](std::uint64_t, const std::unique_ptr<core::ClientSession>& s) {
     if (!s->idle()) sessions_idle = false;
   });
-  return sessions_idle && deferred_.empty() && snapshots_.empty() && adoptions_.empty() &&
-         adoption_orphans_ == 0 && pending_restarts_ == 0 && cleanups_ == 0;
+  return sessions_idle && deferred_.empty() && snapshots_.empty() && pending_restarts_ == 0 &&
+         cleanups_ == 0;
 }
 
 void TxnCoordinator::submit(std::int64_t client, db::Command update, shard::RouteReplyFn reply) {
@@ -165,6 +165,7 @@ void TxnCoordinator::begin(std::int64_t client, db::Command update, shard::Route
   t.client = client;
   t.seq = seq;
   t.xid = client * kXidStride + seq;
+  t.sid = kTxnSessionBase + options_.session_epoch * kEpochStride + client;
   t.fp = db::range_fingerprint(pending_key(client, seq), "");
   t.original = update;
   t.reply = std::move(reply);
@@ -189,7 +190,6 @@ void TxnCoordinator::begin(std::int64_t client, db::Command update, shard::Route
 
   const std::int64_t token = ++next_token_;
   inflight_[token] = std::move(txn);
-  const std::int64_t sid = kTxnSessionBase + options_.session_epoch * kEpochStride + client;
   const std::string pend = pending_key(client, seq);
 
   // Round 1: one prepare action per involved shard — the slice's checks,
@@ -212,7 +212,7 @@ void TxnCoordinator::begin(std::int64_t client, db::Command update, shard::Route
     pending.update = tr.buffered[slot];
     prep.ops.push_back(db::Command::txn_prepare(pend, pending).ops[0]);
     ++stats_.prepares;
-    session(sid, tr.shards[slot])
+    session(tr.sid, tr.shards[slot])
         .submit(std::move(prep),
                 [this, alive = alive_, token, slot](const core::SessionReply& r) {
                   if (!*alive) return;
@@ -268,8 +268,7 @@ void TxnCoordinator::submit_decision(std::int64_t token) {
   db::Command cmd;
   cmd.ops.push_back(db::Op{db::OpType::kCheck, dec, "", 0});
   cmd.ops.push_back(db::Op{db::OpType::kPut, dec, "C", 0});
-  const std::int64_t sid = kTxnSessionBase + options_.session_epoch * kEpochStride + t.client;
-  session(sid, t.home).submit(
+  session(t.sid, t.home).submit(
       std::move(cmd), [this, alive = alive_, token](const core::SessionReply& r) {
         if (!*alive) return;
         auto it = inflight_.find(token);
@@ -318,8 +317,7 @@ void TxnCoordinator::round2(std::int64_t token, bool commit) {
 void TxnCoordinator::submit_confirm(std::int64_t token, std::size_t slot) {
   Txn& t = *inflight_[token];
   ++stats_.confirms;
-  const std::int64_t sid = kTxnSessionBase + options_.session_epoch * kEpochStride + t.client;
-  session(sid, t.shards[slot])
+  session(t.sid, t.shards[slot])
       .submit(db::Command::txn_confirm(pending_key(t.client, t.seq)),
               [this, alive = alive_, token, slot](const core::SessionReply& r) {
                 if (!*alive) return;
@@ -361,8 +359,7 @@ void TxnCoordinator::submit_cancel(std::int64_t token, std::size_t slot, bool wi
     // so a recovery scan never sees a cancelled home with a live intent.
     cmd.ops.push_back(db::Op{db::OpType::kDelete, intent_key(t.client, t.seq), "", 0});
   }
-  const std::int64_t sid = kTxnSessionBase + options_.session_epoch * kEpochStride + t.client;
-  session(sid, t.shards[slot])
+  session(t.sid, t.shards[slot])
       .submit(std::move(cmd),
               [this, alive = alive_, token, slot, with_home_cleanup](const core::SessionReply& r) {
                 if (!*alive) return;
@@ -431,7 +428,7 @@ void TxnCoordinator::finish(std::int64_t token) {
   out.attempts = t->attempts;
   out.fenced_bounces = t->bounces;
   if (t->committing) {
-    ++stats_.committed;
+    ++(t->adopted ? stats_.adopted_confirmed : stats_.committed);
     out.committed = true;
     if (t->first_marker >= 0) {
       out.barrier_wait = t->last_marker - t->first_marker;
@@ -440,13 +437,14 @@ void TxnCoordinator::finish(std::int64_t token) {
     // Retire the intent and decision records off the critical path; the
     // reply does not wait for it (a crash before the cleanup is exactly
     // what adopt_orphans handles — it re-confirms, idempotently).
-    submit_cleanup(t->client, t->seq, t->home,
-                   kTxnSessionBase + options_.session_epoch * kEpochStride + t->client);
+    submit_cleanup(t->client, t->seq, t->home, t->sid);
   } else {
     out.committed = false;
     out.check_aborted = t->check_fail;
     out.fenced = !t->check_fail && t->fence_fail;
-    if (t->check_fail) {
+    if (t->adopted) {
+      ++stats_.adopted_cancelled;
+    } else if (t->check_fail) {
       ++stats_.aborted_check;
     } else if (t->fence_fail) {
       ++stats_.aborted_fenced;
@@ -457,6 +455,7 @@ void TxnCoordinator::finish(std::int64_t token) {
                          sim_.now() - t->t0);
   }
   if (t->reply) t->reply(out);
+  if (t->adopted && --adopting_ == 0 && adoption_done_) std::exchange(adoption_done_, nullptr)();
 }
 
 void TxnCoordinator::schedule_restart(std::unique_ptr<Txn> t) {
@@ -534,7 +533,7 @@ void TxnCoordinator::drain_for_snapshot(std::int64_t token) {
       if (*alive) drain_for_snapshot(token);
     });
   };
-  bool own_busy = pending_restarts_ > 0 || !adoptions_.empty() || adoption_orphans_ > 0;
+  bool own_busy = pending_restarts_ > 0;
   for (const auto& [tok, t] : inflight_) {
     if (!t->halted) {
       own_busy = true;
@@ -631,286 +630,94 @@ void TxnCoordinator::finish_snapshot(std::int64_t token) {
 
 // --- coordinator crash recovery --------------------------------------------
 
-void TxnCoordinator::adopt_orphans(std::function<void(int adopted)> done) {
-  adoption_done_ = std::move(done);
-  adoption_count_ = 0;
+std::unique_ptr<TxnCoordinator::Txn> TxnCoordinator::recovered_txn(
+    std::int64_t client, std::int64_t seq, int home, std::vector<int> shards) const {
+  auto t = std::make_unique<Txn>();
+  t->client = client;
+  t->seq = seq;
+  t->xid = client * kXidStride + seq;
+  t->sid = kAdopterSessionBase + t->xid;
+  t->fp = db::range_fingerprint(pending_key(client, seq), "");
+  t->shards = std::move(shards);
+  t->home = home;
+  t->adopted = true;
+  t->t0 = sim_.now();
+  const std::size_t n = t->shards.size();
+  t->buffered.resize(n);
+  t->prepared.assign(n, 0);
+  // A surviving pending is that shard's green "yes" vote, and its cell holds
+  // the buffered slice a confirm (or a fenced confirm's reroute) applies.
+  const std::string pend = pending_key(client, seq);
+  for (std::size_t slot = 0; slot < n; ++slot) {
+    const db::Database* d = best_db(t->shards[slot]);
+    const std::string cell = d == nullptr ? std::string() : d->get(pend);
+    if (cell.empty()) continue;
+    t->prepared[slot] = 1;
+    t->buffered[slot] = db::TxnPending::decode(Bytes(cell.begin(), cell.end())).update;
+  }
+  return t;
+}
 
+void TxnCoordinator::adopt_orphans(std::function<void(int adopted)> done) {
   // Synchronous scan of every shard's best green state. Assumes the dead
   // coordinator's traffic has drained (run at quiescence): the scan must
   // see the final green marker set, not race half-delivered prepares.
   const int nshards = static_cast<int>(replicas_.size());
   std::set<std::pair<std::int64_t, std::int64_t>> known;
-  std::vector<Adoption> work;
+  std::vector<std::unique_ptr<Txn>> work;
   for (int sh = 0; sh < nshards; ++sh) {
     const db::Database* d = best_db(sh);
     if (d == nullptr) continue;
     for (const auto& [key, value] : d->scan_prefix("__txn/")) {
-      const Intent in = decode_intent(value);
+      Intent in = decode_intent(value);
       known.insert({in.client, in.seq});
-      Adoption a;
-      a.client = in.client;
-      a.seq = in.seq;
-      a.xid = in.client * kXidStride + in.seq;
-      a.home = sh;
-      a.shards = in.shards;
-      const bool has_decision = d->get(decision_key(in.client, in.seq)) == "C";
-      const std::string pend = pending_key(in.client, in.seq);
-      for (const int t : a.shards) {
-        const db::Database* dt = best_db(t);
-        if (dt == nullptr) continue;
-        const std::string cell = dt->get(pend);
-        if (cell.empty()) continue;
-        a.with_pending.push_back(t);
-        a.buffered[t] = db::TxnPending::decode(Bytes(cell.begin(), cell.end())).update;
-      }
+      auto t = recovered_txn(in.client, in.seq, sh, std::move(in.shards));
       // Confirm iff the decision is durable, or every involved shard still
       // holds its pending — all voted yes and nothing was decided against.
       // (A confirmed shard always implies a durable decision, because the
-      // live coordinator orders the decision before any confirm marker; so
-      // a missing pending with no decision can only mean a "no" vote or a
-      // cancel, and the safe resolution is cancel.)
-      a.commit = has_decision || a.with_pending.size() == a.shards.size();
-      work.push_back(std::move(a));
+      // decision is ordered before any confirm marker; so a missing pending
+      // with no decision can only mean a "no" vote or a cancel, and the
+      // safe resolution is cancel. The home pending rides the same action
+      // as the intent and is only cancelled together with it, so the cancel
+      // leg's home marker retires the intent.)
+      t->committing = d->get(decision_key(t->client, t->seq)) == "C" ||
+                      std::all_of(t->prepared.begin(), t->prepared.end(),
+                                  [](char p) { return p != 0; });
+      work.push_back(std::move(t));
     }
   }
   // Pendings whose intent never went green: the home prepare aborted, so no
   // decision can ever exist — cancel them. Grouped per transaction.
-  std::map<std::pair<std::int64_t, std::int64_t>, std::vector<int>> orphans;
+  std::map<std::pair<std::int64_t, std::int64_t>, std::pair<int, std::vector<int>>> orphans;
   for (int sh = 0; sh < nshards; ++sh) {
     const db::Database* d = best_db(sh);
     if (d == nullptr) continue;
     for (const auto& [key, value] : d->scan_prefix("__txnp/")) {
       const db::TxnPending p = db::TxnPending::decode(Bytes(value.begin(), value.end()));
       if (known.count({p.client, p.seq}) != 0) continue;
-      orphans[{p.client, p.seq}].push_back(sh);
+      auto& [home, shards] = orphans[{p.client, p.seq}];
+      home = p.home;
+      shards.push_back(sh);
     }
   }
+  for (auto& [cs, hs] : orphans) {
+    work.push_back(recovered_txn(cs.first, cs.second, hs.first, std::move(hs.second)));
+  }
 
-  for (Adoption& a : work) {
+  // Each recovered transaction re-enters the live protocol where the dead
+  // coordinator left it: a commit re-asserts the decision (idempotent) and
+  // runs round 2's confirm leg, an abort runs its cancel leg.
+  adopting_ = static_cast<int>(work.size());
+  adoption_done_ = [done = std::move(done), n = adopting_] {
+    if (done) done(n);
+  };
+  if (work.empty()) std::exchange(adoption_done_, nullptr)();
+  for (std::unique_ptr<Txn>& t : work) {
     const std::int64_t token = ++next_token_;
-    adoptions_[token] = std::move(a);
-    adopt_drive(token);
+    const bool commit = t->committing;
+    inflight_[token] = std::move(t);
+    commit ? submit_decision(token) : round2(token, /*commit=*/false);
   }
-  for (const auto& [cs, shards] : orphans) {
-    ++adoption_orphans_;
-    adopt_cancel_orphan(cs.first, cs.second, shards);
-  }
-  adopt_maybe_done();
-}
-
-void TxnCoordinator::adopt_drive(std::int64_t token) {
-  Adoption& a = adoptions_[token];
-  options_.tracer.emit(obs::EventKind::kTxnDecide,
-                       static_cast<std::int64_t>(db::range_fingerprint(
-                           pending_key(a.client, a.seq), "")),
-                       a.commit ? 1 : 0, 0);
-  if (a.commit) {
-    // Re-assert the decision first (idempotent if the dead coordinator got
-    // that far), preserving the decision-before-confirm invariant.
-    db::Command dec;
-    const std::string key = decision_key(a.client, a.seq);
-    dec.ops.push_back(db::Op{db::OpType::kCheck, key, "", 0});
-    dec.ops.push_back(db::Op{db::OpType::kPut, key, "C", 0});
-    session(kAdopterSessionBase + a.xid, a.home)
-        .submit(std::move(dec), [this, alive = alive_, token](const core::SessionReply& r) {
-          if (!*alive) return;
-          if (!r.committed && !r.check_aborted) {
-            adopt_drive(token);
-            return;
-          }
-          adopt_confirms(token);
-        });
-    return;
-  }
-  // Cancel leg: erase every surviving pending; the home's cancel (or a
-  // standalone delete when the home pending is already gone) retires the
-  // intent in the same action.
-  a.outstanding = static_cast<int>(a.with_pending.size());
-  const bool home_pending =
-      std::find(a.with_pending.begin(), a.with_pending.end(), a.home) != a.with_pending.end();
-  if (!home_pending) ++a.outstanding;
-  const auto on_done = [this, alive = alive_,
-                        token](const core::SessionReply& r,
-                               const std::shared_ptr<std::function<void()>>& resubmit) {
-    if (*alive && !r.committed) {
-      (*resubmit)();
-      return;
-    }
-    // Done retrying: the stored lambda captures its own shared_ptr to stay
-    // alive across resubmits, so it must be cleared here or the cycle leaks.
-    *resubmit = nullptr;
-    if (!*alive) return;
-    Adoption& a = adoptions_[token];
-    if (--a.outstanding == 0) {
-      ++stats_.adopted_cancelled;
-      ++adoption_count_;
-      adopt_done_one(token);
-    }
-  };
-  for (const int sh : a.with_pending) {
-    ++stats_.cancels;
-    db::Command cmd = db::Command::txn_cancel(pending_key(a.client, a.seq));
-    if (sh == a.home) {
-      cmd.ops.push_back(db::Op{db::OpType::kDelete, intent_key(a.client, a.seq), "", 0});
-    }
-    auto submit = std::make_shared<std::function<void()>>();
-    *submit = [this, token, sh, cmd, on_done, submit] {
-      Adoption& a = adoptions_[token];
-      session(kAdopterSessionBase + a.xid, sh)
-          .submit(cmd, [on_done, submit](const core::SessionReply& r) { on_done(r, submit); });
-    };
-    (*submit)();
-  }
-  if (!home_pending) {
-    db::Command cmd;
-    cmd.ops.push_back(db::Op{db::OpType::kDelete, intent_key(a.client, a.seq), "", 0});
-    auto submit = std::make_shared<std::function<void()>>();
-    *submit = [this, token, cmd, on_done, submit] {
-      Adoption& a = adoptions_[token];
-      session(kAdopterSessionBase + a.xid, a.home)
-          .submit(cmd, [on_done, submit](const core::SessionReply& r) { on_done(r, submit); });
-    };
-    (*submit)();
-  }
-}
-
-void TxnCoordinator::adopt_confirms(std::int64_t token) {
-  Adoption& a = adoptions_[token];
-  a.outstanding = static_cast<int>(a.shards.size());
-  for (std::size_t slot = 0; slot < a.shards.size(); ++slot) {
-    adopt_confirm_shard(token, slot);
-  }
-}
-
-void TxnCoordinator::adopt_confirm_shard(std::int64_t token, std::size_t slot) {
-  Adoption& a = adoptions_[token];
-  const int sh = a.shards[slot];
-  ++stats_.confirms;
-  session(kAdopterSessionBase + a.xid, sh)
-      .submit(db::Command::txn_confirm(pending_key(a.client, a.seq)),
-              [this, alive = alive_, token, slot](const core::SessionReply& r) {
-                if (!*alive) return;
-                auto it = adoptions_.find(token);
-                if (it == adoptions_.end()) return;
-                Adoption& a = it->second;
-                if (r.committed) {
-                  if (--a.outstanding == 0) adopt_cleanup(token);
-                  return;
-                }
-                if (r.fenced) {
-                  // Same fenced-confirm case as the live path: the range
-                  // moved after the prepare. Cancel the stranded pending
-                  // and re-drive the buffered ops through the router.
-                  ++stats_.confirm_rerouted;
-                  adopt_reroute(token, slot);
-                  return;
-                }
-                adopt_confirm_shard(token, slot);
-              });
-}
-
-void TxnCoordinator::adopt_reroute(std::int64_t token, std::size_t slot) {
-  Adoption& a = adoptions_[token];
-  const int sh = a.shards[slot];
-  db::Command buffered;
-  const auto it = a.buffered.find(sh);
-  if (it != a.buffered.end()) buffered = it->second;
-  const bool has_payload = !buffered.ops.empty();
-  if (has_payload) ++a.outstanding;  // the confirm becomes cancel + reroute
-  ++stats_.cancels;
-  auto cancel = std::make_shared<std::function<void()>>();
-  *cancel = [this, token, sh, cancel] {
-    Adoption& a = adoptions_[token];
-    session(kAdopterSessionBase + a.xid, sh)
-        .submit(db::Command::txn_cancel(pending_key(a.client, a.seq)),
-                [this, alive = alive_, token, cancel](const core::SessionReply& r) {
-                  if (*alive && !r.committed) {
-                    (*cancel)();
-                    return;
-                  }
-                  *cancel = nullptr;  // break the retry lambda's self-reference cycle
-                  if (!*alive) return;
-                  Adoption& a = adoptions_[token];
-                  if (--a.outstanding == 0) adopt_cleanup(token);
-                });
-  };
-  (*cancel)();
-  if (!has_payload) return;
-  const std::int64_t rclient = kRerouteClientBase + a.xid * 64 + static_cast<std::int64_t>(slot);
-  auto drive = std::make_shared<std::function<void()>>();
-  *drive = [this, token, rclient, buffered, drive] {
-    router_.submit(rclient, buffered,
-                   [this, alive = alive_, token, drive](const shard::RouteReply& r) {
-                     if (*alive && !r.committed) {
-                       (*drive)();
-                       return;
-                     }
-                     *drive = nullptr;  // break the retry lambda's self-reference cycle
-                     if (!*alive) return;
-                     Adoption& a = adoptions_[token];
-                     if (--a.outstanding == 0) adopt_cleanup(token);
-                   });
-  };
-  (*drive)();
-}
-
-void TxnCoordinator::adopt_cleanup(std::int64_t token) {
-  Adoption& a = adoptions_[token];
-  db::Command cmd;
-  cmd.ops.push_back(db::Op{db::OpType::kDelete, intent_key(a.client, a.seq), "", 0});
-  cmd.ops.push_back(db::Op{db::OpType::kDelete, decision_key(a.client, a.seq), "", 0});
-  session(kAdopterSessionBase + a.xid, a.home)
-      .submit(std::move(cmd), [this, alive = alive_, token](const core::SessionReply& r) {
-        if (!*alive) return;
-        if (!r.committed) {
-          adopt_cleanup(token);
-          return;
-        }
-        ++stats_.adopted_confirmed;
-        ++adoption_count_;
-        adopt_done_one(token);
-      });
-}
-
-void TxnCoordinator::adopt_cancel_orphan(std::int64_t client, std::int64_t seq,
-                                         const std::vector<int>& shards) {
-  const std::int64_t xid = client * kXidStride + seq;
-  auto remaining = std::make_shared<int>(static_cast<int>(shards.size()));
-  for (const int sh : shards) {
-    ++stats_.cancels;
-    auto submit = std::make_shared<std::function<void()>>();
-    *submit = [this, client, seq, xid, sh, remaining, submit] {
-      session(kAdopterSessionBase + xid, sh)
-          .submit(db::Command::txn_cancel(pending_key(client, seq)),
-                  [this, alive = alive_, remaining, submit](const core::SessionReply& r) {
-                    if (*alive && !r.committed) {
-                      (*submit)();
-                      return;
-                    }
-                    *submit = nullptr;  // break the retry lambda's self-reference cycle
-                    if (!*alive) return;
-                    if (--*remaining == 0) {
-                      ++stats_.adopted_cancelled;
-                      ++adoption_count_;
-                      --adoption_orphans_;
-                      adopt_maybe_done();
-                    }
-                  });
-    };
-    (*submit)();
-  }
-}
-
-void TxnCoordinator::adopt_done_one(std::int64_t token) {
-  adoptions_.erase(token);
-  adopt_maybe_done();
-}
-
-void TxnCoordinator::adopt_maybe_done() {
-  if (!adoptions_.empty() || adoption_orphans_ != 0 || !adoption_done_) return;
-  auto done = std::move(adoption_done_);
-  adoption_done_ = nullptr;
-  done(adoption_count_);
 }
 
 }  // namespace tordb::txn

@@ -47,7 +47,12 @@
 // shard still holds its pending (all voted yes and nothing was decided
 // against), else cancel — and a pending whose intent never went green is
 // cancelled outright (the home prepare aborted, so no decision can exist).
-// Run it at quiescence, after the dead coordinator's traffic drained.
+// There is no separate recovery protocol: each recovered transaction is
+// rebuilt from the scan as an ordinary in-flight transaction (surviving
+// pendings are its "yes" votes) and re-enters round 2 — the decision, the
+// confirm/cancel markers, fenced-confirm reroutes and the cleanup are the
+// live code path. Run it at quiescence, after the dead coordinator's
+// traffic drained.
 //
 // Barrier-stamped snapshot reads: snapshot_read() holds the router's
 // cross-shard gate plus this coordinator's own admission gate, waits until
@@ -162,6 +167,7 @@ class TxnCoordinator {
     std::int64_t client = 0;
     std::int64_t seq = 0;
     std::int64_t xid = 0;   ///< deterministic: client * 1e6 + seq
+    std::int64_t sid = 0;   ///< session id every marker of this txn goes through
     std::uint64_t fp = 0;   ///< db::range_fingerprint(pending key, "")
     db::Command original;   ///< kept verbatim for wholesale fenced restarts
     shard::RouteReplyFn reply;
@@ -179,22 +185,10 @@ class TxnCoordinator {
     bool committing = false;  ///< round 2 is the confirm leg (decision durable)
     bool restarting = false;  ///< round 2 is the cancel leg of a restart
     bool halted = false;      ///< frozen by TxnOptions::halt_at_stage
+    bool adopted = false;     ///< recovered by adopt_orphans: no client, adopted_* stats
     SimTime t0 = 0;
     SimTime first_marker = -1;  ///< first round-2 marker green
     SimTime last_marker = -1;   ///< last round-2 marker green
-  };
-
-  /// One transaction being re-driven by adopt_orphans.
-  struct Adoption {
-    std::int64_t client = 0;
-    std::int64_t seq = 0;
-    std::int64_t xid = 0;
-    int home = 0;
-    bool commit = false;
-    std::vector<int> shards;                ///< involved shards (intent record)
-    std::vector<int> with_pending;          ///< shards whose pending cell survives
-    std::map<int, db::Command> buffered;    ///< decoded from surviving pendings
-    int outstanding = 0;
   };
 
   core::ClientSession& session(std::int64_t session_id, int shard);
@@ -218,14 +212,10 @@ class TxnCoordinator {
   void read_snapshot_shard(std::int64_t token, std::size_t slot);
   void finish_snapshot(std::int64_t token);
 
-  void adopt_drive(std::int64_t token);
-  void adopt_confirms(std::int64_t token);
-  void adopt_confirm_shard(std::int64_t token, std::size_t slot);
-  void adopt_reroute(std::int64_t token, std::size_t slot);
-  void adopt_cleanup(std::int64_t token);
-  void adopt_cancel_orphan(std::int64_t client, std::int64_t seq, const std::vector<int>& shards);
-  void adopt_done_one(std::int64_t token);
-  void adopt_maybe_done();
+  /// A recovered transaction seeded from the scan: `prepared` and
+  /// `buffered` from the surviving pendings, adopter session ids.
+  std::unique_ptr<Txn> recovered_txn(std::int64_t client, std::int64_t seq, int home,
+                                     std::vector<int> shards) const;
 
   Simulator& sim_;
   shard::Router& router_;
@@ -264,10 +254,8 @@ class TxnCoordinator {
   };
   std::map<std::int64_t, Snapshot> snapshots_;
 
-  std::map<std::int64_t, Adoption> adoptions_;
-  int adoption_orphans_ = 0;  ///< orphan-pending cancels still in flight
-  std::function<void(int)> adoption_done_;
-  int adoption_count_ = 0;
+  int adopting_ = 0;  ///< adopted transactions still in flight
+  std::function<void()> adoption_done_;
 
   std::int64_t pending_restarts_ = 0;
   std::int64_t cleanups_ = 0;  ///< post-commit intent/decision deletions in flight

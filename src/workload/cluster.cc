@@ -140,9 +140,6 @@ void EngineCluster::sample_metrics() {
   for (const Sample& g : groups) t.lag += g.lag;
   // Cumulative sources: set_total() so roll() turns them into per-window
   // deltas alongside the engines' directly-incremented counters.
-  metrics_->counter("cluster.actions_green").set_total(t.green);
-  metrics_->counter("cluster.actions_red").set_total(t.red);
-  metrics_->counter("cluster.primaries_installed").set_total(t.installs);
   metrics_->counter("cluster.exchanges").set_total(t.exchanges);
   metrics_->counter("storage.forces").set_total(t.forces);
   metrics_->counter("storage.appends").set_total(t.appends);

@@ -4,6 +4,7 @@
 // cluster plus export/metrics smoke tests round out the coverage.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -253,8 +254,46 @@ TEST(ObsChecker, LiveClusterPassesAllInvariants) {
   c.sample_metrics();
   c.metrics()->roll(c.sim().now());
   EXPECT_GE(c.metrics()->windows().size(), 2u);
-  EXPECT_GE(c.metrics()->counter("cluster.actions_green").value(), 1u);
-  EXPECT_NE(c.metrics()->totals().find("cluster.actions_green"), std::string::npos);
+  EXPECT_GE(c.metrics()->counter("engine.actions_green").value(), 1u);
+  EXPECT_NE(c.metrics()->totals().find("engine.actions_green"), std::string::npos);
+}
+
+TEST(ObsChecker, GreenCounterKeepsCountingThroughACrash) {
+  // engine.actions_green is incremented where each action turns green, so a
+  // crash only removes the dead replica's future greens. A total re-summed
+  // over the running replicas at every roll would drop by the dead
+  // replica's history, and since a counter total never moves down, it would
+  // read 0 for windows while the survivors commit.
+  workload::ClusterOptions o;
+  o.replicas = 5;
+  o.obs.check = true;
+  o.obs.metrics_window = millis(250);
+  workload::EngineCluster c(o);
+  c.run_for(seconds(2));
+  std::int64_t n = 0;
+  std::uint64_t committed = 0;
+  std::function<void()> issue = [&] {  // one closed-loop client at replica 0
+    c.engine(0).submit({}, Command::put("k", std::to_string(++n)), 1, Semantics::kStrict,
+                       [&](const Reply& r) {
+                         if (!r.aborted) ++committed;
+                         issue();
+                       });
+  };
+  issue();
+  c.run_for(seconds(2));
+
+  ASSERT_NE(c.metrics(), nullptr);
+  const std::size_t first = c.metrics()->windows().size();
+  const std::uint64_t committed_before = committed;
+  c.crash(4);
+  c.run_for(seconds(2));
+  EXPECT_GT(committed, committed_before + 100);  // the survivors keep committing
+  const auto& windows = c.metrics()->windows();
+  ASSERT_GE(windows.size(), first + 8);
+  for (std::size_t i = first; i < windows.size(); ++i) {
+    EXPECT_GT(windows[i].counter_deltas.at("engine.actions_green"), 0u) << "window " << i;
+  }
+  EXPECT_TRUE(c.checker()->ok()) << c.checker()->report();
 }
 
 TEST(ObsChecker, CapturesLogLinesAsTraceEvents) {

@@ -285,6 +285,36 @@ TEST_F(TxnAdoptionBeforeDecision, AbortedHomePrepareLeavesOrphanThatCancels) {
   EXPECT_EQ(c_.check_all(), std::nullopt);
 }
 
+TEST_F(TxnAdoptionBeforeDecision, FailedNonHomeCheckCancelsHomePendingAndIntent) {
+  // Shard 1's check fails, so only the home shard prepared: the intent
+  // survives beside one pending of two, no decision exists, and the adopter
+  // must cancel the home pending and retire the intent with it.
+  Command cmd;
+  cmd.ops.push_back(db::Op{db::OpType::kCheck, "z-flag", "set", 0});
+  cmd.ops.push_back(db::Op{db::OpType::kPut, "a-key", "va", 0});
+  cmd.ops.push_back(db::Op{db::OpType::kPut, "z-key", "vz", 0});
+  c_.router().submit(5, cmd, [&](const shard::RouteReply&) { replied_ = true; });
+  c_.run_for(seconds(2));
+  EXPECT_FALSE(replied_);
+  EXPECT_FALSE(c_.node(0, 0).engine().database().scan_prefix("__txn/").empty());
+
+  c_.restart_txn_coordinator();
+  int adopted = -1;
+  c_.txn().adopt_orphans([&](int n) { adopted = n; });
+  c_.run_for(seconds(4));
+  EXPECT_EQ(adopted, 1);
+  EXPECT_TRUE(c_.txn().idle());
+  for (int idx = 0; idx < 3; ++idx) {
+    EXPECT_EQ(db_at(0, idx, "a-key"), "") << idx;
+    EXPECT_EQ(db_at(1, idx, "z-key"), "") << idx;
+  }
+  EXPECT_TRUE(txn_residue().empty());
+  EXPECT_EQ(c_.txn().stats().adopted_cancelled, 1u);
+  EXPECT_EQ(c_.txn().stats().adopted_confirmed, 0u);
+  EXPECT_EQ(c_.checker()->txn_unresolved(), 0);
+  EXPECT_EQ(c_.check_all(), std::nullopt);
+}
+
 class TxnAdoptionAfterDecision : public TxnAdoptionTest {
  protected:
   TxnAdoptionAfterDecision() : TxnAdoptionTest(2) {}
@@ -295,6 +325,35 @@ TEST_F(TxnAdoptionAfterDecision, DurableDecisionRecordDrivesAdoptionToCommit) {
   // adopter finds `__txnd/` = "C" and must finish the commit.
   submit_frozen();
   adopt_and_expect_commit();
+}
+
+TEST_F(TxnAdoptionAfterDecision, ConfirmFencedByAMoveIsReroutedToTheNewOwner) {
+  // The decision is durable, then z-key's range moves to shard 0 before the
+  // adopter runs. Shard 1's pending stays behind (reserved cells never
+  // travel), so its confirm is fenced: the adopter cancels it and re-drives
+  // the buffered slice through the router to the range's new owner.
+  submit_frozen();
+  bool moved = false;
+  ASSERT_TRUE(c_.move_range("m", "", 0, [&](const shard::MoveReport& r) { moved = r.ok; }));
+  c_.run_for(seconds(2));
+  ASSERT_TRUE(moved);
+
+  c_.restart_txn_coordinator();
+  int adopted = -1;
+  c_.txn().adopt_orphans([&](int n) { adopted = n; });
+  c_.run_for(seconds(4));
+  EXPECT_EQ(adopted, 1);
+  EXPECT_TRUE(c_.txn().idle());
+  for (int idx = 0; idx < 3; ++idx) {
+    EXPECT_EQ(db_at(0, idx, "a-key"), "va") << idx;
+    EXPECT_EQ(db_at(0, idx, "z-key"), "vz") << idx;  // the range's new owner
+  }
+  EXPECT_TRUE(txn_residue().empty());
+  EXPECT_EQ(c_.txn().stats().confirm_rerouted, 1u);
+  EXPECT_EQ(c_.txn().stats().adopted_confirmed, 1u);
+  EXPECT_EQ(c_.txn().stats().adopted_cancelled, 0u);
+  EXPECT_EQ(c_.checker()->txn_unresolved(), 0);
+  EXPECT_EQ(c_.check_all(), std::nullopt);
 }
 
 TEST_F(TxnAdoptionAfterDecision, AdoptionIsIdempotentAcrossASecondCrash) {
