@@ -3,7 +3,8 @@
 //
 // The ClientSession library (src/core/client_session.h) fences every update
 // with a session-sequence guard evaluated at ordering time, retries through
-// other replicas on timeout, and resolves ambiguous outcomes by reading the
+// another replica as soon as its replica crashes or leaves the primary (a
+// timer is the backstop), and resolves ambiguous outcomes by reading the
 // guard back — so "charge the card" happens exactly once no matter which
 // replica dies when.
 #include <cstdio>

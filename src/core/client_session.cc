@@ -14,6 +14,14 @@ void assign_num(std::string& out, std::int64_t v) {
   out.assign(buf, end);
 }
 
+bool usable(const ReplicaNode& n) { return n.running() && !n.has_left(); }
+
+/// Usable and not in a non-primary component: it can order an action now,
+/// or will once the exchange it is in installs a primary.
+bool serving(const ReplicaNode& n) {
+  return usable(n) && n.engine().state() != EngineState::kNonPrim;
+}
+
 }  // namespace
 
 ClientSession::ClientSession(Simulator& sim, std::vector<ReplicaNode*> replicas,
@@ -26,7 +34,10 @@ ClientSession::ClientSession(Simulator& sim, std::vector<ReplicaNode*> replicas,
       options_(options),
       alive_(std::make_shared<bool>(true)) {}
 
-ClientSession::~ClientSession() { *alive_ = false; }
+ClientSession::~ClientSession() {
+  *alive_ = false;
+  unwatch_all();
+}
 
 std::string ClientSession::guard_key(std::int64_t client_id) {
   return "__session/" + std::to_string(client_id);
@@ -51,45 +62,73 @@ void ClientSession::pump() {
   issue();
 }
 
-ReplicaNode* ClientSession::current_replica() {
-  for (std::size_t i = 0; i < replicas_.size(); ++i) {
-    ReplicaNode* node = replicas_[(replica_idx_ + i) % replicas_.size()];
-    if (node->running() && !node->has_left()) {
-      replica_idx_ = (replica_idx_ + i) % replicas_.size();
-      return node;
-    }
+std::size_t ClientSession::find_replica(std::size_t from, std::size_t count,
+                                        bool (*ok)(const ReplicaNode&)) const {
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::size_t idx = (from + i) % replicas_.size();
+    if (ok(*replicas_[idx])) return idx;
   }
-  return nullptr;
+  return replicas_.size();
 }
 
-void ClientSession::advance_replica() {
-  replica_idx_ = (replica_idx_ + 1) % replicas_.size();
-  ++stats_.failovers;
+ReplicaNode* ClientSession::pick_replica(bool move_on) {
+  const std::size_t from = replica_idx_ + (move_on ? 1 : 0);
+  std::size_t idx = find_replica(from, replicas_.size(), serving);
+  if (idx == replicas_.size()) idx = find_replica(from, replicas_.size(), usable);
+  if (idx == replicas_.size()) return nullptr;
+  if (idx != replica_idx_) {
+    replica_idx_ = idx;
+    ++stats_.failovers;
+    current_.failed_over = true;
+  }
+  return replicas_[idx];
 }
 
-void ClientSession::issue() {
+void ClientSession::watch(ReplicaNode& node, std::int64_t seq, std::uint64_t epoch,
+                          bool waiting) {
+  const std::uint64_t id = node.watch(home_lane_, [this, alive = alive_, seq, epoch, waiting] {
+    if (!*alive) return;
+    on_signal(seq, epoch, waiting);
+  });
+  watches_.emplace_back(&node, id);
+}
+
+void ClientSession::unwatch_all() {
+  for (const auto& [node, id] : watches_) node->unwatch(id);
+  watches_.clear();
+}
+
+void ClientSession::issue(bool move_on) {
   ++current_.attempts;
   ++attempt_epoch_;
   const std::uint64_t epoch = attempt_epoch_;
   const std::int64_t seq = current_.seq;
+  unwatch_all();
 
-  ReplicaNode* node = current_replica();
-  if (node == nullptr || current_.attempts > options_.max_attempts_per_request) {
-    if (node == nullptr && options_.retry_when_unavailable &&
-        current_.attempts <= options_.max_attempts_per_request) {
-      // Every replica is down right now; wait for one to recover.
-      ++stats_.retries;
-      sim_.after(options_.retry_timeout, [this, alive = alive_, seq, epoch] {
-        if (!*alive) return;
-        if (!in_flight_ || current_.seq != seq || epoch != attempt_epoch_) return;
-        issue();
-      });
-      return;
-    }
-    // No reachable replica (or we gave up): report a deterministic abort.
-    finish(false);
+  if (current_.expired >= options_.max_attempts_per_request) {
+    finish(false);  // gave up: report a deterministic abort
     return;
   }
+  ReplicaNode* node = pick_replica(move_on);
+  if (node == nullptr) {
+    if (!options_.retry_when_unavailable) {
+      finish(false);  // no reachable replica
+      return;
+    }
+    // Every replica is down right now: retry when one recovers, or after
+    // one retry_timeout.
+    ++stats_.retries;
+    for (ReplicaNode* r : replicas_) {
+      if (r->crashed()) watch(*r, seq, epoch, /*waiting=*/true);
+    }
+    sim_.after(options_.retry_timeout, [this, alive = alive_, seq, epoch] {
+      if (!*alive || stale(seq, epoch)) return;
+      ++current_.expired;
+      issue();
+    });
+    return;
+  }
+  watch(*node, seq, epoch, /*waiting=*/false);
 
   // Fence the user's ops with the session guard. Evaluated at ordering
   // time at every replica identically, so a duplicate of an already
@@ -102,12 +141,12 @@ void ClientSession::issue() {
 
   // The submit itself runs on the replica's lane (inline in classic mode);
   // the reply hops back to the session's home lane. If the node dies while
-  // the handoff is in flight, drop it — the retry timer below recovers.
+  // the handoff is in flight, drop it — the crash fires the watch.
   sim_.call_in_lane(
       node->sim_lane(),
       [this, alive = alive_, node, seq, epoch, fenced = std::move(fenced)]() mutable {
         if (!*alive) return;
-        if (!node->running() || node->has_left()) return;
+        if (!usable(*node)) return;
         node->engine().submit(
             {}, std::move(fenced), client_id_, Semantics::kStrict,
             [this, alive, seq, epoch](const Reply& r) {
@@ -128,7 +167,8 @@ void ClientSession::issue() {
 
 void ClientSession::on_reply(std::int64_t seq, std::uint64_t attempt_epoch, bool aborted,
                              bool fenced) {
-  if (!in_flight_ || current_.seq != seq || attempt_epoch != attempt_epoch_) return;
+  if (stale(seq, attempt_epoch)) return;
+  unwatch_all();
   if (!aborted) {
     last_committed_guard_ = seq_str_;  // assignment reuses capacity
     finish(true);
@@ -154,7 +194,7 @@ void ClientSession::on_reply(std::int64_t seq, std::uint64_t attempt_epoch, bool
 }
 
 void ClientSession::resolve_ambiguous_abort(std::int64_t seq, std::uint64_t attempt_epoch) {
-  ReplicaNode* node = current_replica();
+  ReplicaNode* node = pick_replica();
   if (node == nullptr) {
     finish(false);
     return;
@@ -165,12 +205,10 @@ void ClientSession::resolve_ambiguous_abort(std::int64_t seq, std::uint64_t atte
   // node that died mid-handoff re-dispatches against the next replica.
   sim_.call_in_lane(node->sim_lane(), [this, alive = alive_, node, seq, attempt_epoch] {
     if (!*alive) return;
-    if (!node->running() || node->has_left()) {
+    if (!usable(*node)) {
       sim_.call_in_lane(home_lane_, [this, alive, seq, attempt_epoch] {
-        if (!*alive) return;
-        if (!in_flight_ || current_.seq != seq || attempt_epoch != attempt_epoch_) return;
-        advance_replica();
-        resolve_ambiguous_abort(seq, attempt_epoch);
+        if (!*alive || stale(seq, attempt_epoch)) return;
+        resolve_ambiguous_abort(seq, attempt_epoch);  // picks past the dead node
       });
       return;
     }
@@ -182,10 +220,7 @@ void ClientSession::resolve_ambiguous_abort(std::int64_t seq, std::uint64_t atte
           const bool have = !r.reads.empty();
           sim_.call_in_lane(
               home_lane_, [this, alive, seq, attempt_epoch, have, got = std::move(got)] {
-                if (!*alive) return;
-                if (!in_flight_ || current_.seq != seq || attempt_epoch != attempt_epoch_) {
-                  return;
-                }
+                if (!*alive || stale(seq, attempt_epoch)) return;
                 if (have && got == seq_str_) {
                   // An earlier attempt committed; the retry was the duplicate.
                   ++stats_.duplicates_suppressed;
@@ -203,14 +238,38 @@ void ClientSession::resolve_ambiguous_abort(std::int64_t seq, std::uint64_t atte
 }
 
 void ClientSession::on_timeout(std::int64_t seq, std::uint64_t attempt_epoch) {
-  if (!in_flight_ || current_.seq != seq || attempt_epoch != attempt_epoch_) return;
+  if (stale(seq, attempt_epoch)) return;
   ++stats_.retries;
-  advance_replica();
-  issue();
+  ++stats_.timeouts;
+  ++current_.expired;
+  issue(/*move_on=*/true);
+}
+
+void ClientSession::on_signal(std::int64_t seq, std::uint64_t attempt_epoch, bool waiting) {
+  if (stale(seq, attempt_epoch)) return;
+  if (waiting) {
+    issue();  // every replica was down and one recovered
+    return;
+  }
+  // The attempt's replica crashed or left the primary. Move toward a
+  // replica that can order the request, or off a replica that is gone;
+  // otherwise stay put under the backstop timer, so a flapping minority
+  // cannot spin the session round the group.
+  ReplicaNode& at = *replicas_[replica_idx_];
+  const std::size_t n = replicas_.size();
+  const bool gone = !usable(at);
+  if (find_replica(replica_idx_ + 1, n - 1, gone ? usable : serving) < n ||
+      (gone && options_.retry_when_unavailable)) {
+    ++stats_.retries;
+    issue(/*move_on=*/true);
+    return;
+  }
+  watch(at, seq, attempt_epoch, /*waiting=*/false);  // crashed: fires on recovery
 }
 
 void ClientSession::finish(bool committed, bool fenced, bool check_aborted) {
   in_flight_ = false;
+  unwatch_all();
   if (committed) {
     ++stats_.committed;
   } else {
@@ -223,6 +282,7 @@ void ClientSession::finish(bool committed, bool fenced, bool check_aborted) {
   rep.fenced = fenced;
   rep.check_aborted = check_aborted;
   rep.attempts = current_.attempts;
+  rep.failed_over = current_.failed_over;
   auto fn = std::move(current_.reply);
   current_ = Request{};
   if (fn) fn(rep);

@@ -14,8 +14,10 @@
 //    ordering time, identically at every replica;
 //  - a duplicate (the first attempt did commit, the reply was lost) fails
 //    the guard check and aborts harmlessly;
-//  - on timeout the session fails over to the next replica and re-issues
-//    the same sequence number;
+//  - when the replica holding the attempt crashes or leaves the primary
+//    component, the session fails over to a replica that can order it and
+//    re-issues the same sequence number; a timer is the backstop
+//    (DESIGN.md §17);
 //  - an ambiguous abort after a retry is resolved by reading the guard
 //    key back: if it reached this sequence, some attempt committed.
 //
@@ -37,13 +39,20 @@
 namespace tordb::core {
 
 struct SessionOptions {
-  SimDuration retry_timeout = millis(800);  ///< fail over to the next replica
+  /// Backstop: fail over to the next replica when an attempt has had no
+  /// reply for this long. A crash or a loss of the primary at the attempt's
+  /// replica moves the session at once (DESIGN.md §17); the timer covers
+  /// what no signal reports, such as a slow or cut-off primary.
+  SimDuration retry_timeout = millis(800);
+  /// The request aborts once this many retry_timeout periods have expired
+  /// (signal-driven failovers are not charged).
   int max_attempts_per_request = 20;
-  /// When no replica is currently running (all crashed or left), wait one
-  /// retry_timeout and try again instead of aborting the request. Each wait
-  /// consumes an attempt. The shard tier uses this so a cross-shard action
-  /// whose target group is temporarily wholly down still lands exactly once
-  /// (all-or-nothing across groups) instead of half-applying.
+  /// When no replica is currently running (all crashed or left), wait until
+  /// a crashed one recovers, or one retry_timeout, and try again instead of
+  /// aborting the request. Each expired wait counts against the budget. The
+  /// shard tier uses this so a cross-shard action whose target group is
+  /// temporarily wholly down still lands exactly once (all-or-nothing
+  /// across groups) instead of half-applying.
   bool retry_when_unavailable = false;
 };
 
@@ -58,6 +67,8 @@ struct SessionReply {
   /// necessarily passed, so the user's own precondition was what failed.
   bool check_aborted = false;
   int attempts = 1;
+  /// Some attempt went to another replica than the session's current one.
+  bool failed_over = false;
 };
 using SessionReplyFn = std::function<void(const SessionReply&)>;
 
@@ -69,13 +80,19 @@ struct SessionStats {
   std::uint64_t aborted_fenced = 0;  ///< aborts with fenced set
   std::uint64_t retries = 0;
   std::uint64_t duplicates_suppressed = 0;
+  /// Moves to another replica: after a signal or a timeout, or a skip past
+  /// a replica that is down or in NonPrim when an attempt or a read-back
+  /// picks its target.
   std::uint64_t failovers = 0;
+  /// Backstop expiries that drove a failover attempt (a subset of
+  /// `retries`); signals should leave this at 0.
+  std::uint64_t timeouts = 0;
 };
 
 class ClientSession {
  public:
-  /// `replicas` are tried round-robin on timeout; they may crash, recover
-  /// or leave while the session runs.
+  /// `replicas` are tried round-robin on failover; they may crash, recover
+  /// or leave while the session runs, and must outlive the session.
   ClientSession(Simulator& sim, std::vector<ReplicaNode*> replicas, std::int64_t client_id,
                 SessionOptions options = {});
   ~ClientSession();
@@ -100,16 +117,35 @@ class ClientSession {
     db::Command update;
     SessionReplyFn reply;
     int attempts = 0;
+    int expired = 0;  ///< retry_timeout periods spent: the attempt budget
+    bool failed_over = false;
   };
 
   void pump();
-  void issue();
+  /// Send the next attempt; `move_on` starts the replica search past the
+  /// current one (a failover).
+  void issue(bool move_on = false);
   void on_reply(std::int64_t seq, std::uint64_t attempt_epoch, bool aborted, bool fenced);
   void on_timeout(std::int64_t seq, std::uint64_t attempt_epoch);
+  /// A watch fired. `waiting`: the session was waiting out a whole-group
+  /// outage, and a replica recovered.
+  void on_signal(std::int64_t seq, std::uint64_t attempt_epoch, bool waiting);
   void resolve_ambiguous_abort(std::int64_t seq, std::uint64_t attempt_epoch);
   void finish(bool committed, bool fenced = false, bool check_aborted = false);
-  ReplicaNode* current_replica();
-  void advance_replica();
+  bool stale(std::int64_t seq, std::uint64_t attempt_epoch) const {
+    return !in_flight_ || current_.seq != seq || attempt_epoch != attempt_epoch_;
+  }
+  /// The replica to use, searched round-robin from the current one (or the
+  /// one after it with `move_on`): the first that can order actions now,
+  /// else the first running one. A change of replica is a failover.
+  ReplicaNode* pick_replica(bool move_on = false);
+  /// Round-robin index of the first of `count` replicas from `from` that
+  /// passes `ok`, or replicas_.size() when none does.
+  std::size_t find_replica(std::size_t from, std::size_t count,
+                           bool (*ok)(const ReplicaNode&)) const;
+  /// Watch `node` on behalf of attempt (seq, epoch); on_signal handles it.
+  void watch(ReplicaNode& node, std::int64_t seq, std::uint64_t epoch, bool waiting);
+  void unwatch_all();
 
   Simulator& sim_;
   std::vector<ReplicaNode*> replicas_;
@@ -133,6 +169,9 @@ class ClientSession {
   bool in_flight_ = false;
   Request current_;
   std::uint64_t attempt_epoch_ = 0;  ///< invalidates stale replies/timeouts
+  /// Watches of the attempt in flight: one replica, or every crashed one
+  /// while retry_when_unavailable waits for a recovery.
+  std::vector<std::pair<ReplicaNode*, std::uint64_t>> watches_;
   SessionStats stats_;
 };
 

@@ -15,10 +15,8 @@ ReplicaNode::ReplicaNode(Network& net, NodeId id, std::vector<NodeId> initial_se
       storage_(std::make_unique<StableStorage>(sim_, make_storage_params())) {
   net_.add_node(id_);
   register_direct_handler();
-  EngineCallbacks cbs;
-  cbs.on_left = [this] { handle_engine_left(); };
   engine_ = std::make_unique<ReplicationEngine>(net_, *storage_, id_, initial_servers_,
-                                                options_.engine, std::move(cbs));
+                                                options_.engine, engine_callbacks());
   was_member_ = true;
 }
 
@@ -96,10 +94,8 @@ void ReplicaNode::try_next_join_peer() {
 void ReplicaNode::start_engine_from_snapshot(const SnapshotMessage& snap) {
   joining_ = false;
   ++join_epoch_;
-  EngineCallbacks cbs;
-  cbs.on_left = [this] { handle_engine_left(); };
   engine_ = std::make_unique<ReplicationEngine>(net_, *storage_, id_, snap, options_.engine,
-                                                std::move(cbs));
+                                                engine_callbacks());
   was_member_ = true;
   net_.set_group_active(id_, true);
   if (on_joined_) {
@@ -117,6 +113,7 @@ void ReplicaNode::crash() {
   net_.crash(id_);
   storage_->crash();
   engine_.reset();
+  fire_watches();  // the analogue of a client losing its daemon connection
 }
 
 void ReplicaNode::recover() {
@@ -125,13 +122,40 @@ void ReplicaNode::recover() {
   net_.recover(id_);
   register_direct_handler();
   if (!was_member_) return;  // dormant node: nothing to recover
-  EngineCallbacks cbs;
-  cbs.on_left = [this] { handle_engine_left(); };
   engine_ = std::make_unique<ReplicationEngine>(net_, *storage_, id_,
                                                 ReplicationEngine::RecoverTag{},
                                                 initial_servers_, options_.engine,
-                                                std::move(cbs));
+                                                engine_callbacks());
   net_.set_group_active(id_, true);
+  fire_watches();
+}
+
+EngineCallbacks ReplicaNode::engine_callbacks() {
+  EngineCallbacks cbs;
+  cbs.on_left = [this] { handle_engine_left(); };
+  cbs.on_non_prim = [this] { fire_watches(); };
+  return cbs;
+}
+
+std::uint64_t ReplicaNode::watch(int lane, SmallFn fn) {
+  watches_.push_back(Watch{++next_watch_id_, lane, std::move(fn)});
+  return next_watch_id_;
+}
+
+void ReplicaNode::unwatch(std::uint64_t id) {
+  for (auto it = watches_.begin(); it != watches_.end(); ++it) {
+    if (it->id == id) {
+      watches_.erase(it);
+      return;
+    }
+  }
+}
+
+void ReplicaNode::fire_watches() {
+  // Deferred, never inline: on_non_prim runs inside engine processing, and
+  // a watcher on another lane must only be touched from its own.
+  for (Watch& w : watches_) sim_.post(w.lane, net_.params().detect_delay, std::move(w.fn));
+  watches_.clear();
 }
 
 void ReplicaNode::handle_engine_left() {

@@ -60,7 +60,21 @@ class ReplicaNode {
   const ReplicationEngine& engine() const { return *engine_; }
   StableStorage& storage() { return *storage_; }
 
+  /// Availability watch (client failover, DESIGN.md §17). `fn` runs once,
+  /// on event lane `lane`, the network's detect_delay after this node's next
+  /// availability change: a running node crashing or its engine entering
+  /// kNonPrim, a crashed node recovering. Registering or removing a watch
+  /// schedules nothing. Call from the node's lane or the control lane.
+  std::uint64_t watch(int lane, SmallFn fn);
+  /// Drop a watch that has not fired (a fired or unknown id is a no-op).
+  void unwatch(std::uint64_t id);
+
  private:
+  struct Watch {
+    std::uint64_t id;
+    int lane;
+    SmallFn fn;
+  };
   /// Storage params with the per-node obs tracer attached (the shared
   /// ReplicaOptions cannot carry per-node identity, so it is stamped here).
   StorageParams make_storage_params() const;
@@ -69,6 +83,9 @@ class ReplicaNode {
   void try_next_join_peer();
   void start_engine_from_snapshot(const SnapshotMessage& snap);
   void handle_engine_left();
+  EngineCallbacks engine_callbacks();
+  /// Deliver and clear every watch.
+  void fire_watches();
 
   Network& net_;
   Simulator& sim_;
@@ -89,6 +106,9 @@ class ReplicaNode {
   std::size_t join_peer_idx_ = 0;
   std::uint64_t join_epoch_ = 0;  ///< invalidates stale retry timers
   std::function<void()> on_joined_;
+
+  std::vector<Watch> watches_;
+  std::uint64_t next_watch_id_ = 0;
 };
 
 }  // namespace tordb::core

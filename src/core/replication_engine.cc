@@ -123,6 +123,7 @@ void ReplicationEngine::set_state(EngineState next) {
                  static_cast<std::int64_t>(next));
   }
   state_ = next;
+  if (next == EngineState::kNonPrim && callbacks_.on_non_prim) callbacks_.on_non_prim();
 }
 
 void ReplicationEngine::trace_engine_start(std::int64_t mode) {

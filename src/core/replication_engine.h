@@ -134,6 +134,10 @@ struct EngineCallbacks {
   std::function<void()> on_left;         ///< our own leave became green
   std::function<void(NodeId)> on_join_green;
   std::function<void(NodeId)> on_leave_green;
+  /// Entered kNonPrim: an exchange ended without quorum, or a configuration
+  /// change cut an exchange short (A.4 / A.6). Called inline from engine
+  /// processing; the handler must defer anything that re-enters the engine.
+  std::function<void()> on_non_prim;
 };
 
 class ReplicationEngine {
@@ -305,8 +309,7 @@ class ReplicationEngine {
   /// GC layer, and resolves metric handles. Must run before construct_gc.
   void init_obs();
   /// Single choke point for engine state transitions: emits kStateTransition
-  /// and closes the view-change duration histogram sample when a primary is
-  /// (re-)entered.
+  /// and fires EngineCallbacks::on_non_prim on entry to kNonPrim.
   void set_state(EngineState next);
   /// Emits kEngineStart (mode: 0 fresh, 1 recover, 2 join) plus a
   /// kMemberReset / kMemberAdd sequence describing the server set.

@@ -102,7 +102,7 @@ void Router::route(std::int64_t client, db::Command update, RouteReplyFn reply, 
         [this, alive = alive_, shard, client, bounces, retained,
          reply = std::move(reply)](const core::SessionReply& r) mutable {
           if (!*alive) return;
-          if (r.attempts > 1) {
+          if (r.failed_over) {
             ++stats_.failovers;
             options_.tracer.emit(obs::EventKind::kShardFailover, shard, client, r.attempts);
           }
@@ -221,7 +221,7 @@ void Router::submit_cross_slice(std::int64_t token, int shard, db::Command user_
                                retained](const core::SessionReply& r) {
         if (!*alive) return;
         CrossState& cs = *cross_inflight_.find(static_cast<std::uint64_t>(token));
-        if (r.attempts > 1) {
+        if (r.failed_over) {
           ++stats_.failovers;
           options_.tracer.emit(obs::EventKind::kShardFailover, shard, cs.client, r.attempts);
         }

@@ -106,7 +106,7 @@ struct RouterStats {
   std::uint64_t aborted_checks = 0;         ///< aborts whose cause was a failed kCheck
   std::uint64_t rejected_unsupported = 0;   ///< genuinely unroutable op mix (unsupported_mix)
   std::uint64_t txn_handoffs = 0;           ///< cross-shard kCheck commands handed to the coordinator
-  std::uint64_t failovers = 0;              ///< sub-requests needing > 1 attempt
+  std::uint64_t failovers = 0;              ///< sub-requests that moved to another replica
   std::uint64_t cross_partial_aborts = 0;   ///< some shard aborted, others committed
   std::uint64_t fenced_bounces = 0;         ///< re-routes after a fenced abort
 };

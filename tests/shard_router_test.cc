@@ -61,7 +61,7 @@ TEST(Directory, ShardsOfDeduplicatesAndSorts) {
 
 class RouterTest : public ::testing::Test {
  protected:
-  RouterTest() : c_(options()) {
+  explicit RouterTest(ShardedClusterOptions o = options()) : c_(std::move(o)) {
     c_.run_for(seconds(2));  // both shards form their primary
     // One key owned by each shard, for targeted traffic.
     for (int i = 0; shard_key_[0].empty() || shard_key_[1].empty(); ++i) {
@@ -196,17 +196,21 @@ TEST_F(RouterTest, GenuinelyUnroutableMixesRejectWithUnsupportedMix) {
 }
 
 TEST_F(RouterTest, FailoverUnderPartitionCommitsInMajority) {
-  // The session's first replica of shard 0 lands in a minority; the request
-  // times out there and fails over to the majority side.
+  // The session's first replica of shard 0 lands in a minority; the session
+  // skips it for the majority side.
   c_.partition_shard(0, {{0}, {1, 2}});
   c_.run_for(millis(500));
   bool committed = false;
+  const SimTime submitted = c_.sim().now();
+  SimTime done = -1;
   c_.router().submit(1, Command::put(key_in(0), "v"), [&](const RouteReply& r) {
     committed = r.committed;
+    done = c_.sim().now();
   });
   c_.run_for(seconds(4));
   EXPECT_TRUE(committed);
   EXPECT_GE(c_.router().stats().failovers, 1u);
+  EXPECT_LT(done - submitted, millis(200));  // before the 800 ms session timer
   EXPECT_EQ(db_at(0, 1, key_in(0)), "v");
   // Shard 1 was never partitioned and kept working throughout.
   bool other = false;
@@ -240,6 +244,67 @@ TEST_F(RouterTest, ExactlyOnceAcrossCrashFailover) {
   EXPECT_EQ(db_at(0, 2, key_in(0)), "100");
   c_.recover(0, 0);
   c_.run_for(seconds(2));
+  EXPECT_EQ(c_.check_all(), std::nullopt);
+}
+
+// Lane mode (DESIGN.md §15): replicas run on shard lanes, router sessions on
+// the control lane. A replica's failover signal is raised on its shard lane
+// and must reach the session only through a handoff to the control lane;
+// under TORDB_SIM_THREADS=4 and TSan this pins that hop race-free.
+class LaneRouterTest : public RouterTest {
+ protected:
+  LaneRouterTest() : RouterTest(lane_options()) {}
+
+  static ShardedClusterOptions lane_options() {
+    ShardedClusterOptions o = options();
+    o.sim_lanes = true;
+    return o;
+  }
+};
+
+TEST_F(LaneRouterTest, CrashFailoverCommitsExactlyOnceBeforeTheTimer) {
+  ASSERT_TRUE(c_.lanes_enabled());
+  Command cmd;
+  cmd.ops.push_back(db::Op{db::OpType::kAdd, key_in(0), "", 100});
+  bool committed = false;
+  SimTime done = -1;
+  c_.router().submit(9, cmd, [&](const RouteReply& r) {
+    committed = r.committed;
+    done = c_.sim().now();
+  });
+  c_.run_for(millis(9) + micros(200));
+  const SimTime crashed = c_.sim().now();
+  c_.crash(0, 0);
+  c_.run_for(seconds(1));
+  EXPECT_TRUE(committed);
+  EXPECT_LT(done - crashed, millis(100));
+  EXPECT_GE(c_.router().stats().failovers, 1u);
+  c_.recover(0, 0);
+  c_.run_for(seconds(2));
+  for (int i = 0; i < 3; ++i) EXPECT_EQ(db_at(0, i, key_in(0)), "100") << "replica " << i;
+  EXPECT_EQ(c_.check_all(), std::nullopt);
+}
+
+TEST_F(LaneRouterTest, PartitionFailoverMidRequestCommitsExactlyOnceBeforeTheTimer) {
+  ASSERT_TRUE(c_.lanes_enabled());
+  Command cmd;
+  cmd.ops.push_back(db::Op{db::OpType::kAdd, key_in(0), "", 1});
+  bool committed = false;
+  const SimTime submitted = c_.sim().now();
+  SimTime done = -1;
+  c_.router().submit(1, cmd, [&](const RouteReply& r) {
+    committed = r.committed;
+    done = c_.sim().now();
+  });
+  c_.run_for(millis(1));
+  c_.partition_shard(0, {{0}, {1, 2}});
+  c_.run_for(seconds(1));
+  EXPECT_TRUE(committed);
+  EXPECT_LT(done - submitted, millis(200));
+  EXPECT_GE(c_.router().stats().failovers, 1u);
+  c_.heal();
+  c_.run_for(seconds(2));
+  for (int i = 0; i < 3; ++i) EXPECT_EQ(db_at(0, i, key_in(0)), "1") << "replica " << i;
   EXPECT_EQ(c_.check_all(), std::nullopt);
 }
 

@@ -220,8 +220,11 @@ std::uint64_t wide_group_churn_digest() {
 // message contents or timing shifts them. Regenerated deliberately when
 // green lines moved onto the gc stability streams (DESIGN.md §14): ACK and
 // STABLE carry an 8-byte knowledge word and the announcement multicasts are
-// gone, both of which alter virtual time by design.
-constexpr std::uint64_t kShardedChurnGolden = 13211854414094015073ULL;
+// gone, both of which alter virtual time by design. kShardedChurnGolden
+// moved once more when client sessions began failing over on replica
+// signals instead of the retry timer (DESIGN.md §17): its router sessions
+// leave a crashed or non-primary replica earlier.
+constexpr std::uint64_t kShardedChurnGolden = 5770440608893038324ULL;
 constexpr std::uint64_t kSingleGroupChurnGolden = 18022610439948901203ULL;
 // A 24-replica group: three cliques, so it also pins the leader streams'
 // realignment (DESIGN.md §16).
@@ -455,8 +458,9 @@ TEST(SimLanes, SerialVsParallelBitIdentical) {
 // Golden pin for the lane-mode schedule itself: guards cross-build
 // determinism of the window/handoff machinery the equivalence test can't
 // see (it compares runs within one build). Regenerate deliberately, like
-// the classic goldens above, when the lane model changes.
-constexpr std::uint64_t kLaneChurnGolden = 862955939420258791ULL;
+// the classic goldens above, when the lane model changes. Moved with
+// signal-driven session failover (DESIGN.md §17), like kShardedChurnGolden.
+constexpr std::uint64_t kLaneChurnGolden = 348752141943144823ULL;
 
 TEST(SimLanes, LaneChurnMatchesGolden) {
   EXPECT_EQ(lane_churn_run(1, 0xb0b1ULL).state, kLaneChurnGolden);
