@@ -5,12 +5,15 @@
 // reads. Reported per configuration:
 //  - throughput (committed transactions per simulated second) and the
 //    client-observed commit latency p50/p99;
-//  - the protocol-internal split: prepare -> durable decision p50/p99 and
-//    the round-2 barrier wait p50/p99 (from the txn.* histograms);
+//  - the protocol-internal split: prepare -> verdict (every vote in)
+//    p50/p99 and the round-2 barrier wait p50/p99 (from the txn.*
+//    histograms);
 //  - abort causes (failed check vs fence budget vs other), wholesale fenced
 //    restarts and confirms rerouted by a mid-transaction range move;
 //  - snapshot reads served and the worst drain wait the gate paid.
-// A determinism pass (same seed twice -> identical commit counts and final
+// Every run ends with an exactly-once ledger audit (the key counters sum to
+// twice the commits the clients saw, no `__txn*` cell left), and a
+// determinism pass (same seed twice -> identical commit counts and final
 // per-shard digests) runs every time.
 //
 // Pass --quick (or set TORDB_BENCH_FAST=1) for the reduced CI smoke sweep.
@@ -59,7 +62,7 @@ struct RunOut {
   std::uint64_t snapshots = 0;
   double snap_drain_worst_ms = 0;
   double p50_ms = 0, p99_ms = 0;           ///< client-observed commit latency
-  double pd_p50_us = 0, pd_p99_us = 0;     ///< prepare -> decision durable
+  double pd_p50_us = 0, pd_p99_us = 0;     ///< prepare -> verdict
   double bar_p50_us = 0, bar_p99_us = 0;   ///< round-2 barrier wait
   double txn_per_s = 0;
   std::uint64_t digest = 0;
@@ -80,6 +83,7 @@ RunOut run_txn(int shards, int clients, double invalid_fraction, bool moves,
   const SimTime we = cluster.sim().now() + measure;
   RunOut out;
   LatencyStats lat;
+  std::int64_t replied_commits = 0;  ///< transfers whose client saw a commit
 
   std::function<void(int)> pump;
   pump = [&](int cli) {
@@ -94,7 +98,10 @@ RunOut run_txn(int shards, int clients, double invalid_fraction, bool moves,
     const SimTime t0 = cluster.sim().now();
     cluster.router().submit(100 + cli, std::move(cmd),
                             [&, cli, t0](const shard::RouteReply& r) {
-                              if (r.committed) lat.record(cluster.sim().now() - t0);
+                              if (r.committed) {
+                                lat.record(cluster.sim().now() - t0);
+                                ++replied_commits;
+                              }
                               pump(cli);
                             });
   };
@@ -145,6 +152,33 @@ RunOut run_txn(int shards, int clients, double invalid_fraction, bool moves,
   }
   if (auto violation = cluster.check_all()) {
     std::fprintf(stderr, "FAIL: %s\n", violation->c_str());
+    std::exit(1);
+  }
+  // Exactly-once ledger, read at each shard's most advanced replica: every
+  // committed transfer added 1 to two keys and nothing else did, and no
+  // reserved transaction cell survives the drain.
+  const auto best = [&](int sh) -> const db::Database& {
+    int pick = -1;
+    for (int i = 0; i < cluster.replicas_per_shard(); ++i) {
+      if (!cluster.node(sh, i).running()) continue;
+      if (pick < 0 || cluster.node(sh, i).engine().green_count() >
+                          cluster.node(sh, pick).engine().green_count()) {
+        pick = i;
+      }
+    }
+    return cluster.node(sh, pick).engine().database();
+  };
+  std::int64_t ledger = 0;
+  for (int k = 0; k < kKeys; ++k) {
+    const std::string v = best(cluster.directory().shard_of(key_of(k))).get(key_of(k));
+    ledger += v.empty() ? 0 : std::stoll(v);
+  }
+  std::size_t residue = 0;
+  for (int sh = 0; sh < cluster.shards(); ++sh) residue += best(sh).scan_prefix("__txn").size();
+  if (ledger != 2 * replied_commits || residue != 0) {
+    std::fprintf(stderr, "FAIL: ledger %lld for %lld commits, %zu reserved cells left\n",
+                 static_cast<long long>(ledger), static_cast<long long>(replied_commits),
+                 residue);
     std::exit(1);
   }
 

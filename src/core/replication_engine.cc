@@ -113,6 +113,13 @@ void ReplicationEngine::init_obs() {
     metric_green_ = &params_.metrics->counter("engine.actions_green");
     metric_red_ = &params_.metrics->counter("engine.actions_red");
     metric_installs_ = &params_.metrics->counter("engine.primaries_installed");
+    metric_exchanges_ = &params_.metrics->counter("cluster.exchanges");
+    const std::string scope = params_.metrics->scope(id_);
+    if (!scope.empty()) {
+      scoped_green_ = &params_.metrics->counter(scope + "actions_green");
+      scoped_red_ = &params_.metrics->counter(scope + "actions_red");
+      scoped_installs_ = &params_.metrics->counter(scope + "primaries_installed");
+    }
   }
 }
 
@@ -660,6 +667,7 @@ void ReplicationEngine::handle_action(Action&& a) {
 
 void ReplicationEngine::shift_to_exchange_states() {
   ++stats_.exchanges;
+  if (metric_exchanges_ != nullptr) metric_exchanges_->inc();
   state_msgs_.clear();
   cpc_received_.clear();
   exchange_plan_ready_ = false;
@@ -1065,6 +1073,7 @@ void ReplicationEngine::install() {
 
   ++stats_.primaries_installed;
   if (metric_installs_ != nullptr) metric_installs_->inc();
+  if (scoped_installs_ != nullptr) scoped_installs_->inc();
   if (view_change_hist_ != nullptr && exchange_started_at_ >= 0) {
     view_change_hist_->record((sim_.now() - exchange_started_at_) / 1000000);  // ns -> ms
     exchange_started_at_ = -1;
@@ -1102,6 +1111,7 @@ void ReplicationEngine::on_newly_red(const Action& a, bool log_red) {
   ++stats_.actions_red;
   if (tracer_) tracer_.emit_action(obs::EventKind::kActionRed, a.id);
   if (metric_red_ != nullptr) metric_red_->inc();
+  if (scoped_red_ != nullptr) scoped_red_->inc();
   ongoing_.erase(pack_action_id(a.id));
   maybe_reply_red(a);
 }
@@ -1168,6 +1178,7 @@ void ReplicationEngine::mark_green(Action&& a) {
   ++stats_.actions_green;
   if (tracer_) tracer_.emit_action(obs::EventKind::kActionGreen, aid, res.position);
   if (metric_green_ != nullptr) metric_green_->inc();
+  if (scoped_green_ != nullptr) scoped_green_->inc();
   if (green_latency_hist_ != nullptr) {
     const std::uint64_t key = pack_action_id(aid);
     if (const SimTime* t = submit_times_.find(key)) {

@@ -399,6 +399,11 @@ class ReplicationEngine {
   obs::Counter* metric_green_ = nullptr;
   obs::Counter* metric_red_ = nullptr;
   obs::Counter* metric_installs_ = nullptr;
+  obs::Counter* metric_exchanges_ = nullptr;
+  // The same counts under the node's group scope (MetricsRegistry::scope).
+  obs::Counter* scoped_green_ = nullptr;
+  obs::Counter* scoped_red_ = nullptr;
+  obs::Counter* scoped_installs_ = nullptr;
   util::FlatMap64<SimTime> submit_times_;  ///< by pack_action_id; only when metrics on
   SimTime exchange_started_at_ = -1;          ///< -1 = no exchange in flight
 };

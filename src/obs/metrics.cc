@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstdio>
 #include <string_view>
+#include <utility>
 
 namespace tordb::obs {
 
@@ -90,6 +91,17 @@ Histogram& MetricsRegistry::histogram(const std::string& name) {
   auto& slot = histograms_[name];
   if (!slot) slot = std::make_unique<Histogram>();
   return *slot;
+}
+
+void MetricsRegistry::set_scope(NodeId node, std::string prefix) {
+  std::lock_guard<std::mutex> lock(mu_);
+  scopes_[node] = std::move(prefix);
+}
+
+std::string MetricsRegistry::scope(NodeId node) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = scopes_.find(node);
+  return it == scopes_.end() ? std::string() : it->second;
 }
 
 void MetricsRegistry::roll(SimTime now) {

@@ -114,6 +114,13 @@ class MetricsRegistry {
   Gauge& gauge(const std::string& name);
   Histogram& histogram(const std::string& name);
 
+  /// Per-node scope: a harness running several replica groups names each
+  /// node's group prefix (e.g. "shard.3.") before the node starts; the
+  /// node's engine then also counts its events under that prefix, so group
+  /// totals are direct counters too. "" for a node without a scope.
+  void set_scope(NodeId node, std::string prefix);
+  std::string scope(NodeId node) const;
+
   /// Close the window [last roll, now) and start a new one.
   void roll(SimTime now);
 
@@ -137,6 +144,7 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
+  std::map<NodeId, std::string> scopes_;
   std::map<std::string, std::uint64_t> last_counter_;
   std::map<std::string, HistShadow> last_hist_;
   SimTime window_start_ = 0;

@@ -24,6 +24,10 @@ constexpr std::int64_t kAdopterSessionBase = 2'000'000'000;
 constexpr std::int64_t kRerouteClientBase = 3'000'000'000;
 // xid = client * stride + seq — same scheme the router uses for cross ids.
 constexpr std::int64_t kXidStride = 1'000'000;
+// Transaction seqs of coordinator incarnation e start above e * stride (and
+// stay below kXidStride), so a replacement never reuses the reserved keys
+// of a predecessor's transaction that adoption has yet to resolve.
+constexpr std::int64_t kSeqEpochStride = 100'000;
 
 std::string encode_intent(std::int64_t client, std::int64_t seq, const std::vector<int>& shards) {
   std::string blob = std::to_string(client) + "/" + std::to_string(seq);
@@ -159,7 +163,9 @@ void TxnCoordinator::begin(std::int64_t client, db::Command update, shard::Route
   }
 
   if (bounces == 0) ++stats_.begun;
-  const std::int64_t seq = ++next_seq_[static_cast<std::uint64_t>(client)];
+  std::int64_t& last_seq = next_seq_[static_cast<std::uint64_t>(client)];
+  if (last_seq == 0) last_seq = options_.session_epoch * kSeqEpochStride;
+  const std::int64_t seq = ++last_seq;
   auto txn = std::make_unique<Txn>();
   Txn& t = *txn;
   t.client = client;
@@ -244,81 +250,61 @@ void TxnCoordinator::on_prepared(std::int64_t token) {
   }
   const bool all_yes =
       std::all_of(t.prepared.begin(), t.prepared.end(), [](char p) { return p != 0; });
-  if (all_yes) {
-    submit_decision(token);
-    return;
-  }
-  if (t.fence_fail && !t.check_fail && !t.other_fail && t.bounces < options_.max_fence_retries) {
+  if (!all_yes && t.fence_fail && !t.check_fail && !t.other_fail &&
+      t.bounces < options_.max_fence_retries) {
     // Pure rebalance interference: cancel what prepared and restart the
     // whole transaction against the fresh directory after a pause.
     ++stats_.restarts;
     t.restarting = true;
   }
-  round2(token, /*commit=*/false);
-}
-
-void TxnCoordinator::submit_decision(std::int64_t token) {
-  Txn& t = *inflight_[token];
-  const std::string dec = decision_key(t.client, t.seq);
-  // Guarded write: the decision record must be green at the home shard
-  // BEFORE any confirm marker exists anywhere — adoption's confirm-iff-
-  // all-pendings rule is only safe because a confirmed transaction always
-  // has a durable decision. The kCheck makes a concurrent adopter's write
-  // visible as check_aborted instead of a blind overwrite.
-  db::Command cmd;
-  cmd.ops.push_back(db::Op{db::OpType::kCheck, dec, "", 0});
-  cmd.ops.push_back(db::Op{db::OpType::kPut, dec, "C", 0});
-  session(t.sid, t.home).submit(
-      std::move(cmd), [this, alive = alive_, token](const core::SessionReply& r) {
-        if (!*alive) return;
-        auto it = inflight_.find(token);
-        if (it == inflight_.end()) return;
-        Txn& t = *it->second;
-        t.attempts += r.attempts;
-        if (!r.committed && !r.check_aborted) {
-          // The decision MUST become green before round 2 — keep driving it.
-          submit_decision(token);
-          return;
-        }
-        // Committed, or check_aborted (the record already reads "C").
-        const SimDuration lat = sim_.now() - t.t0;
-        options_.tracer.emit(obs::EventKind::kTxnDecide, static_cast<std::int64_t>(t.fp), 1, lat);
-        if (prepare_decide_hist_ != nullptr) prepare_decide_hist_->record(lat / 1000);  // ns -> us
-        if (options_.halt_at_stage == 2) {
-          // Crash model: decision durable, no round-2 markers issued.
-          t.halted = true;
-          return;
-        }
-        round2(token, /*commit=*/true);
-      });
+  round2(token, /*commit=*/all_yes);
 }
 
 void TxnCoordinator::round2(std::int64_t token, bool commit) {
   Txn& t = *inflight_[token];
   t.committing = commit;
   t.outstanding = 0;
+  if (commit) {
+    // The verdict is known: every involved shard voted yes. Each confirm
+    // stamps the commit on its own shard, so the first one green is the
+    // durable decision.
+    const SimDuration lat = sim_.now() - t.t0;
+    options_.tracer.emit(obs::EventKind::kTxnDecide, static_cast<std::int64_t>(t.fp), 1, lat);
+    if (prepare_decide_hist_ != nullptr) prepare_decide_hist_->record(lat / 1000);  // ns -> us
+  }
   std::vector<std::size_t> slots;
   for (std::size_t slot = 0; slot < t.shards.size(); ++slot) {
-    if (commit || t.prepared[slot] != 0) {
-      ++t.outstanding;
-      slots.push_back(slot);
-    }
+    if (commit || t.prepared[slot] != 0) slots.push_back(slot);
+  }
+  if (commit && options_.halt_at_stage == 2) {
+    // Crash model: the commit is partly issued — only the home slot's
+    // confirm goes out, and the transaction freezes once it is green.
+    slots.resize(1);
   }
   if (slots.empty()) {
     // Abort with nothing prepared anywhere: no markers, no state to undo.
     finish(token);
     return;
   }
+  t.outstanding = static_cast<int>(slots.size());
   for (const std::size_t slot : slots) {
-    commit ? submit_confirm(token, slot) : submit_cancel(token, slot, /*with_home_cleanup=*/true);
+    commit ? submit_confirm(token, slot) : submit_cancel(token, slot);
   }
+}
+
+db::Op TxnCoordinator::decision_stamp(const Txn& t) {
+  return db::Op{db::OpType::kPut, decision_key(t.client, t.seq), "C", 0};
 }
 
 void TxnCoordinator::submit_confirm(std::int64_t token, std::size_t slot) {
   Txn& t = *inflight_[token];
   ++stats_.confirms;
+  // The confirm carries the commit decision: the stamp lands in the same
+  // action, so a shard that applied its slice also records the verdict.
+  db::Command cmd = db::Command::txn_confirm(pending_key(t.client, t.seq));
+  cmd.ops.push_back(decision_stamp(t));
   session(t.sid, t.shards[slot])
-      .submit(db::Command::txn_confirm(pending_key(t.client, t.seq)),
+      .submit(std::move(cmd),
               [this, alive = alive_, token, slot](const core::SessionReply& r) {
                 if (!*alive) return;
                 auto it = inflight_.find(token);
@@ -326,6 +312,10 @@ void TxnCoordinator::submit_confirm(std::int64_t token, std::size_t slot) {
                 Txn& t = *it->second;
                 t.attempts += r.attempts;
                 if (r.committed) {
+                  if (options_.halt_at_stage == 2) {
+                    t.halted = true;  // crash model: see round2
+                    return;
+                  }
                   mark_marker(t);
                   --t.outstanding;
                   maybe_finish(token);
@@ -340,7 +330,7 @@ void TxnCoordinator::submit_confirm(std::int64_t token, std::size_t slot) {
                   ++stats_.confirm_rerouted;
                   const bool has_payload = !t.buffered[slot].ops.empty();
                   if (has_payload) ++t.outstanding;
-                  submit_cancel(token, slot, /*with_home_cleanup=*/false);
+                  submit_cancel(token, slot);
                   if (has_payload) reroute_slice(token, slot);
                   return;
                 }
@@ -350,25 +340,29 @@ void TxnCoordinator::submit_confirm(std::int64_t token, std::size_t slot) {
               });
 }
 
-void TxnCoordinator::submit_cancel(std::int64_t token, std::size_t slot, bool with_home_cleanup) {
+void TxnCoordinator::submit_cancel(std::int64_t token, std::size_t slot) {
   Txn& t = *inflight_[token];
   ++stats_.cancels;
   db::Command cmd = db::Command::txn_cancel(pending_key(t.client, t.seq));
-  if (with_home_cleanup && t.shards[slot] == t.home) {
+  if (t.committing) {
+    // A committed slice stranded by a move: its cancel stands in for the
+    // fenced confirm, so it carries the same decision stamp.
+    cmd.ops.push_back(decision_stamp(t));
+  } else if (t.shards[slot] == t.home) {
     // The abort path's intent cleanup rides the home cancel: one action,
     // so a recovery scan never sees a cancelled home with a live intent.
     cmd.ops.push_back(db::Op{db::OpType::kDelete, intent_key(t.client, t.seq), "", 0});
   }
   session(t.sid, t.shards[slot])
       .submit(std::move(cmd),
-              [this, alive = alive_, token, slot, with_home_cleanup](const core::SessionReply& r) {
+              [this, alive = alive_, token, slot](const core::SessionReply& r) {
                 if (!*alive) return;
                 auto it = inflight_.find(token);
                 if (it == inflight_.end()) return;
                 Txn& t = *it->second;
                 t.attempts += r.attempts;
                 if (!r.committed) {
-                  submit_cancel(token, slot, with_home_cleanup);
+                  submit_cancel(token, slot);
                   return;
                 }
                 mark_marker(t);
@@ -434,10 +428,19 @@ void TxnCoordinator::finish(std::int64_t token) {
       out.barrier_wait = t->last_marker - t->first_marker;
       if (barrier_hist_ != nullptr) barrier_hist_->record(out.barrier_wait / 1000);  // ns -> us
     }
-    // Retire the intent and decision records off the critical path; the
-    // reply does not wait for it (a crash before the cleanup is exactly
-    // what adopt_orphans handles — it re-confirms, idempotently).
-    submit_cleanup(t->client, t->seq, t->home, t->sid);
+    // Retire the decision stamps and the intent off the critical path; the
+    // reply does not wait for it. The intent leaves with the home stamp, so
+    // a crash before that cleanup makes adopt_orphans re-confirm
+    // (idempotently), and one after it leaves at most stamps without an
+    // intent, which adoption retires.
+    for (const int shard : t->shards) {
+      db::Command cmd;
+      if (shard == t->home) {
+        cmd.ops.push_back(db::Op{db::OpType::kDelete, intent_key(t->client, t->seq), "", 0});
+      }
+      cmd.ops.push_back(db::Op{db::OpType::kDelete, decision_key(t->client, t->seq), "", 0});
+      submit_cleanup(t->sid, shard, std::move(cmd));
+    }
   } else {
     out.committed = false;
     out.check_aborted = t->check_fail;
@@ -474,17 +477,13 @@ void TxnCoordinator::schedule_restart(std::unique_ptr<Txn> t) {
              });
 }
 
-void TxnCoordinator::submit_cleanup(std::int64_t client, std::int64_t seq, int home,
-                                    std::int64_t sid) {
+void TxnCoordinator::submit_cleanup(std::int64_t sid, int shard, db::Command cmd) {
   ++cleanups_;
-  db::Command cmd;
-  cmd.ops.push_back(db::Op{db::OpType::kDelete, intent_key(client, seq), "", 0});
-  cmd.ops.push_back(db::Op{db::OpType::kDelete, decision_key(client, seq), "", 0});
-  session(sid, home).submit(std::move(cmd), [this, alive = alive_, client, seq, home,
-                                             sid](const core::SessionReply& r) {
+  session(sid, shard).submit(cmd, [this, alive = alive_, sid, shard,
+                                   cmd](const core::SessionReply& r) mutable {
     if (!*alive) return;
     --cleanups_;
-    if (!r.committed) submit_cleanup(client, seq, home, sid);
+    if (!r.committed) submit_cleanup(sid, shard, std::move(cmd));
   });
 }
 
@@ -663,38 +662,44 @@ void TxnCoordinator::adopt_orphans(std::function<void(int adopted)> done) {
   // coordinator's traffic has drained (run at quiescence): the scan must
   // see the final green marker set, not race half-delivered prepares.
   const int nshards = static_cast<int>(replicas_.size());
-  std::set<std::pair<std::int64_t, std::int64_t>> known;
+  const auto stamped = [this](int shard, const std::string& dec) {
+    const db::Database* d = best_db(shard);
+    return d != nullptr && d->get(dec) == "C";
+  };
+  std::set<std::string> known;  // decision keys of the surviving intents
   std::vector<std::unique_ptr<Txn>> work;
   for (int sh = 0; sh < nshards; ++sh) {
     const db::Database* d = best_db(sh);
     if (d == nullptr) continue;
     for (const auto& [key, value] : d->scan_prefix("__txn/")) {
       Intent in = decode_intent(value);
-      known.insert({in.client, in.seq});
+      const std::string dec = decision_key(in.client, in.seq);
+      known.insert(dec);
       auto t = recovered_txn(in.client, in.seq, sh, std::move(in.shards));
-      // Confirm iff the decision is durable, or every involved shard still
-      // holds its pending — all voted yes and nothing was decided against.
-      // (A confirmed shard always implies a durable decision, because the
-      // decision is ordered before any confirm marker; so a missing pending
-      // with no decision can only mean a "no" vote or a cancel, and the
-      // safe resolution is cancel. The home pending rides the same action
-      // as the intent and is only cancelled together with it, so the cancel
-      // leg's home marker retires the intent.)
-      t->committing = d->get(decision_key(t->client, t->seq)) == "C" ||
-                      std::all_of(t->prepared.begin(), t->prepared.end(),
-                                  [](char p) { return p != 0; });
+      // Commit iff some involved shard holds the decision stamp, or every
+      // involved shard still holds its pending. A stamp only exists once
+      // every shard voted yes (it rides the confirms). With every pending
+      // intact, all voted yes and no confirm or cancel landed anywhere.
+      // Otherwise some shard voted no or cancelled, and no stamp exists
+      // (a stamp would have been seen), so cancel. The home pending rides
+      // the same action as the intent and is only cancelled together with
+      // it, so the cancel leg's home marker retires the intent.
+      t->committing =
+          std::all_of(t->prepared.begin(), t->prepared.end(), [](char p) { return p != 0; }) ||
+          std::any_of(t->shards.begin(), t->shards.end(),
+                      [&](int s) { return stamped(s, dec); });
       work.push_back(std::move(t));
     }
   }
   // Pendings whose intent never went green: the home prepare aborted, so no
-  // decision can ever exist — cancel them. Grouped per transaction.
+  // stamp can ever exist — cancel them. Grouped per transaction.
   std::map<std::pair<std::int64_t, std::int64_t>, std::pair<int, std::vector<int>>> orphans;
   for (int sh = 0; sh < nshards; ++sh) {
     const db::Database* d = best_db(sh);
     if (d == nullptr) continue;
     for (const auto& [key, value] : d->scan_prefix("__txnp/")) {
       const db::TxnPending p = db::TxnPending::decode(Bytes(value.begin(), value.end()));
-      if (known.count({p.client, p.seq}) != 0) continue;
+      if (known.count(decision_key(p.client, p.seq)) != 0) continue;
       auto& [home, shards] = orphans[{p.client, p.seq}];
       home = p.home;
       shards.push_back(sh);
@@ -703,10 +708,26 @@ void TxnCoordinator::adopt_orphans(std::function<void(int adopted)> done) {
   for (auto& [cs, hs] : orphans) {
     work.push_back(recovered_txn(cs.first, cs.second, hs.first, std::move(hs.second)));
   }
+  // Stamps whose intent is gone: the transaction committed everywhere and
+  // the dead coordinator's cleanup retired the intent but not every stamp.
+  for (int sh = 0; sh < nshards; ++sh) {
+    const db::Database* d = best_db(sh);
+    if (d == nullptr) continue;
+    for (const auto& [key, value] : d->scan_prefix("__txnd/")) {
+      if (known.count(key) != 0) continue;
+      // "__txnd/<client>/<seq>": retire it through the transaction's adopter session.
+      const std::string ids = key.substr(key.find('/') + 1);
+      const std::int64_t xid =
+          std::stoll(ids) * kXidStride + std::stoll(ids.substr(ids.find('/') + 1));
+      db::Command cmd;
+      cmd.ops.push_back(db::Op{db::OpType::kDelete, key, "", 0});
+      submit_cleanup(kAdopterSessionBase + xid, sh, std::move(cmd));
+    }
+  }
 
-  // Each recovered transaction re-enters the live protocol where the dead
-  // coordinator left it: a commit re-asserts the decision (idempotent) and
-  // runs round 2's confirm leg, an abort runs its cancel leg.
+  // Each recovered transaction re-enters the live round 2 where the dead
+  // coordinator left it: a commit re-sends every confirm with its stamp
+  // (idempotent), an abort runs the cancel leg.
   adopting_ = static_cast<int>(work.size());
   adoption_done_ = [done = std::move(done), n = adopting_] {
     if (done) done(n);
@@ -716,7 +737,7 @@ void TxnCoordinator::adopt_orphans(std::function<void(int adopted)> done) {
     const std::int64_t token = ++next_token_;
     const bool commit = t->committing;
     inflight_[token] = std::move(t);
-    commit ? submit_decision(token) : round2(token, /*commit=*/false);
+    round2(token, commit);
   }
 }
 

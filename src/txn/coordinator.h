@@ -15,17 +15,18 @@
 //   Because the pending update is an ordinary reserved-key row, snapshot,
 //   state transfer, recovery replay and digests carry it for free.
 //
-//   Decision: when every shard voted yes, the coordinator makes the commit
-//   durable FIRST — a guarded write of a `__txnd/` decision record through
-//   the home shard's green order — and only then issues round 2. Any abort
-//   (a "no" vote, or the fence-restart budget exhausted) skips the record.
-//
-//   Round 2 (confirm/cancel): one kTxnConfirm (apply the buffered update,
-//   erase the cell) or kTxnCancel (erase without applying) marker per
-//   involved shard, each through that shard's green order, so every
-//   replica of a group takes the identical transition at the identical
-//   green position — checker invariant 9. The client reply waits for the
-//   green-watermark commit barrier: all markers green.
+//   Round 2 (confirm/cancel): when every shard voted yes, one kTxnConfirm
+//   (apply the buffered update, erase the cell) per involved shard; after
+//   any abort (a "no" vote, or the fence-restart budget exhausted), one
+//   kTxnCancel (erase without applying) per prepared shard. Each goes
+//   through that shard's green order, so every replica of a group takes the
+//   identical transition at the identical green position — checker
+//   invariant 9. There is no separate decision write: every confirm also
+//   puts a `__txnd/` stamp ("C") on its own shard in the same action, so
+//   the first confirm green anywhere is the durable commit decision. The
+//   client reply waits for the green-watermark commit barrier: all markers
+//   green. A committed n-shard transaction orders 3n actions: n prepares,
+//   n confirms and n post-reply cleanups retiring the stamps and intent.
 //
 // Rebalance interference: a fenced PREPARE cancels the prepared shards and
 // restarts the whole transaction against the fresh directory (bounded by
@@ -33,7 +34,8 @@
 // prepare and confirm — the reserved pending cell never travels with a
 // move — so the coordinator cancels the stranded prepare and re-drives the
 // already-decided slice through the router, which re-splits it for the
-// range's new owner (`confirm_rerouted`).
+// range's new owner (`confirm_rerouted`). The stranded cancel carries the
+// confirm's stamp.
 //
 // Isolation caveat (documented, not hidden): checks are evaluated at the
 // prepare position, buffered updates apply at the confirm position; a
@@ -42,17 +44,18 @@
 //
 // Coordinator crash recovery: the home-shard prepare piggybacks a `__txn/`
 // intent record (client, seq, involved shards). A replacement coordinator
-// calls adopt_orphans(): for every surviving intent it re-drives the
-// transaction — confirm iff the decision record exists or every involved
-// shard still holds its pending (all voted yes and nothing was decided
-// against), else cancel — and a pending whose intent never went green is
-// cancelled outright (the home prepare aborted, so no decision can exist).
-// There is no separate recovery protocol: each recovered transaction is
-// rebuilt from the scan as an ordinary in-flight transaction (surviving
-// pendings are its "yes" votes) and re-enters round 2 — the decision, the
-// confirm/cancel markers, fenced-confirm reroutes and the cleanup are the
-// live code path. Run it at quiescence, after the dead coordinator's
-// traffic drained.
+// calls adopt_orphans(): for every surviving intent it commits iff some
+// involved shard holds the stamp (a stamp exists only after all voted yes)
+// or every involved shard still holds its pending (all voted yes and no
+// marker of either kind landed), else it cancels; a pending whose intent
+// never went green is cancelled outright (the home prepare aborted), and a
+// stamp whose intent is gone is retired (its commit finished; the cleanup
+// was cut). There is no separate recovery protocol: each recovered
+// transaction is rebuilt from the scan as an ordinary in-flight transaction
+// (surviving pendings are its "yes" votes) and re-enters round 2 — the
+// stamped confirms, fenced-confirm reroutes and the cleanup are the live
+// code path. Run it at quiescence, after the dead coordinator's traffic
+// drained.
 //
 // Barrier-stamped snapshot reads: snapshot_read() holds the router's
 // cross-shard gate plus this coordinator's own admission gate, waits until
@@ -89,17 +92,18 @@ struct TxnOptions {
   /// directory (mirrors RouterOptions' fenced-bounce knobs).
   int max_fence_retries = 400;
   SimDuration fence_retry_delay = millis(50);
-  /// Distinguishes a replacement coordinator's sessions from its dead
-  /// predecessor's: session guards are consumed per id, so a new
-  /// incarnation must claim fresh id space (ShardedCluster bumps this on
-  /// restart_txn_coordinator).
+  /// Distinguishes a replacement coordinator's sessions and transaction
+  /// keys from its dead predecessor's: session guards are consumed per id,
+  /// and the predecessor's `__txn*` cells may still await adoption, so a
+  /// new incarnation must claim fresh id and seq space (ShardedCluster
+  /// bumps this on restart_txn_coordinator).
   std::int64_t session_epoch = 0;
   /// Test hook modelling a coordinator crash mid-protocol: freeze every
   /// transaction at this stage (no reply, no further markers; txn_test
   /// then builds a replacement coordinator and drives adoption).
-  /// 0 = never, 1 = after the prepare votes are collected (before the
-  /// decision record or any cancels), 2 = after the decision record is
-  /// green (before the confirm/cancel markers).
+  /// 0 = never, 1 = after the prepare votes are collected (before any
+  /// confirm or cancel), 2 = commit partly issued: only the home slot's
+  /// confirm is sent, and the transaction freezes once it is green.
   int halt_at_stage = 0;
 };
 
@@ -175,14 +179,14 @@ class TxnCoordinator {
     std::vector<db::Command> checks;    ///< per slot: the slice's kCheck ops
     std::vector<db::Command> buffered;  ///< per slot: the slice's buffered updates
     std::vector<char> prepared;         ///< per slot: 1 = green prepare ("yes" vote)
-    int home = 0;           ///< lowest involved shard; holds intent + decision
+    int home = 0;           ///< lowest involved shard; holds the intent
     int outstanding = 0;    ///< markers awaited in the current round
     int bounces = 0;        ///< wholesale restarts consumed
     int attempts = 0;       ///< summed session attempts
     bool check_fail = false;
     bool fence_fail = false;
     bool other_fail = false;
-    bool committing = false;  ///< round 2 is the confirm leg (decision durable)
+    bool committing = false;  ///< round 2 is the confirm leg (all voted yes)
     bool restarting = false;  ///< round 2 is the cancel leg of a restart
     bool halted = false;      ///< frozen by TxnOptions::halt_at_stage
     bool adopted = false;     ///< recovered by adopt_orphans: no client, adopted_* stats
@@ -196,16 +200,18 @@ class TxnCoordinator {
 
   void begin(std::int64_t client, db::Command update, shard::RouteReplyFn reply, int bounces);
   void on_prepared(std::int64_t token);
-  void submit_decision(std::int64_t token);
   void round2(std::int64_t token, bool commit);
+  /// `__txnd/<client>/<seq>` = "C": rides every committed slice's marker.
+  static db::Op decision_stamp(const Txn& t);
   void submit_confirm(std::int64_t token, std::size_t slot);
-  void submit_cancel(std::int64_t token, std::size_t slot, bool with_home_cleanup);
+  void submit_cancel(std::int64_t token, std::size_t slot);
   void reroute_slice(std::int64_t token, std::size_t slot);
   void mark_marker(Txn& t);
   void maybe_finish(std::int64_t token);
   void finish(std::int64_t token);
   void schedule_restart(std::unique_ptr<Txn> t);
-  void submit_cleanup(std::int64_t client, std::int64_t seq, int home, std::int64_t sid);
+  /// Post-commit retirement of one shard's stamp (and, at home, the intent).
+  void submit_cleanup(std::int64_t sid, int shard, db::Command cmd);
   void flush_deferred();
 
   void drain_for_snapshot(std::int64_t token);
@@ -258,7 +264,7 @@ class TxnCoordinator {
   std::function<void()> adoption_done_;
 
   std::int64_t pending_restarts_ = 0;
-  std::int64_t cleanups_ = 0;  ///< post-commit intent/decision deletions in flight
+  std::int64_t cleanups_ = 0;  ///< post-commit intent/stamp deletions in flight
 
   obs::Histogram* prepare_decide_hist_ = nullptr;
   obs::Histogram* barrier_hist_ = nullptr;

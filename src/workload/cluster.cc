@@ -9,9 +9,10 @@
 namespace tordb::workload {
 
 EngineCluster::EngineCluster(ClusterOptions options)
-    : EngineCluster(std::move(options), 1, Lanes{}) {}
+    : EngineCluster(std::move(options), 1, Lanes{}, "") {}
 
-EngineCluster::EngineCluster(ClusterOptions options, int groups, Lanes lanes)
+EngineCluster::EngineCluster(ClusterOptions options, int groups, Lanes lanes,
+                             const std::string& group_metrics)
     : options_(std::move(options)),
       groups_(groups),
       sim_(options_.seed),
@@ -55,6 +56,9 @@ EngineCluster::EngineCluster(ClusterOptions options, int groups, Lanes lanes)
     if (lanes.threads > 0) scope.emplace(sim_, g);
     for (NodeId id : members) {
       if (checker_) checker_->set_node_group(id, g);
+      if (metrics_ && !group_metrics.empty()) {
+        metrics_->set_scope(id, group_metrics + std::to_string(g) + ".");
+      }
       nodes_.push_back(std::make_unique<core::ReplicaNode>(net_, id, members, options_.node));
       net_.set_group(id, g);
     }
@@ -107,11 +111,6 @@ EngineCluster::Sample EngineCluster::sample_nodes(const std::vector<NodeId>& ids
     s.appends += st.appends;
     if (!n.running()) continue;
     core::ReplicationEngine& e = n.engine();
-    const auto& es = e.stats();
-    s.green += es.actions_green;
-    s.red += es.actions_red;
-    s.installs += es.primaries_installed;
-    s.exchanges += es.exchanges;
     const std::int64_t wl = e.white_line();
     min_white = min_white < 0 ? wl : std::min(min_white, wl);
     max_green = std::max(max_green, e.green_count());
@@ -140,7 +139,6 @@ void EngineCluster::sample_metrics() {
   for (const Sample& g : groups) t.lag += g.lag;
   // Cumulative sources: set_total() so roll() turns them into per-window
   // deltas alongside the engines' directly-incremented counters.
-  metrics_->counter("cluster.exchanges").set_total(t.exchanges);
   metrics_->counter("storage.forces").set_total(t.forces);
   metrics_->counter("storage.appends").set_total(t.appends);
   metrics_->counter("gc.safe_deliveries").set_total(t.safe_deliveries);

@@ -123,8 +123,11 @@ class EngineCluster {
     SimDuration handoff = 0;
   };
   /// `groups` groups of `options.replicas` nodes each; group g owns the
-  /// contiguous ids [g * replicas, (g+1) * replicas).
-  EngineCluster(ClusterOptions options, int groups, Lanes lanes);
+  /// contiguous ids [g * replicas, (g+1) * replicas). With metrics on, each
+  /// node's engine also counts its greens, reds and installs under the
+  /// scope `<group_metrics><g>.` (e.g. "shard.3.").
+  EngineCluster(ClusterOptions options, int groups, Lanes lanes,
+                const std::string& group_metrics);
 
   int groups() const { return groups_; }
   int group_size() const { return options_.replicas; }
@@ -134,7 +137,6 @@ class EngineCluster {
   /// Cumulative stats of a set of nodes. Storage counters include crashed
   /// nodes; everything else covers running ones.
   struct Sample {
-    std::uint64_t green = 0, red = 0, installs = 0, exchanges = 0;
     std::uint64_t forces = 0, appends = 0;
     std::uint64_t safe_deliveries = 0, configs = 0;
     std::uint64_t intern_keys = 0, intern_bytes = 0, table_slots = 0, table_rehashes = 0;

@@ -49,7 +49,7 @@ EngineCluster::Lanes ShardedCluster::resolve_lanes(const ShardedClusterOptions& 
 }
 
 ShardedCluster::ShardedCluster(ShardedClusterOptions options)
-    : EngineCluster(group_options(options), options.shards, resolve_lanes(options)),
+    : EngineCluster(group_options(options), options.shards, resolve_lanes(options), "shard."),
       options_(std::move(options)) {
   options_.session.retry_when_unavailable = true;  // cross-shard all-or-nothing
   for (int s = 0; s < shards(); ++s) {
@@ -182,9 +182,6 @@ void ShardedCluster::sample_tier_metrics(const std::vector<Sample>& groups) {
   for (int s = 0; s < shards(); ++s) {
     const Sample& g = groups[static_cast<std::size_t>(s)];
     const std::string prefix = "shard." + std::to_string(s) + ".";
-    m.counter(prefix + "actions_green").set_total(g.green);
-    m.counter(prefix + "actions_red").set_total(g.red);
-    m.counter(prefix + "primaries_installed").set_total(g.installs);
     m.counter(prefix + "storage_forces").set_total(g.forces);
     m.gauge(prefix + "whiteline.min").set(g.min_white);
     m.gauge(prefix + "whiteline.lag").set(g.lag);

@@ -1,7 +1,9 @@
 // Randomized equivalence: the flat interned-key Database against a
 // reference model built on std::map — the layout the database had before
 // keys were interned (DESIGN.md §11). Every externally observable output
-// must match op-for-op across long random histories: apply results (reads,
+// must match op-for-op across long random histories of user commands,
+// range fences/installs and cross-shard transaction markers (prepare,
+// confirm with or without its decision stamp, cancel): apply results (reads,
 // aborted, fenced), get(), size(), version(), extract_range, peek,
 // snapshot *bytes* (state transfer feeds virtual time, so byte equality is
 // the bar, not just logical equality) and digest().
@@ -52,47 +54,36 @@ class ModelDb {
       }
     }
     for (const Op& op : cmd.ops) {
-      if (!model_mutates(op.type) || reserved(op.key)) continue;
-      for (const Tracked& r : ranges_) {
-        if (r.fenced && key_in_range(op.key, r.lo, r.hi)) {
-          res.aborted = true;
-          res.fenced = true;
-          return res;
+      // A transaction marker's buffered update respects fences like a plain
+      // write: the prepare's own blob, or the pending cell a confirm applies.
+      const std::string blob = op.type == OpType::kTxnPrepare   ? op.value
+                               : op.type == OpType::kTxnConfirm ? get(op.key)
+                                                                : std::string();
+      bool hit = fenced(op);
+      if (!blob.empty()) {
+        for (const Op& b : TxnPending::decode(Bytes(blob.begin(), blob.end())).update.ops) {
+          hit = hit || fenced(b);
         }
+      }
+      if (hit) {
+        res.aborted = true;
+        res.fenced = true;
+        return res;
       }
     }
     for (const Op& op : cmd.ops) {
       switch (op.type) {
         case OpType::kPut:
-          data_[op.key].value = op.value;
-          break;
-        case OpType::kAdd: {
-          // Lenient parse, exactly like the implementation's to_num: a
-          // non-numeric value (or prefix) contributes 0.
-          const std::string v = get(op.key);
-          std::int64_t cur = 0;
-          std::from_chars(v.data(), v.data() + v.size(), cur);
-          data_[op.key].value = std::to_string(cur + op.num);
-          break;
-        }
+        case OpType::kAdd:
         case OpType::kAppend:
-          data_[op.key].value += op.value;
+        case OpType::kTimestampPut:
+        case OpType::kDelete:
+          write(op);
           break;
         case OpType::kGet:
           res.reads.push_back(get(op.key));
           break;
         case OpType::kCheck:
-          break;
-        case OpType::kTimestampPut: {
-          MCell& c = data_[op.key];
-          if (op.num > c.ts) {
-            c.ts = op.num;
-            c.value = op.value;
-          }
-          break;
-        }
-        case OpType::kDelete:
-          data_.erase(op.key);
           break;
         case OpType::kFenceRange:
           carve(op.key, op.value);
@@ -116,6 +107,22 @@ class ModelDb {
         }
         case OpType::kUnfenceRange:
           carve(op.key, op.value);
+          break;
+        case OpType::kTxnPrepare:
+          data_[op.key].value = op.value;
+          break;
+        case OpType::kTxnConfirm: {
+          const std::string pending = get(op.key);
+          if (pending.empty()) break;  // absent cell: a no-op
+          data_.erase(op.key);
+          for (const Op& b :
+               TxnPending::decode(Bytes(pending.begin(), pending.end())).update.ops) {
+            if (model_mutates(b.type)) write(b);
+          }
+          break;
+        }
+        case OpType::kTxnCancel:
+          if (!get(op.key).empty()) data_.erase(op.key);  // absent cell: a no-op
           break;
       }
     }
@@ -196,6 +203,47 @@ class ModelDb {
     bool fenced = false;
   };
 
+  bool fenced(const Op& op) const {
+    if (!model_mutates(op.type) || reserved(op.key)) return false;
+    for (const Tracked& r : ranges_) {
+      if (r.fenced && key_in_range(op.key, r.lo, r.hi)) return true;
+    }
+    return false;
+  }
+
+  void write(const Op& op) {
+    switch (op.type) {
+      case OpType::kPut:
+        data_[op.key].value = op.value;
+        break;
+      case OpType::kAdd: {
+        // Lenient parse, exactly like the implementation's to_num: a
+        // non-numeric value (or prefix) contributes 0.
+        const std::string v = get(op.key);
+        std::int64_t cur = 0;
+        std::from_chars(v.data(), v.data() + v.size(), cur);
+        data_[op.key].value = std::to_string(cur + op.num);
+        break;
+      }
+      case OpType::kAppend:
+        data_[op.key].value += op.value;
+        break;
+      case OpType::kTimestampPut: {
+        MCell& c = data_[op.key];
+        if (op.num > c.ts) {
+          c.ts = op.num;
+          c.value = op.value;
+        }
+        break;
+      }
+      case OpType::kDelete:
+        data_.erase(op.key);
+        break;
+      default:
+        break;
+    }
+  }
+
   void carve(std::string_view lo, std::string_view hi) {
     std::vector<Tracked> next;
     for (Tracked& r : ranges_) {
@@ -238,6 +286,8 @@ TEST(DbEquivalence, RandomHistoriesMatchStdMapModel) {
   pool.push_back("__session/1");
   pool.push_back("__xs/1/1");
 
+  // Coverage of the transaction-marker cases, summed over all seeds.
+  int stamped_confirms = 0, absent_resolves = 0, applied_confirms = 0, fenced_markers = 0;
   for (std::uint64_t seed = 1; seed <= 60; ++seed) {
     tordb::Rng rng(seed * 0x9e3779b97f4a7c15ULL + 1);
     Database db;
@@ -255,10 +305,29 @@ TEST(DbEquivalence, RandomHistoriesMatchStdMapModel) {
       return std::pair<std::string, std::string>(lo, hi);
     };
 
+    // One mutating user op on a k-space key: the body of a buffered slice.
+    const auto rand_write = [&](int step) {
+      const std::string& key = pool[rng.next_below(40)];
+      switch (rng.next_below(5)) {
+        case 0:
+          return Op{OpType::kPut, key, "b" + std::to_string(step), 0};
+        case 1:
+          return Op{OpType::kAdd, key, "", static_cast<std::int64_t>(rng.next_below(9))};
+        case 2:
+          return Op{OpType::kAppend, key, "b", 0};
+        case 3:
+          return Op{OpType::kTimestampPut, key, "bt", static_cast<std::int64_t>(rng.next_below(10))};
+        default:
+          return Op{OpType::kDelete, key, "", 0};
+      }
+    };
+
     for (int step = 0; step < 400; ++step) {
       const std::uint64_t pick = rng.next_below(100);
       Command cmd;
-      if (pick < 70) {
+      bool confirm = false;      // cmd is a kTxnConfirm (maybe stamped)
+      bool cell_absent = false;  // cmd confirms or cancels an absent cell
+      if (pick < 62) {
         // A small multi-op user command, sometimes guarded by a check.
         const std::size_t ops = 1 + rng.next_below(4);
         for (std::size_t i = 0; i < ops; ++i) {
@@ -290,6 +359,30 @@ TEST(DbEquivalence, RandomHistoriesMatchStdMapModel) {
             default:
               cmd.ops.push_back(Op{OpType::kDelete, key, "", 0});
               break;
+          }
+        }
+      } else if (pick < 72) {
+        // Cross-shard transaction markers over three pending cells, so
+        // confirms and cancels often find theirs absent (never prepared, or
+        // already resolved). A confirm may carry the coordinator's decision
+        // stamp in the same command.
+        const std::uint64_t slot = rng.next_below(3);
+        const std::string cell = "__txnp/1/" + std::to_string(slot);
+        const std::uint64_t kind = rng.next_below(4);
+        if (kind == 0) {
+          TxnPending p;
+          p.client = 1;
+          p.seq = step;
+          const std::size_t ops = 1 + rng.next_below(3);
+          for (std::size_t i = 0; i < ops; ++i) p.update.ops.push_back(rand_write(step));
+          cmd = Command::txn_prepare(cell, p);
+        } else {
+          cmd = kind == 3 ? Command::txn_cancel(cell) : Command::txn_confirm(cell);
+          confirm = kind != 3;
+          cell_absent = model.get(cell).empty();
+          if (kind == 2) {
+            cmd.ops.push_back(Op{OpType::kPut, "__txnd/1/" + std::to_string(slot), "C", 0});
+            ++stamped_confirms;
           }
         }
       } else if (pick < 78) {
@@ -347,6 +440,9 @@ TEST(DbEquivalence, RandomHistoriesMatchStdMapModel) {
       ASSERT_EQ(got.aborted, want.aborted) << "seed " << seed << " step " << step;
       ASSERT_EQ(got.fenced, want.fenced) << "seed " << seed << " step " << step;
       ASSERT_EQ(got.reads, want.reads) << "seed " << seed << " step " << step;
+      absent_resolves += cell_absent ? 1 : 0;
+      applied_confirms += confirm && !cell_absent && !got.aborted ? 1 : 0;
+      fenced_markers += pick >= 62 && pick < 72 && got.fenced ? 1 : 0;
       if (step % 25 == 0) expect_equal(db, model, seed, step);
       // get() spot check on a random key each step.
       const std::string& probe = rand_key();
@@ -354,6 +450,10 @@ TEST(DbEquivalence, RandomHistoriesMatchStdMapModel) {
     }
     expect_equal(db, model, seed, 400);
   }
+  EXPECT_GT(stamped_confirms, 0);
+  EXPECT_GT(absent_resolves, 0);
+  EXPECT_GT(applied_confirms, 0);
+  EXPECT_GT(fenced_markers, 0);
 }
 
 // The split-command apply(query, update) must equal applying the

@@ -142,7 +142,7 @@ class GcCluster {
   void check_total_order() const {
     std::map<ConfigId, std::map<std::int64_t, Bytes>> by_config;
     for (const auto& [id, rec] : records_) {
-      for (const Delivery& d : rec.deliveries) {
+      for (const StoredDelivery& d : rec.deliveries) {
         Bytes payload(d.payload.begin(), d.payload.end());
         auto [it, inserted] = by_config[d.config].emplace(d.seq, std::move(payload));
         if (!inserted) {
@@ -159,7 +159,7 @@ class GcCluster {
   void check_local_order() const {
     for (const auto& [id, rec] : records_) {
       std::map<ConfigId, std::int64_t> last;
-      for (const Delivery& d : rec.deliveries) {
+      for (const StoredDelivery& d : rec.deliveries) {
         auto [it, inserted] = last.emplace(d.config, d.seq);
         if (!inserted) {
           ASSERT_GT(d.seq, it->second) << "node " << id << " delivered out of order";
@@ -175,7 +175,7 @@ class GcCluster {
   void check_fifo() const {
     for (const auto& [id, rec] : records_) {
       std::map<NodeId, std::int64_t> last_k;
-      for (const Delivery& d : rec.deliveries) {
+      for (const StoredDelivery& d : rec.deliveries) {
         auto [s, k] = parse_payload(d.payload);
         auto it = last_k.find(s);
         if (it != last_k.end()) {
@@ -200,7 +200,7 @@ class GcCluster {
     std::map<ConfigId, std::vector<NodeId>> config_members;
     for (const auto& [id, rec] : records_) {
       for (const Configuration& c : rec.regulars) config_members[c.id] = c.members;
-      for (const Delivery& d : rec.deliveries) {
+      for (const StoredDelivery& d : rec.deliveries) {
         if (d.kind == DeliveryKind::kSafeInRegular) {
           safe_deliverers[{d.config, d.seq}].push_back(id);
         }
@@ -213,7 +213,7 @@ class GcCluster {
         const NodeRecord& rec = records_.at(member);
         if (rec.crashed || ever_crashed_.count(member)) continue;
         bool delivered = false;
-        for (const Delivery& d : rec.deliveries) {
+        for (const StoredDelivery& d : rec.deliveries) {
           if (d.config == key.config && d.seq == key.seq) {
             delivered = true;
             break;
@@ -239,7 +239,7 @@ class GcCluster {
     for (const auto& [id, rec] : records_) {
       for (const Configuration& t : rec.transitionals) {
         auto& slot = groups[{t.id, t.members}][id];
-        for (const Delivery& d : rec.deliveries) {
+        for (const StoredDelivery& d : rec.deliveries) {
           if (d.config == t.id) slot.insert(d.seq);
         }
       }

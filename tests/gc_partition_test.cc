@@ -7,6 +7,7 @@ namespace tordb::gc {
 namespace {
 
 using testing::GcCluster;
+using testing::StoredDelivery;
 
 TEST(GcPartition, SplitFormsTwoConfigurations) {
   GcCluster c(4);
@@ -67,7 +68,7 @@ TEST(GcPartition, TrafficContinuesInBothComponentsAfterSplit) {
   c.run_for(millis(200));
   // Side A delivered 0's message; side B delivered 3's; neither crossed.
   auto delivered_in_current = [&](NodeId node, NodeId sender, std::int64_t k) {
-    for (const Delivery& d : c.record(node).deliveries) {
+    for (const StoredDelivery& d : c.record(node).deliveries) {
       if (testing::parse_payload(d.payload) == std::make_pair(sender, k)) return true;
     }
     return false;
@@ -108,7 +109,7 @@ TEST(GcPartition, MessageSentDuringGatherDeliveredAfterInstall) {
   c.multicast(0, 42);
   c.run_for(millis(800));
   bool delivered_at_1 = false;
-  for (const Delivery& d : c.record(1).deliveries) {
+  for (const StoredDelivery& d : c.record(1).deliveries) {
     if (testing::parse_payload(d.payload) == std::make_pair(NodeId{0}, std::int64_t{42})) {
       delivered_at_1 = true;
     }
@@ -197,7 +198,7 @@ TEST(GcPartition, IsolatedNodeFormsSingleton) {
   c.multicast(0, 5);
   c.run_for(millis(100));
   bool got = false;
-  for (const Delivery& d : c.record(0).deliveries) {
+  for (const StoredDelivery& d : c.record(0).deliveries) {
     if (testing::parse_payload(d.payload).second == 5) got = true;
   }
   EXPECT_TRUE(got);

@@ -15,6 +15,7 @@
 #include "sim/simulator.h"
 #include "util/log.h"
 #include "workload/cluster.h"
+#include "workload/sharded_cluster.h"
 
 namespace tordb::obs {
 namespace {
@@ -294,6 +295,73 @@ TEST(ObsChecker, GreenCounterKeepsCountingThroughACrash) {
     EXPECT_GT(windows[i].counter_deltas.at("engine.actions_green"), 0u) << "window " << i;
   }
   EXPECT_TRUE(c.checker()->ok()) << c.checker()->report();
+}
+
+TEST(ObsChecker, ShardCountersKeepCountingThroughACrash) {
+  // shard.<id>.actions_green / actions_red / primaries_installed and
+  // cluster.exchanges are incremented by the engines themselves (the
+  // per-shard ones under the node's group scope), so at any instant each
+  // moved by exactly what the replicas did. Re-summed over the running
+  // replicas, a crash would drop the dead replica's history from the sum
+  // and the counter would lag the survivors' work by that much.
+  workload::ShardedClusterOptions o;
+  o.shards = 2;
+  o.replicas_per_shard = 3;
+  o.range_splits = {"m"};  // "a*" -> shard 0
+  o.obs.check = true;
+  o.obs.metrics_window = millis(250);
+  workload::ShardedCluster c(o);
+  c.run_for(seconds(2));
+  std::int64_t n = 0;
+  std::function<void()> issue = [&] {  // one closed-loop client on shard 0
+    c.router().submit(1, Command::put("a-key", std::to_string(++n)),
+                      [&](const shard::RouteReply&) { issue(); });
+  };
+  issue();
+  c.run_for(seconds(2));
+
+  ASSERT_NE(c.metrics(), nullptr);
+  struct Totals {
+    std::uint64_t green = 0, red = 0, installs = 0, exchanges = 0;
+  };
+  // Counts of the replicas that survive: shard 0's first two, all of shard 1.
+  const auto survivors = [&] {
+    Totals t;
+    for (int s = 0; s < 2; ++s) {
+      for (int i = 0; i < 3; ++i) {
+        if (s == 0 && i == 2) continue;
+        const core::EngineStats& es = c.node(s, i).engine().stats();
+        if (s == 0) {
+          t.green += es.actions_green;
+          t.red += es.actions_red;
+          t.installs += es.primaries_installed;
+        }
+        t.exchanges += es.exchanges;
+      }
+    }
+    return t;
+  };
+  const auto counters = [&] {
+    MetricsRegistry& m = *c.metrics();
+    return Totals{m.counter("shard.0.actions_green").value(),
+                  m.counter("shard.0.actions_red").value(),
+                  m.counter("shard.0.primaries_installed").value(),
+                  m.counter("cluster.exchanges").value()};
+  };
+  const Totals work0 = survivors();
+  const Totals seen0 = counters();
+  ASSERT_GT(seen0.installs, 0u);
+  c.crash(0, 2);
+  c.run_for(seconds(2));
+  const Totals work1 = survivors();
+  const Totals seen1 = counters();
+  EXPECT_GT(work1.installs, work0.installs);  // the survivors re-formed the primary
+  EXPECT_GT(work1.green, work0.green + 50);   // and kept committing
+  EXPECT_EQ(seen1.green - seen0.green, work1.green - work0.green);
+  EXPECT_EQ(seen1.red - seen0.red, work1.red - work0.red);
+  EXPECT_EQ(seen1.installs - seen0.installs, work1.installs - work0.installs);
+  EXPECT_EQ(seen1.exchanges - seen0.exchanges, work1.exchanges - work0.exchanges);
+  EXPECT_EQ(c.check_all(), std::nullopt);
 }
 
 TEST(ObsChecker, CapturesLogLinesAsTraceEvents) {

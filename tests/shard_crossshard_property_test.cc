@@ -391,6 +391,77 @@ INSTANTIATE_TEST_SUITE_P(RangedMoves, RangedMoveSchedule, ::testing::ValuesIn(mo
 //    event-by-event throughout — the online checker runs on every schedule.
 // ---------------------------------------------------------------------------
 
+using Down = std::vector<std::vector<bool>>;  ///< [shard][replica] crashed by the schedule
+
+/// One fault or rebalance step of the transaction schedules, by `what` in
+/// 6..11: a lone-replica partition, heal, a replica crash, one recovery, a
+/// random range move, or a split or merge of the range map. A move can land
+/// between a prepare and its confirm, in which case the coordinator must
+/// reroute the decided slice.
+void txn_churn_step(ShardedCluster& c, Rng& rng, int shards, Down& down, int what) {
+  const auto nshards = static_cast<std::uint64_t>(shards);
+  if (what == 6) {
+    const int s = static_cast<int>(rng.next_below(nshards));
+    const int lone = static_cast<int>(rng.next_below(3));
+    std::vector<int> rest;
+    for (int i = 0; i < 3; ++i) {
+      if (i != lone) rest.push_back(i);
+    }
+    c.partition_shard(s, {{lone}, rest});
+  } else if (what == 7) {
+    c.heal();
+  } else if (what == 8) {
+    const int s = static_cast<int>(rng.next_below(nshards));
+    const int i = static_cast<int>(rng.next_below(3));
+    if (!down[static_cast<std::size_t>(s)][static_cast<std::size_t>(i)]) {
+      down[static_cast<std::size_t>(s)][static_cast<std::size_t>(i)] = true;
+      c.crash(s, i);
+    }
+  } else if (what == 9) {
+    for (int s = 0; s < shards; ++s) {
+      for (int i = 0; i < 3; ++i) {
+        if (down[static_cast<std::size_t>(s)][static_cast<std::size_t>(i)]) {
+          down[static_cast<std::size_t>(s)][static_cast<std::size_t>(i)] = false;
+          c.recover(s, i);
+          break;
+        }
+      }
+    }
+  } else if (what == 10) {
+    const int r = static_cast<int>(
+        rng.next_below(static_cast<std::uint64_t>(c.directory().range_count())));
+    const auto [lo, hi] = c.directory().range_bounds(r);
+    const int owner = c.directory().range_owner(r);
+    const int to = (owner + 1 + static_cast<int>(rng.next_below(nshards - 1))) % shards;
+    c.move_range(lo, hi, to);
+  } else {
+    if (rng.next_below(2) == 0) {
+      c.split_at("k" + std::to_string(rng.next_below(10)) + "~");
+    } else if (c.directory().range_count() > 1) {
+      const int r = 1 + static_cast<int>(rng.next_below(
+                            static_cast<std::uint64_t>(c.directory().range_count() - 1)));
+      c.merge_at(c.directory().range_bounds(r).first);
+    }
+  }
+}
+
+/// Quiesce: recover everyone, heal, and drain the router, the rebalancer
+/// and the live coordinator. False if they never drained.
+bool quiesce_txn(ShardedCluster& c, int shards, const Down& down) {
+  for (int s = 0; s < shards; ++s) {
+    for (int i = 0; i < 3; ++i) {
+      if (down[static_cast<std::size_t>(s)][static_cast<std::size_t>(i)]) c.recover(s, i);
+    }
+  }
+  c.heal();
+  for (int rounds = 0;
+       !(c.router().idle() && c.rebalancer().idle() && c.txn().idle()) && rounds < 120;
+       ++rounds) {
+    c.run_for(seconds(1));
+  }
+  return c.router().idle() && c.rebalancer().idle() && c.txn().idle();
+}
+
 class TxnSchedule : public ::testing::TestWithParam<Scenario> {};
 
 TEST_P(TxnSchedule, PreparedChecksStayAtomicUnderChurnAndMoves) {
@@ -420,8 +491,7 @@ TEST_P(TxnSchedule, PreparedChecksStayAtomicUnderChurnAndMoves) {
   std::map<std::string, std::int64_t> committed_adds;
   std::vector<std::unique_ptr<TxnOutcome>> transfers;
   std::vector<std::unique_ptr<SnapOutcome>> snaps;
-  std::vector<std::vector<bool>> down(
-      static_cast<std::size_t>(sc.shards), std::vector<bool>(3, false));
+  Down down(static_cast<std::size_t>(sc.shards), std::vector<bool>(3, false));
   std::int64_t next_client = 0;
 
   // A checked transfer: precondition on the never-written flag key (true
@@ -480,73 +550,14 @@ TEST_P(TxnSchedule, PreparedChecksStayAtomicUnderChurnAndMoves) {
         out->replied = true;
         out->ok = r.ok;
       });
-    } else if (what == 6) {
-      const int s = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(sc.shards)));
-      const int lone = static_cast<int>(rng.next_below(3));
-      std::vector<int> rest;
-      for (int i = 0; i < 3; ++i) {
-        if (i != lone) rest.push_back(i);
-      }
-      c.partition_shard(s, {{lone}, rest});
-    } else if (what == 7) {
-      c.heal();
-    } else if (what == 8) {
-      const int s = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(sc.shards)));
-      const int i = static_cast<int>(rng.next_below(3));
-      if (!down[static_cast<std::size_t>(s)][static_cast<std::size_t>(i)]) {
-        down[static_cast<std::size_t>(s)][static_cast<std::size_t>(i)] = true;
-        c.crash(s, i);
-      }
-    } else if (what == 9) {
-      for (int s = 0; s < sc.shards; ++s) {
-        for (int i = 0; i < 3; ++i) {
-          if (down[static_cast<std::size_t>(s)][static_cast<std::size_t>(i)]) {
-            down[static_cast<std::size_t>(s)][static_cast<std::size_t>(i)] = false;
-            c.recover(s, i);
-            break;
-          }
-        }
-      }
-    } else if (what == 10) {
-      // Random range move: can land between a prepare and its confirm, in
-      // which case the coordinator must reroute the decided slice.
-      const int r = static_cast<int>(
-          rng.next_below(static_cast<std::uint64_t>(c.directory().range_count())));
-      const auto [lo, hi] = c.directory().range_bounds(r);
-      const int owner = c.directory().range_owner(r);
-      const int to = (owner + 1 +
-                      static_cast<int>(rng.next_below(
-                          static_cast<std::uint64_t>(sc.shards - 1)))) %
-                     sc.shards;
-      c.move_range(lo, hi, to);
     } else {
-      if (rng.next_below(2) == 0) {
-        c.split_at(key(static_cast<int>(rng.next_below(10))) + "~");
-      } else if (c.directory().range_count() > 1) {
-        const int r = 1 + static_cast<int>(rng.next_below(
-                              static_cast<std::uint64_t>(c.directory().range_count() - 1)));
-        c.merge_at(c.directory().range_bounds(r).first);
-      }
+      txn_churn_step(c, rng, sc.shards, down, what);
     }
     c.run_for(millis(static_cast<std::int64_t>(rng.next_range(10, 200))));
     ASSERT_EQ(c.check_green_prefix_consistency(), std::nullopt) << "seed " << sc.seed;
   }
 
-  // Quiesce: heal, recover everyone, drain router + rebalancer + coordinator.
-  for (int s = 0; s < sc.shards; ++s) {
-    for (int i = 0; i < 3; ++i) {
-      if (down[static_cast<std::size_t>(s)][static_cast<std::size_t>(i)]) c.recover(s, i);
-    }
-  }
-  c.heal();
-  for (int rounds = 0;
-       !(c.router().idle() && c.rebalancer().idle() && c.txn().idle()) && rounds < 120;
-       ++rounds) {
-    c.run_for(seconds(1));
-  }
-  ASSERT_TRUE(c.router().idle()) << "router never drained, seed " << sc.seed;
-  ASSERT_TRUE(c.rebalancer().idle()) << "rebalancer never drained, seed " << sc.seed;
-  ASSERT_TRUE(c.txn().idle()) << "coordinator never drained, seed " << sc.seed;
+  ASSERT_TRUE(quiesce_txn(c, sc.shards, down)) << "never drained, seed " << sc.seed;
   c.run_for(seconds(15));  // every shard converges to one primary
 
   // Deterministic votes: the flag key is never written.
@@ -597,6 +608,178 @@ std::vector<Scenario> txn_scenarios() {
 }
 
 INSTANTIATE_TEST_SUITE_P(TxnChurn, TxnSchedule, ::testing::ValuesIn(txn_scenarios()),
+                         [](const ::testing::TestParamInfo<Scenario>& info) {
+                           return "seed" + std::to_string(info.param.seed) + "_s" +
+                                  std::to_string(info.param.shards);
+                         });
+
+// ---------------------------------------------------------------------------
+// Coordinator crashes under the same churn: restart_txn_coordinator() at a
+// seeded virtual time, amid a staggered burst of transfers, cuts whatever the
+// dead coordinator had in flight — prepares half voted, round 2 partly
+// issued, a fenced confirm's reroute, post-commit cleanups — and the
+// replacement keeps serving new transfers. adopt_orphans() then runs at
+// quiescence. Every transfer moves one unit between two keys of its own, so
+// the ledger judges each transaction alone:
+//  - all-or-nothing: its debit and credit both applied or neither, so the
+//    transfer sum over every ledger key is 0;
+//  - a transfer the client saw commit applied, one it saw abort did not, and
+//    a bogus-check transfer never applied;
+//  - no `__txn*` residue, no unresolved prepare (invariant 9), and
+//    check_all() clean.
+// ---------------------------------------------------------------------------
+
+class TxnCrashSchedule : public ::testing::TestWithParam<Scenario> {};
+
+TEST_P(TxnCrashSchedule, AdoptionLeavesEveryCutTransferAllOrNothing) {
+  const Scenario sc = GetParam();
+  Rng rng(sc.seed * 48271 + 9);
+  ShardedClusterOptions o;
+  o.shards = sc.shards;
+  o.replicas_per_shard = 3;
+  o.seed = sc.seed;
+  o.session.max_attempts_per_request = 100000;
+  o.range_splits = sc.shards == 2 ? std::vector<std::string>{"k5"}
+                                  : std::vector<std::string>{"k3", "k7"};
+  ShardedCluster c(o);
+  c.run_for(seconds(2));
+
+  struct Transfer {
+    std::string from, to;
+    bool bogus = false;
+    bool replied = false;
+    bool committed = false;
+  };
+  std::vector<std::unique_ptr<Transfer>> transfers;
+  Down down(static_cast<std::size_t>(sc.shards), std::vector<bool>(3, false));
+
+  // `coordinated`: credit a key off the flag's shard, so the transfer
+  // spans shards and goes through the coordinator.
+  auto submit_transfer = [&](bool bogus, bool coordinated) {
+    const int a = static_cast<int>(rng.next_below(10));
+    int b = (a + 1 + static_cast<int>(rng.next_below(9))) % 10;
+    const int flag_shard = c.directory().shard_of("flag");
+    for (int i = 0; coordinated && i < 9; ++i) {
+      if (c.directory().shard_of("k" + std::to_string(b) + "/") != flag_shard) break;
+      b = (b + 1) % 10 == a ? (b + 2) % 10 : (b + 1) % 10;
+    }
+    const std::string id = "/" + std::to_string(transfers.size());
+    transfers.push_back(std::make_unique<Transfer>());
+    Transfer* t = transfers.back().get();
+    t->from = "k" + std::to_string(a) + id;
+    t->to = "k" + std::to_string(b) + id;
+    t->bogus = bogus;
+    Command cmd;
+    cmd.ops.push_back(db::Op{db::OpType::kCheck, "flag", bogus ? "no" : "", 0});
+    cmd.ops.push_back(db::Op{db::OpType::kAdd, t->from, "", -1});
+    cmd.ops.push_back(db::Op{db::OpType::kAdd, t->to, "", 1});
+    const auto client = static_cast<std::int64_t>(200 + transfers.size() % 8);
+    c.router().submit(client, cmd, [t](const RouteReply& r) {
+      t->replied = true;
+      t->committed = r.committed;
+    });
+  };
+
+  // Moves and merges may have gathered the flag and "k9" on one shard:
+  // then split "k9" off and move it away, so a transfer can span shards.
+  const auto spread = [&] {
+    for (int tries = 0; tries < 50; ++tries) {
+      const int flag_shard = c.directory().shard_of("flag");
+      if (c.directory().shard_of("k9/") != flag_shard) return;
+      c.split_at("k9");
+      const int r = c.directory().range_count() - 1;  // ["k9", "") after the split
+      const auto [lo, hi] = c.directory().range_bounds(r);
+      c.move_range(lo, hi, (flag_shard + 1) % sc.shards);
+      c.run_for(millis(200));
+    }
+  };
+  const int crash_step = static_cast<int>(rng.next_range(sc.steps / 4, 3 * sc.steps / 4));
+  for (int step = 0; step < sc.steps; ++step) {
+    const int what = static_cast<int>(rng.next_below(12));
+    if (step == crash_step) {
+      spread();
+      // Three coordinated transfers 12 ms apart, then the crash at most
+      // 15 ms after the last: that one is still preparing (a commit takes
+      // ~20 ms here), the earlier ones are in round 2 or their cleanups.
+      for (int i = 0; i < 3; ++i) {
+        if (i > 0) c.run_for(millis(12));
+        submit_transfer(rng.next_below(6) == 0, true);
+      }
+      const auto at = millis(static_cast<std::int64_t>(rng.next_range(0, 15)));
+      c.sim().after(at, [&c] { c.restart_txn_coordinator(); });
+    } else if (what < 6) {
+      const int burst = static_cast<int>(rng.next_range(1, 3));
+      for (int i = 0; i < burst; ++i) submit_transfer(rng.next_below(6) == 0, false);
+    } else {
+      txn_churn_step(c, rng, sc.shards, down, what);
+    }
+    c.run_for(millis(static_cast<std::int64_t>(rng.next_range(10, 200))));
+    ASSERT_EQ(c.check_green_prefix_consistency(), std::nullopt) << "seed " << sc.seed;
+  }
+
+  // The replacement's own transfers drain; the dead coordinator's last
+  // actions reach their green positions. Then adopt what it left behind.
+  ASSERT_TRUE(quiesce_txn(c, sc.shards, down)) << "never drained, seed " << sc.seed;
+  c.run_for(seconds(5));
+  int adopted = -1;
+  c.txn().adopt_orphans([&](int n) { adopted = n; });
+  for (int rounds = 0; !(adopted >= 0 && c.txn().idle() && c.router().idle()) && rounds < 120;
+       ++rounds) {
+    c.run_for(seconds(1));
+  }
+  ASSERT_GE(adopted, 0) << "adoption never finished, seed " << sc.seed;
+  ASSERT_TRUE(c.txn().idle() && c.router().idle()) << "seed " << sc.seed;
+  c.run_for(seconds(15));  // every shard converges to one primary
+  for (int s = 0; s < sc.shards; ++s) {
+    ASSERT_TRUE(c.converged(s)) << "shard " << s << " not converged, seed " << sc.seed;
+  }
+
+  const auto value = [&](const std::string& k) {
+    const std::string v = c.node(c.directory().shard_of(k), 0).engine().database().get(k);
+    return v.empty() ? std::int64_t{0} : std::stoll(v);
+  };
+  std::int64_t sum = 0;
+  int cut = 0;
+  for (const auto& t : transfers) {
+    const std::int64_t from = value(t->from);
+    const std::int64_t to = value(t->to);
+    sum += from + to;
+    EXPECT_TRUE((from == -1 && to == 1) || (from == 0 && to == 0))
+        << t->from << "=" << from << " " << t->to << "=" << to << " seed " << sc.seed;
+    const bool applied = to == 1;
+    if (t->bogus) {
+      EXPECT_FALSE(applied) << t->to << " seed " << sc.seed;
+    }
+    if (t->replied) {
+      EXPECT_EQ(applied, t->committed) << t->to << " seed " << sc.seed;
+      EXPECT_TRUE(t->committed || t->bogus) << t->to << " seed " << sc.seed;
+    } else {
+      ++cut;
+    }
+  }
+  EXPECT_EQ(sum, 0) << "seed " << sc.seed;
+  EXPECT_GE(cut, 1) << "the crash cut no transfer, seed " << sc.seed;
+  for (int s = 0; s < sc.shards; ++s) {
+    for (int i = 0; i < 3; ++i) {
+      if (!c.node(s, i).running()) continue;
+      EXPECT_TRUE(c.node(s, i).engine().database().scan_prefix("__txn").empty())
+          << "shard " << s << " replica " << i << " seed " << sc.seed;
+    }
+  }
+  ASSERT_NE(c.checker(), nullptr);
+  EXPECT_EQ(c.checker()->txn_unresolved(), 0) << "seed " << sc.seed;
+  EXPECT_EQ(c.check_all(), std::nullopt) << "seed " << sc.seed;
+}
+
+std::vector<Scenario> txn_crash_scenarios() {
+  std::vector<Scenario> v;
+  for (std::uint64_t s = 1; s <= 10; ++s) v.push_back({s, 2, 22});
+  for (std::uint64_t s = 11; s <= 16; ++s) v.push_back({s, 3, 18});
+  return v;
+}
+
+INSTANTIATE_TEST_SUITE_P(TxnCoordinatorCrash, TxnCrashSchedule,
+                         ::testing::ValuesIn(txn_crash_scenarios()),
                          [](const ::testing::TestParamInfo<Scenario>& info) {
                            return "seed" + std::to_string(info.param.seed) + "_s" +
                                   std::to_string(info.param.shards);

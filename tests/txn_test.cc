@@ -1,6 +1,7 @@
 // Cross-shard prepared-check transactions (src/txn; DESIGN.md §13):
 // two-round commit/abort atomicity, no reserved-key residue, barrier-stamped
-// snapshot reads, and coordinator-crash adoption at both halt stages.
+// snapshot reads, and coordinator-crash adoption before any confirm, with
+// the commit partly issued, and between the post-commit cleanups.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -205,17 +206,18 @@ TEST_F(TxnTest, SnapshotReadRejectsNonGetQueries) {
 // session epoch) and drives adopt_orphans().
 class TxnAdoptionTest : public TxnTest {
  protected:
-  explicit TxnAdoptionTest(int stage) : TxnTest(stage) {}
+  explicit TxnAdoptionTest(int stage) : TxnTest(stage), stage_(stage) {}
 
   /// Submit one passing checked cross-shard transaction; the halted
-  /// coordinator never replies.
+  /// coordinator never replies. Stage 1 froze before any confirm, so both
+  /// updates sit buffered in reserved cells; stage 2 froze once the home
+  /// confirm was green, so only shard 0's slice is applied.
   void submit_frozen() {
     c_.router().submit(5, checked_cross("a-key", "va", "z-key", "vz"),
                        [&](const shard::RouteReply&) { replied_ = true; });
     c_.run_for(seconds(2));
     EXPECT_FALSE(replied_);
-    // Nothing applied yet: the updates sit buffered in reserved cells.
-    EXPECT_EQ(db_at(0, 0, "a-key"), "");
+    EXPECT_EQ(db_at(0, 0, "a-key"), stage_ == 2 ? "va" : "");
     EXPECT_EQ(db_at(1, 0, "z-key"), "");
     EXPECT_FALSE(txn_residue().empty());
   }
@@ -240,6 +242,7 @@ class TxnAdoptionTest : public TxnTest {
     EXPECT_EQ(c_.check_all(), std::nullopt);
   }
 
+  const int stage_;
   bool replied_ = false;
 };
 
@@ -315,23 +318,48 @@ TEST_F(TxnAdoptionBeforeDecision, FailedNonHomeCheckCancelsHomePendingAndIntent)
   EXPECT_EQ(c_.check_all(), std::nullopt);
 }
 
-class TxnAdoptionAfterDecision : public TxnAdoptionTest {
+class TxnAdoptionMidCommit : public TxnAdoptionTest {
  protected:
-  TxnAdoptionAfterDecision() : TxnAdoptionTest(2) {}
+  TxnAdoptionMidCommit() : TxnAdoptionTest(2) {}
 };
 
-TEST_F(TxnAdoptionAfterDecision, DurableDecisionRecordDrivesAdoptionToCommit) {
-  // Crash after the decision record went green but before any confirm: the
-  // adopter finds `__txnd/` = "C" and must finish the commit.
+TEST_F(TxnAdoptionMidCommit, StampedConfirmDrivesAdoptionToCommit) {
+  // Crash once the home confirm, and with it the home shard's `__txnd/`
+  // stamp, went green but before the remote confirm was sent: the stamp is
+  // the durable decision, and the adopter must finish the commit.
   submit_frozen();
   adopt_and_expect_commit();
 }
 
-TEST_F(TxnAdoptionAfterDecision, ConfirmFencedByAMoveIsReroutedToTheNewOwner) {
-  // The decision is durable, then z-key's range moves to shard 0 before the
+TEST_F(TxnAdoptionMidCommit, AdopterCommitsWhileTheRemoteStillHoldsItsPending) {
+  // The state the stamp exists for: the home pending is consumed (its slice
+  // applied), the remote pending is intact, and no decision record was ever
+  // written on its own. "Every pending intact" no longer holds, so only the
+  // stamp riding the home confirm tells the adopter the transaction
+  // committed; without it the adopter would cancel the remote slice and
+  // leave the transaction half applied.
+  submit_frozen();
+  const std::string pend = TxnCoordinator::pending_key(5, 1);
+  const std::string dec = TxnCoordinator::decision_key(5, 1);
+  for (int idx = 0; idx < 3; ++idx) {
+    EXPECT_EQ(db_at(0, idx, pend), "") << idx;
+    EXPECT_EQ(db_at(0, idx, dec), "C") << idx;
+    EXPECT_NE(db_at(0, idx, TxnCoordinator::intent_key(5, 1)), "") << idx;
+    EXPECT_NE(db_at(1, idx, pend), "") << idx;
+    EXPECT_EQ(db_at(1, idx, dec), "") << idx;
+  }
+  ASSERT_NE(c_.checker(), nullptr);
+  EXPECT_EQ(c_.checker()->txn_unresolved(), 1);  // shard 1's prepare
+  adopt_and_expect_commit();
+  EXPECT_EQ(c_.txn().stats().confirms, 2u);  // both re-sent; the home one is a no-op
+}
+
+TEST_F(TxnAdoptionMidCommit, ConfirmFencedByAMoveIsReroutedToTheNewOwner) {
+  // The commit is decided, then z-key's range moves to shard 0 before the
   // adopter runs. Shard 1's pending stays behind (reserved cells never
-  // travel), so its confirm is fenced: the adopter cancels it and re-drives
-  // the buffered slice through the router to the range's new owner.
+  // travel), so its confirm is fenced: the adopter cancels it, stamping the
+  // cancel, and re-drives the buffered slice through the router to the
+  // range's new owner.
   submit_frozen();
   bool moved = false;
   ASSERT_TRUE(c_.move_range("m", "", 0, [&](const shard::MoveReport& r) { moved = r.ok; }));
@@ -356,7 +384,7 @@ TEST_F(TxnAdoptionAfterDecision, ConfirmFencedByAMoveIsReroutedToTheNewOwner) {
   EXPECT_EQ(c_.check_all(), std::nullopt);
 }
 
-TEST_F(TxnAdoptionAfterDecision, AdoptionIsIdempotentAcrossASecondCrash) {
+TEST_F(TxnAdoptionMidCommit, AdoptionIsIdempotentAcrossASecondCrash) {
   // The replacement coordinator adopts, commits, and a SECOND replacement
   // adopts again over the clean state: nothing to do, nothing disturbed.
   submit_frozen();
@@ -371,6 +399,54 @@ TEST_F(TxnAdoptionAfterDecision, AdoptionIsIdempotentAcrossASecondCrash) {
     EXPECT_EQ(db_at(1, idx, "z-key"), "vz") << idx;
   }
   EXPECT_TRUE(txn_residue().empty());
+  EXPECT_EQ(c_.check_all(), std::nullopt);
+}
+
+TEST_F(TxnTest, CrashBetweenThePerShardCleanupsLeavesNoResidueAfterAdoption) {
+  // The commit replied; its cleanups went out, one per shard. Shard 1's
+  // replica holding the cleanup crashes before forcing it, and the
+  // coordinator dies before its session fails over: shard 0 retired the
+  // intent and its stamp, shard 1's stamp survives with no intent. The
+  // adopter has nothing to commit or cancel, but must retire that stamp.
+  std::vector<std::uint64_t> created(3);
+  for (int idx = 0; idx < 3; ++idx) {
+    created[static_cast<std::size_t>(idx)] = c_.node(1, idx).engine().stats().actions_created;
+  }
+  bool committed = false;
+  c_.router().submit(5, checked_cross("a-key", "va", "z-key", "vz"),
+                     [&](const shard::RouteReply& r) {
+                       committed = r.committed;
+                       // The shard-1 session sent prepare, confirm and now
+                       // the cleanup to one replica: crash it while the
+                       // cleanup is unforced. The coordinator dies once
+                       // both cleanups reached their replicas, before the
+                       // crash signal (detect_delay, 1 ms) moves the session.
+                       for (int idx = 0; idx < 3; ++idx) {
+                         if (c_.node(1, idx).engine().stats().actions_created >
+                             created[static_cast<std::size_t>(idx)]) {
+                           c_.crash(1, idx);
+                         }
+                       }
+                       c_.sim().after(micros(500), [&] { c_.restart_txn_coordinator(); });
+                     });
+  c_.run_for(seconds(2));
+  ASSERT_TRUE(committed);
+  for (int idx = 0; idx < 3; ++idx) c_.recover(1, idx);
+  c_.run_for(seconds(3));
+  const std::string dec = TxnCoordinator::decision_key(5, 1);
+  EXPECT_EQ(txn_residue(), std::vector<std::string>(3, dec));
+
+  int adopted = -1;
+  c_.txn().adopt_orphans([&](int n) { adopted = n; });
+  c_.run_for(seconds(2));
+  EXPECT_EQ(adopted, 0);
+  EXPECT_TRUE(c_.txn().idle());
+  EXPECT_TRUE(txn_residue().empty());
+  for (int idx = 0; idx < 3; ++idx) {
+    EXPECT_EQ(db_at(0, idx, "a-key"), "va") << idx;
+    EXPECT_EQ(db_at(1, idx, "z-key"), "vz") << idx;
+  }
+  EXPECT_EQ(c_.checker()->txn_unresolved(), 0);
   EXPECT_EQ(c_.check_all(), std::nullopt);
 }
 
