@@ -23,7 +23,11 @@
 //     words ride traffic the gc sends anyway);
 //   - budget: if TORDB_MEM_BUDGET is set (bytes), the trim-on peak must
 //     stay under it — the CI smoke guard against a trim-starvation
-//     regression.
+//     regression;
+//   - disk copies: the group's simulated disks hold at most 1.5 private
+//     copies of each committed body. Every replica's green record shares
+//     the delivered wire (DESIGN.md §10), so the one copy left is the
+//     creator's ongoing record; a green path that copies again reads N + 1.
 //
 // TORDB_BENCH_FAST=1 (or --smoke) reduces the horizons for CI.
 #include <cstdio>
@@ -36,6 +40,7 @@
 
 #include "bench_util.h"
 #include "db/database.h"
+#include "storage/stable_storage.h"
 #include "workload/sharded_cluster.h"
 
 namespace {
@@ -43,6 +48,8 @@ namespace {
 using namespace tordb;
 using workload::ShardedCluster;
 using workload::ShardedClusterOptions;
+
+constexpr int kReplicasPerShard = 3;
 
 struct Sample {
   double sim_s = 0;
@@ -58,6 +65,8 @@ struct RunResult {
   std::int64_t greens = 0;
   double sim_seconds = 0;  ///< measured window length
   double green_per_second = 0;
+  std::uint64_t disk_bytes_shared = 0;  ///< StorageStats deltas over the window,
+  std::uint64_t disk_bytes_copied = 0;  ///< summed over every replica
 };
 
 std::int64_t total_green(ShardedCluster& c) {
@@ -74,6 +83,18 @@ std::int64_t total_body_bytes(ShardedCluster& c) {
     }
   }
   return b;
+}
+
+StorageStats total_storage(ShardedCluster& c) {
+  StorageStats t;
+  for (int s = 0; s < c.shards(); ++s) {
+    for (int i = 0; i < c.replicas_per_shard(); ++i) {
+      const StorageStats& st = c.node(s, i).storage().stats();
+      t.bytes_shared += st.bytes_shared;
+      t.bytes_copied += st.bytes_copied;
+    }
+  }
+  return t;
 }
 
 std::int64_t white_lag(ShardedCluster& c) {
@@ -95,7 +116,7 @@ std::int64_t white_lag(ShardedCluster& c) {
 RunResult run_mode(bool trim, std::int64_t target_actions, std::uint64_t seed) {
   ShardedClusterOptions o;
   o.shards = 2;
-  o.replicas_per_shard = 3;
+  o.replicas_per_shard = kReplicasPerShard;
   o.seed = seed;
   o.node.engine.white_trim = trim;
   ShardedCluster cluster(o);
@@ -119,6 +140,7 @@ RunResult run_mode(bool trim, std::int64_t target_actions, std::uint64_t seed) {
 
   RunResult r;
   const std::int64_t green_start = total_green(cluster);
+  const StorageStats disk_start = total_storage(cluster);
   const double t_start = to_seconds(cluster.sim().now());
   const SimDuration sample_every = millis(500);
   // Liveness backstop only — the closed loop reaches target_actions long
@@ -140,6 +162,9 @@ RunResult run_mode(bool trim, std::int64_t target_actions, std::uint64_t seed) {
   *issue = nullptr;  // the closure holds `issue` itself: break the cycle
 
   r.greens = total_green(cluster) - green_start;
+  const StorageStats disk_end = total_storage(cluster);
+  r.disk_bytes_shared = disk_end.bytes_shared - disk_start.bytes_shared;
+  r.disk_bytes_copied = disk_end.bytes_copied - disk_start.bytes_copied;
   r.final_bytes = r.curve.empty() ? total_body_bytes(cluster) : r.curve.back().body_bytes;
   r.sim_seconds = to_seconds(cluster.sim().now()) - t_start;
   r.green_per_second = r.sim_seconds > 0 ? static_cast<double>(r.greens) / r.sim_seconds : 0;
@@ -235,6 +260,23 @@ int main(int argc, char** argv) {
   } else {
     std::printf("throughput: on %.0f vs off %.0f green/s (%+.1f%%) within 5%% OK\n",
                 on.green_per_second, off.green_per_second, rel * 100.0);
+  }
+
+  // Disk copies: per committed action the group records its body N + 1
+  // times (N green records and the creator's ongoing record), so the mean
+  // body is the group's recorded bytes over N + 1.
+  const double per_action = static_cast<double>(std::max<std::int64_t>(on.greens, 1));
+  const double copied = static_cast<double>(on.disk_bytes_copied) / per_action;
+  const double shared = static_cast<double>(on.disk_bytes_shared) / per_action;
+  const double body = (copied + shared) / (kReplicasPerShard + 1);
+  const double copies = body > 0 ? copied / body : 0;
+  std::printf("disk: %.1f B copied + %.1f B shared per action over the group (body ~%.1f B)\n",
+              copied, shared, body);
+  if (copies > 1.5) {
+    std::fprintf(stderr, "FAIL: the disks copy %.2f bodies per action (budget: 1.5)\n", copies);
+    ok = false;
+  } else {
+    std::printf("disk copies: %.2f bodies per action <= 1.5 OK\n", copies);
   }
 
   // CI budget guard: peak trim-on body bytes across the deployment.

@@ -255,23 +255,6 @@ Bytes encode_action_body(const Action& a) {
   return w.take();
 }
 
-Bytes encode_log_red(const Bytes& body) {
-  Bytes r;
-  r.reserve(1 + body.size());
-  r.push_back(static_cast<std::uint8_t>(LogRecordType::kRed));
-  r.insert(r.end(), body.begin(), body.end());
-  return r;
-}
-
-Bytes encode_log_green(std::int64_t position, const Bytes& body) {
-  BufWriter w;
-  w.u8(static_cast<std::uint8_t>(LogRecordType::kGreen));
-  w.i64(position);
-  Bytes r = w.take();
-  r.insert(r.end(), body.begin(), body.end());
-  return r;
-}
-
 Bytes encode_log_meta(const MetaRecord& m) {
   return with_type(static_cast<std::uint8_t>(LogRecordType::kMeta),
                    [&](BufWriter& w) { encode_meta_body(w, m); });

@@ -179,13 +179,10 @@ Bytes encode_log_ongoing(const Action& a);
 Bytes encode_log_ongoing_batch(const std::vector<Action>& actions);
 Bytes encode_log_red(const Action& a);
 Bytes encode_log_green(std::int64_t position, const Action& a);
-/// Pre-encoded-body variants producing byte-identical records. The engine
-/// persists a red and a green record for the same action back to back on
-/// the hot path; encoding the action once and splicing it into both
-/// records halves the serialization work.
+/// The canonical body the log records and the kAction wire frame: the
+/// engine frames records around it in place (byte-identical to the
+/// encode_log_* functions above) instead of building each record.
 Bytes encode_action_body(const Action& a);
-Bytes encode_log_red(const Bytes& body);
-Bytes encode_log_green(std::int64_t position, const Bytes& body);
 Bytes encode_log_meta(const MetaRecord& m);
 Bytes encode_log_db_snapshot(const DbSnapshotRecord& s);
 DbSnapshotRecord decode_db_snapshot(BufReader& r);

@@ -346,8 +346,8 @@ void ReplicationEngine::persist_and_send(std::vector<Action> actions) {
     // wire, and a sync callback that fits SmallFn's inline slot — the whole
     // persist pipeline allocates only the wire buffer itself.
     const Action& a = actions.front();
-    const Bytes& body = encoded_body(a);
-    ongoing_[pack_action_id(a.id)] = body;
+    const std::span<const std::uint8_t> body = encoded_body(a);
+    ongoing_[pack_action_id(a.id)].assign(body.begin(), body.end());
     storage_.append_framed(static_cast<std::uint8_t>(LogRecordType::kOngoing), body);
     Bytes wire;
     wire.reserve(1 + body.size());
@@ -378,8 +378,8 @@ void ReplicationEngine::persist_and_send(std::vector<Action> actions) {
   } else {
     wires.reserve(actions.size());
     for (const Action& a : actions) {
-      const Bytes& body = encoded_body(a);
-      ongoing_[pack_action_id(a.id)] = body;
+      const std::span<const std::uint8_t> body = encoded_body(a);
+      ongoing_[pack_action_id(a.id)].assign(body.begin(), body.end());
       storage_.append_framed(static_cast<std::uint8_t>(LogRecordType::kOngoing), body);
       Bytes wire;
       wire.reserve(1 + body.size());
@@ -583,10 +583,12 @@ void ReplicationEngine::on_deliver(const gc::Delivery& d) {
     case EngineMsgType::kAction: {
       Action a = Action::decode(r);
       // The wire payload is [type][body] where [body] is the canonical
-      // Action encoding; seed the body-encode cache with those bytes so the
-      // log append this action triggers skips re-encoding it.
-      enc_body_.assign(d.payload.begin() + 1, d.payload.end());
+      // Action encoding; point the body-encode cache at that slice of the
+      // shared wire, so the log record this action triggers references the
+      // wire instead of copying or re-encoding the body.
       enc_body_id_ = a.id;
+      enc_body_ = d.payload.subspan(1);
+      enc_wire_ = d.wire;
       handle_action(std::move(a));
       break;
     }
@@ -1106,7 +1108,8 @@ void ReplicationEngine::on_newly_red(const Action& a, bool log_red) {
   // of loss, so it leaves the ongoing queue and (§6 semantics permitting)
   // the client can be answered.
   if (log_red) {
-    storage_.append_framed(static_cast<std::uint8_t>(LogRecordType::kRed), encoded_body(a));
+    const auto type = static_cast<std::uint8_t>(LogRecordType::kRed);
+    append_body_record(&type, 1, a);
   }
   ++stats_.actions_red;
   if (tracer_) tracer_.emit_action(obs::EventKind::kActionRed, a.id);
@@ -1124,23 +1127,36 @@ void ReplicationEngine::mark_red(Action&& a) {
   for (const Action* r : log_.mark_red(std::move(a))) on_newly_red(*r);
 }
 
-void ReplicationEngine::append_log_green(std::int64_t position, const Bytes& body) {
+void ReplicationEngine::append_log_green(std::int64_t position, const Action& a) {
   // [kGreen][i64 LE position][body] — byte-identical to
-  // encode_log_green(position, body) without materializing the record.
+  // encode_log_green(position, a) without materializing the record.
   std::uint8_t hdr[9];
   hdr[0] = static_cast<std::uint8_t>(LogRecordType::kGreen);
   for (std::size_t i = 0; i < 8; ++i) {
     hdr[1 + i] = static_cast<std::uint8_t>(static_cast<std::uint64_t>(position) >> (8 * i));
   }
-  storage_.append_framed(hdr, sizeof(hdr), body);
+  append_body_record(hdr, sizeof(hdr), a);
 }
 
-const Bytes& ReplicationEngine::encoded_body(const Action& a) {
+void ReplicationEngine::append_body_record(const std::uint8_t* header, std::size_t header_len,
+                                           const Action& a) {
+  const std::span<const std::uint8_t> body = encoded_body(a);
+  if (enc_wire_ == nullptr) {
+    storage_.append_framed(header, header_len, body);
+    return;
+  }
+  const auto off = static_cast<std::size_t>(body.data() - enc_wire_->data());
+  storage_.append_shared(header, header_len, enc_wire_, off, body.size());
+}
+
+std::span<const std::uint8_t> ReplicationEngine::encoded_body(const Action& a) {
   // An ActionId names one immutable action for the lifetime of the system
   // (the protocol's core invariant), so a cached body can never be stale.
   if (!(enc_body_id_ == a.id)) {
-    enc_body_ = encode_action_body(a);
+    enc_owned_ = encode_action_body(a);
     enc_body_id_ = a.id;
+    enc_body_ = enc_owned_;
+    enc_wire_ = nullptr;
   }
   return enc_body_;
 }
@@ -1170,7 +1186,7 @@ void ReplicationEngine::mark_green(Action&& a) {
   // green record goes first, so a crash, which loses a suffix of the log,
   // never keeps the red records of successors this step unparked without
   // the record that fills their creator-FIFO gap.
-  append_log_green(res.position, encoded_body(g));
+  append_log_green(res.position, g);
   const Action* self =
       !res.newly_red.empty() && res.newly_red.front()->id == aid ? res.newly_red.front() : nullptr;
   for (const Action* r : res.newly_red) on_newly_red(*r, /*log_red=*/r != self);

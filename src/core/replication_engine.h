@@ -43,6 +43,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -284,10 +285,14 @@ class ReplicationEngine {
   /// `log_red` false: the caller logs the action green in the same step.
   void on_newly_red(const Action& a, bool log_red = true);
   /// Encoded body of `a`, memoized for the immediately-repeated case (a
-  /// delivered action's wire bytes seed it for the log record that follows).
-  const Bytes& encoded_body(const Action& a);
+  /// delivered action's wire slice seeds it for the log record that
+  /// follows). Valid until the next call.
+  std::span<const std::uint8_t> encoded_body(const Action& a);
+  /// Append the log record [header][body of a]: by reference to the
+  /// delivered wire when the body cache holds its slice, else copied.
+  void append_body_record(const std::uint8_t* header, std::size_t header_len, const Action& a);
   /// Append a green log record framed in place (hot: one per green action).
-  void append_log_green(std::int64_t position, const Bytes& body);
+  void append_log_green(std::int64_t position, const Action& a);
   bool is_green(const ActionId& id) const { return log_.is_green(id); }
   MetaRecord current_meta();
   void append_meta();
@@ -339,8 +344,13 @@ class ReplicationEngine {
   // Coloring bookkeeping: the colored-action history lives in the
   // ActionLog subsystem; the engine keeps only cluster-knowledge state.
   ActionLog log_;
-  ActionId enc_body_id_;  ///< id cached in enc_body_ (kNoNode: none)
-  Bytes enc_body_;
+  /// Body-encode cache: the canonical body of action enc_body_id_ (kNoNode:
+  /// none), a slice of the delivered wire `enc_wire_` or, when that is
+  /// null, of `enc_owned_`.
+  ActionId enc_body_id_;
+  std::span<const std::uint8_t> enc_body_;
+  std::shared_ptr<const Bytes> enc_wire_;
+  Bytes enc_owned_;
   /// A: greenLines (as counts). Group-sized; the sorted vector keeps
   /// map_to_pairs-style wire encodings in creator order for free.
   util::VecMap<NodeId, std::int64_t> green_lines_;

@@ -374,7 +374,7 @@ void GroupCommunication::deliver_one(std::int64_t seq, DeliveryKind kind) {
   }
   if (listener_.on_deliver) {
     Delivery d{m.origin, config_.id, seq, kind,
-               std::span<const std::uint8_t>(m.payload_data(), m.payload_size())};
+               std::span<const std::uint8_t>(m.payload_data(), m.payload_size()), m.buf};
     listener_.on_deliver(d);
   }
 }

@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -61,13 +62,18 @@ struct Delivery {
   ConfigId config;          ///< regular configuration the message belongs to
   std::int64_t seq = 0;     ///< total-order position within that configuration
   DeliveryKind kind = DeliveryKind::kAgreed;
-  /// Borrowed from the layer's delivery buffer — valid for the duration of
-  /// the on_deliver callback only; copy it to retain. A view rather than a
-  /// whole Bytes because the buffer holds refcounted wire buffers shared by
-  /// every recipient of a multicast: the payload is a slice of the ORDERED
-  /// wire, and deliveries run once per member per message, so the deep copy
-  /// this avoids was the group's largest per-message allocation.
+  /// A slice of `wire`, borrowed from the layer's delivery buffer. A view
+  /// rather than a whole Bytes because the buffer holds refcounted wire
+  /// buffers shared by every recipient of a multicast: the payload is a
+  /// slice of the ORDERED wire, and deliveries run once per member per
+  /// message, so the deep copy this avoids was the group's largest
+  /// per-message allocation.
   std::span<const std::uint8_t> payload;
+  /// The immutable buffer `payload` points into. The span alone is valid
+  /// for the on_deliver callback only; holding `wire` keeps it valid for as
+  /// long as the holder needs it, which is how a replica's disk records a
+  /// delivered body without copying it (DESIGN.md §10).
+  std::shared_ptr<const Bytes> wire;
 };
 
 /// Callbacks the application (the replication engine) installs. The layer

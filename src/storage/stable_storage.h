@@ -14,10 +14,22 @@
 //    in the background and a crash loses the non-durable tail.
 //  - `crash` truncates to the durable prefix and drops pending callbacks;
 //    `recover_records` returns the durable log.
+//
+// A record is a short inline header plus a slice of a refcounted buffer.
+// `append_shared` records a slice of a buffer the caller also holds — the
+// engine's green records reference the delivered ORDERED wire, which every
+// member of the group already shares — so a group keeps one copy of a body,
+// not one per replica. `append` / `append_framed` give the record a buffer
+// of its own. Recorded bytes are immutable (the buffers are const), so
+// sharing them cannot be observed: recovery returns byte-identical records.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <deque>
 #include <functional>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "obs/trace.h"
@@ -49,6 +61,11 @@ struct StorageStats {
   std::uint64_t syncs_requested = 0;
   std::uint64_t forces = 0;  ///< physical forced writes issued
   std::uint64_t records_lost_in_crash = 0;
+  /// Record bytes held by reference to a caller's buffer (append_shared).
+  std::uint64_t bytes_shared = 0;
+  /// Record bytes held in a buffer of the record's own (append,
+  /// append_framed). Inline headers count in neither.
+  std::uint64_t bytes_copied = 0;
 };
 
 class StableStorage {
@@ -57,21 +74,26 @@ class StableStorage {
   /// (this + liveness guard + one wire buffer) fits the 48-byte inline slot,
   /// so the per-action sync costs no heap allocation.
   using SyncCallback = SmallFn;
+  /// Longest inline record header (a green record's [type][i64 position]).
+  static constexpr std::size_t kMaxHeader = 9;
 
   StableStorage(Simulator& sim, StorageParams params = {});
 
   /// Append one record to the volatile tail. Returns its index.
   std::size_t append(Bytes record);
 
-  /// Append one record framed as [header][body] straight into the arena,
-  /// skipping the intermediate record buffer the hot log paths (red /
-  /// green / ongoing, one record per action per replica) used to build
-  /// and throw away. Byte-identical to append(header + body).
+  /// Append one record framed as [header][body], byte-identical to
+  /// append(header + body). The body is copied; `header_len` <= kMaxHeader.
   std::size_t append_framed(const std::uint8_t* header, std::size_t header_len,
-                            const Bytes& body);
-  std::size_t append_framed(std::uint8_t type, const Bytes& body) {
+                            std::span<const std::uint8_t> body);
+  std::size_t append_framed(std::uint8_t type, std::span<const std::uint8_t> body) {
     return append_framed(&type, 1, body);
   }
+
+  /// Append [header][buf[off, off + len)] holding a reference to `buf`
+  /// instead of a copy of the slice. `buf` must never be written again.
+  std::size_t append_shared(const std::uint8_t* header, std::size_t header_len,
+                            std::shared_ptr<const Bytes> buf, std::size_t off, std::size_t len);
 
   /// Request that everything appended so far become durable. `done` fires
   /// when it is (forced mode) or immediately (delayed mode).
@@ -87,9 +109,9 @@ class StableStorage {
   /// Models log compaction; only durable data may be compacted.
   void compact(std::size_t upto, Bytes snapshot_record);
 
-  std::size_t log_size() const { return offsets_.size(); }
+  std::size_t log_size() const { return records_.size(); }
   std::size_t durable_size() const { return durable_; }
-  bool fully_durable() const { return durable_ == offsets_.size(); }
+  bool fully_durable() const { return durable_ == records_.size(); }
 
   const StorageStats& stats() const { return stats_; }
   StorageParams& params() { return params_; }
@@ -100,21 +122,30 @@ class StableStorage {
     SyncCallback done;
   };
 
+  /// One record: [header[0, header_len)][body[0, len)]. `body` aliases
+  /// the buffer that owns the bytes, so holding it keeps that buffer alive.
+  struct Record {
+    std::shared_ptr<const std::uint8_t> body;
+    std::uint32_t len = 0;
+    std::uint8_t header_len = 0;
+    std::array<std::uint8_t, kMaxHeader> header{};
+  };
+
+  /// A pointer to buf[off] that keeps `buf` alive.
+  static std::shared_ptr<const std::uint8_t> slice_of(std::shared_ptr<const Bytes> buf,
+                                                      std::size_t off);
+  /// A body buffer of the record's own holding a copy of `bytes`.
+  static std::shared_ptr<const std::uint8_t> copy_body(std::span<const std::uint8_t> bytes);
+  std::size_t push(const std::uint8_t* header, std::size_t header_len,
+                   std::shared_ptr<const std::uint8_t> body, std::size_t len);
   void start_force_if_needed();
   void force_completed(std::uint64_t epoch);
-  /// One past the last byte of record `i` in the arena.
-  std::size_t record_end(std::size_t i) const {
-    return i + 1 < offsets_.size() ? offsets_[i + 1] : arena_.size();
-  }
 
   Simulator& sim_;
   StorageParams params_;
-  /// Append-only record storage: one contiguous arena plus per-record start
-  /// offsets. Records are written once and read back only at recovery, so
-  /// per-record buffers bought nothing but allocator traffic and teardown
-  /// cost at scale.
-  Bytes arena_;
-  std::vector<std::size_t> offsets_;
+  /// Chunked rather than contiguous: appending never moves earlier records,
+  /// and crash / compact drop a suffix / prefix in place.
+  std::deque<Record> records_;
   std::size_t durable_ = 0;
   bool force_in_flight_ = false;
   bool window_armed_ = false;         ///< group-commit window timer pending

@@ -237,6 +237,83 @@ TEST(RecoveryLog, RegularPrimaryLogsEachBodyOnceAndRecoversEquivalently) {
   EXPECT_EQ(c.check_all(), std::nullopt);
 }
 
+// Drives a five-replica cluster through both green record paths: actions
+// delivered one per wire in a steady primary, whose green records share the
+// delivered wire, and a burst node 0 buffers mid-exchange after a partition
+// and flushes as one kActionBatch wire, whose green records copy each body.
+void drive_both_green_record_paths(workload::EngineCluster& c) {
+  auto submit_round = [&c](int base) {
+    for (int i = 0; i < 10; ++i) {
+      const NodeId n = static_cast<NodeId>(i % 5);
+      c.engine(n).submit({}, db::Command::add("s" + std::to_string(i % 4), base + i), n,
+                         Semantics::kStrict, nullptr);
+      c.run_for(millis(2));
+    }
+  };
+  c.run_for(seconds(1));
+  submit_round(0);
+  c.run_for(seconds(1));
+  c.partition({{0, 1, 2}, {3, 4}});
+  c.run_for(seconds(2));
+  c.heal();
+  bool submitted = false;
+  for (int step = 0; step < 4000 && !submitted; ++step) {
+    c.run_for(millis(1));
+    const EngineState s = c.engine(0).state();
+    if (s != EngineState::kRegPrim && s != EngineState::kNonPrim) {
+      for (int k = 0; k < 6; ++k) {
+        c.engine(0).submit({}, db::Command::add("burst" + std::to_string(k), k + 1), 0,
+                           Semantics::kStrict, nullptr);
+      }
+      submitted = true;
+    }
+  }
+  EXPECT_TRUE(submitted) << "never caught an exchange window";
+  c.run_for(seconds(5));
+  submit_round(100);
+  c.run_for(seconds(1));
+}
+
+TEST(RecoveryLog, SharedAndCopiedGreenRecordsRecoverEquivalently) {
+  workload::ClusterOptions o;
+  o.replicas = 5;
+  o.seed = 11;
+  workload::EngineCluster reference(o);  // never crashed
+  drive_both_green_record_paths(reference);
+  workload::EngineCluster c(o);
+  drive_both_green_record_paths(c);
+  EXPECT_GE(c.engine(0).stats().persist_batches, 1u);  // a kActionBatch wire went out
+  for (NodeId n = 0; n < 5; ++n) {
+    EXPECT_GT(c.node(n).storage().stats().bytes_shared, 0u) << "node " << n;
+    c.node(n).storage().sync([] {});  // green records are appended unforced
+  }
+  c.run_for(millis(20));
+  for (NodeId n = 0; n < 5; ++n) c.crash(n);
+  for (NodeId n = 0; n < 5; ++n) {
+    std::size_t greens = 0;
+    for (const Bytes& rec : c.node(n).storage().recover_records()) {
+      if (static_cast<LogRecordType>(rec.at(0)) != LogRecordType::kGreen) continue;
+      BufReader r(rec.data(), rec.size());
+      r.u8();
+      const std::int64_t position = r.i64();
+      EXPECT_EQ(rec, encode_log_green(position, Action::decode(r)))
+          << "node " << n << " position " << position;
+      ++greens;
+    }
+    EXPECT_GT(greens, 0u) << "node " << n;
+  }
+  c.run_for(millis(100));
+  for (NodeId n = 0; n < 5; ++n) c.recover(n);
+  c.run_for(seconds(3));
+  EXPECT_TRUE(c.converged_primary({0, 1, 2, 3, 4}));
+  ASSERT_EQ(reference.engine(0).green_count(), 26);  // 10 + a burst of 6 + 10
+  for (NodeId n = 0; n < 5; ++n) {
+    EXPECT_EQ(c.engine(n).green_count(), reference.engine(0).green_count()) << "node " << n;
+    EXPECT_EQ(c.engine(n).db_digest(), reference.engine(0).db_digest()) << "node " << n;
+  }
+  EXPECT_EQ(c.check_all(), std::nullopt);
+}
+
 TEST_F(RecoveryTest, VolatileTailIsInvisible) {
   storage_.append(encode_log_green(1, make_action(1, 1, db::Command::put("k", "durable"))));
   force_all();

@@ -39,7 +39,7 @@ struct StoredDelivery {
         kind(d.kind),
         payload(d.payload.begin(), d.payload.end()) {}
   operator Delivery() const {  // NOLINT: implicit by design
-    return Delivery{sender, config, seq, kind, payload};
+    return Delivery{sender, config, seq, kind, payload, nullptr};
   }
 };
 

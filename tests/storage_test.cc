@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "storage/stable_storage.h"
 
 namespace tordb {
@@ -225,6 +227,84 @@ TEST(Storage, CommitWindowCancelledByCrash) {
   sim.run();
   EXPECT_FALSE(fired);
   EXPECT_EQ(st.stats().forces, 0u);
+}
+
+// --- slice records (append_shared) ------------------------------------------
+
+std::shared_ptr<const Bytes> wire_of(std::initializer_list<std::uint8_t> bytes) {
+  return std::make_shared<const Bytes>(bytes);
+}
+
+TEST(Storage, SliceRecordRecoversLikeAFramedCopy) {
+  Simulator sim;
+  StableStorage shared(sim, no_window());
+  StableStorage copied(sim, no_window());
+  const std::uint8_t hdr[3] = {7, 8, 9};
+  const auto wire = wire_of({0xAA, 0xBB, 1, 2, 3, 4, 0xCC});
+  shared.append_shared(hdr, sizeof(hdr), wire, 2, 4);
+  copied.append_framed(hdr, sizeof(hdr), Bytes{1, 2, 3, 4});
+  shared.sync([] {});
+  copied.sync([] {});
+  sim.run();
+  ASSERT_EQ(shared.recover_records().size(), 1u);
+  EXPECT_EQ(shared.recover_records(), copied.recover_records());
+  EXPECT_EQ(shared.recover_records()[0], (Bytes{7, 8, 9, 1, 2, 3, 4}));
+  EXPECT_EQ(shared.stats().bytes_shared, 4u);
+  EXPECT_EQ(shared.stats().bytes_copied, 0u);
+  EXPECT_EQ(copied.stats().bytes_shared, 0u);
+  EXPECT_EQ(copied.stats().bytes_copied, 4u);
+}
+
+TEST(Storage, CrashAndCompactReleaseSliceReferences) {
+  Simulator sim;
+  StableStorage st(sim, no_window());
+  const std::uint8_t hdr = 1;
+  const auto kept = wire_of({1, 2});
+  const auto lost = wire_of({3, 4});
+  st.append_shared(&hdr, 1, kept, 0, 2);
+  st.append_shared(&hdr, 1, kept, 1, 1);
+  st.sync([] {});
+  sim.run();
+  st.append_shared(&hdr, 1, lost, 0, 2);  // volatile: the crash drops it
+  EXPECT_EQ(kept.use_count(), 3);
+  EXPECT_EQ(lost.use_count(), 2);
+  st.crash();
+  EXPECT_EQ(lost.use_count(), 1);
+  EXPECT_EQ(kept.use_count(), 3);
+  st.compact(2, rec(99));
+  EXPECT_EQ(kept.use_count(), 1);
+  ASSERT_EQ(st.recover_records().size(), 1u);
+  EXPECT_EQ(st.recover_records()[0], rec(99));
+}
+
+TEST(Storage, CompactKeepingASliceTailRebasesIndexes) {
+  // Records 0-3 durable, 4-5 shared slices awaiting a force that a pending
+  // sync waits on; compacting the first three must re-base the durable
+  // count, the in-flight force and the pending sync onto the shorter log.
+  Simulator sim;
+  StableStorage st(sim, no_window());
+  for (std::uint8_t i = 0; i < 4; ++i) st.append(rec(i));
+  st.sync([] {});
+  sim.run();
+  const std::uint8_t hdr = 5;
+  const auto wire = wire_of({10, 11, 12});
+  st.append_shared(&hdr, 1, wire, 0, 1);
+  st.append_shared(&hdr, 1, wire, 1, 2);
+  bool fired = false;
+  st.sync([&] { fired = true; });  // force in flight, covering 6 records
+  st.compact(3, rec(99));
+  EXPECT_EQ(st.durable_size(), 2u);  // [snapshot][rec 3]
+  EXPECT_EQ(st.log_size(), 4u);
+  EXPECT_EQ(wire.use_count(), 3);
+  sim.run();
+  EXPECT_TRUE(fired);
+  EXPECT_TRUE(st.fully_durable());
+  const auto records = st.recover_records();
+  ASSERT_EQ(records.size(), 4u);
+  EXPECT_EQ(records[0], rec(99));
+  EXPECT_EQ(records[1], rec(3));
+  EXPECT_EQ(records[2], (Bytes{5, 10}));
+  EXPECT_EQ(records[3], (Bytes{5, 11, 12}));
 }
 
 }  // namespace
