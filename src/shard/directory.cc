@@ -47,32 +47,25 @@ int Directory::shard_of(std::string_view key) const {
   return static_cast<int>(fnv1a(key) % static_cast<std::uint64_t>(shards_));
 }
 
-int Directory::shard_of_cached(std::string_view key) const {
-  if (cache_epoch_ != epoch_) {
-    // One split/merge/move invalidates every entry; entries refill lazily
-    // on their next lookup, so the cost is one pass over touched keys.
-    std::fill(cache_shard_.begin(), cache_shard_.end(), -1);
-    cache_epoch_ = epoch_;
-  }
-  const util::KeyId id = cache_keys_.intern(key);
-  if (id >= cache_shard_.size()) cache_shard_.resize(cache_keys_.size(), -1);
-  std::int32_t& slot = cache_shard_[id];
-  if (slot >= 0) {
-    ++cache_stats_.hits;
-    return slot;
-  }
-  ++cache_stats_.misses;
-  slot = shard_of(key);
-  return slot;
-}
-
 std::vector<int> Directory::shards_of(const db::Command& cmd) const {
   std::vector<int> out;
   for (const db::Op& op : cmd.ops) {
-    const int s = shard_of_cached(op.key);
+    const int s = shard_of(op.key);
     if (std::find(out.begin(), out.end(), s) == out.end()) out.push_back(s);
   }
   std::sort(out.begin(), out.end());
+  return out;
+}
+
+std::vector<Directory::Slice> Directory::split(const db::Command& cmd) const {
+  std::vector<Slice> out;
+  for (const db::Op& op : cmd.ops) {
+    const int s = shard_of(op.key);
+    auto it = std::lower_bound(out.begin(), out.end(), s,
+                               [](const Slice& slice, int shard) { return slice.shard < shard; });
+    if (it == out.end() || it->shard != s) it = out.insert(it, Slice{s, {}});
+    it->cmd.ops.push_back(op);
+  }
   return out;
 }
 

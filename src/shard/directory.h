@@ -5,7 +5,9 @@
 // throughput is capped by one total order. The shard tier splits the key
 // space into disjoint shards, each replicated by its own engine group with
 // its own green order; the directory is the pure, deterministic mapping both
-// the router and every test agree on.
+// the router and every test agree on. Routing is uncached: every query
+// answers from the current mapping alone, so a read sees the latest epoch
+// and the directory holds no state besides the map itself (DESIGN.md §11).
 //
 // Two mappings are supported:
 //   hashed(n)  — FNV-1a over the key, mod n. Uniform, stateless, what the
@@ -29,7 +31,6 @@
 #include <vector>
 
 #include "db/database.h"
-#include "util/key_interner.h"
 
 namespace tordb::shard {
 
@@ -48,29 +49,35 @@ class Directory {
   /// Bumped by every successful split/merge/ownership mutation. Starts 0.
   std::int64_t epoch() const { return epoch_; }
 
-  /// The shard owning `key`. Deterministic and total. This is the pure
-  /// mapping (hash or range walk); the router's per-op lookups go through
-  /// shard_of_cached instead.
+  /// The shard owning `key`. Deterministic and total: one FNV-1a hash mod
+  /// the shard count, or an upper_bound over the split points.
   int shard_of(std::string_view key) const;
 
-  /// shard_of through the epoch-validated route cache: the key is interned
-  /// once, after which a repeat lookup is one array read instead of a
-  /// string range walk (ranged mode) or a full key hash (hashed mode). Any
-  /// split/merge/ownership mutation bumps `epoch`, which invalidates every
-  /// cached entry on the next lookup — in-flight traffic retargets without
-  /// restarting anything, exactly as before.
-  int shard_of_cached(std::string_view key) const;
-
-  /// Sorted, de-duplicated shards touched by the command's ops (through the
-  /// route cache). Empty for a command with no ops (the router pins those
-  /// to shard 0).
+  /// Sorted, de-duplicated shards touched by the command's ops. Empty for a
+  /// command with no ops (the router pins those to shard 0).
   std::vector<int> shards_of(const db::Command& cmd) const;
 
+  /// One shard's part of a command.
+  struct Slice {
+    int shard = 0;
+    db::Command cmd;
+  };
+
+  /// The command divided by owning shard: one slice per shard in
+  /// shards_of(cmd), in ascending shard order, each holding its ops in
+  /// program order. Empty for a command with no ops. Both orders are part
+  /// of the contract: callers submit slices in this order, so it fixes the
+  /// order in which per-shard sessions send, and with it every virtual-time
+  /// golden; within a slice, program order is what the owning group applies.
+  std::vector<Slice> split(const db::Command& cmd) const;
+
+  /// Always zero: routing is uncached. Kept only because the benchmark
+  /// driver still reads it for `shard.route_cache_hit_ratio`.
   struct RouteCacheStats {
     std::uint64_t hits = 0;
-    std::uint64_t misses = 0;  ///< first-touch interns and post-epoch refills
+    std::uint64_t misses = 0;
   };
-  const RouteCacheStats& route_cache_stats() const { return cache_stats_; }
+  RouteCacheStats route_cache_stats() const { return {}; }
 
   // --- online rebalancing (ranged mode only; DESIGN.md §9) -------------------
 
@@ -108,14 +115,6 @@ class Directory {
   std::int64_t epoch_ = 0;
   std::vector<std::string> splits_;  ///< ascending; ranges = splits + 1
   std::vector<int> owners_;          ///< owners_[i] = shard owning range i
-
-  // Route cache: interned-key -> owning shard, valid for one epoch. All
-  // mutable because routing is logically const; the simulation is
-  // single-threaded so no synchronization is needed.
-  mutable util::KeyInterner cache_keys_;
-  mutable std::vector<std::int32_t> cache_shard_;  ///< by KeyId; -1 = unfilled
-  mutable std::int64_t cache_epoch_ = 0;
-  mutable RouteCacheStats cache_stats_;
 };
 
 }  // namespace tordb::shard

@@ -1,6 +1,5 @@
 #include "shard/router.h"
 
-#include <map>
 #include <stdexcept>
 #include <utility>
 
@@ -21,11 +20,6 @@ Router::Router(Simulator& sim, std::shared_ptr<Directory> directory,
     barrier_hist_ = &options_.metrics->histogram("shard.cross.barrier_wait_us");
   }
 }
-
-Router::Router(Simulator& sim, const Directory& directory,
-               std::vector<std::vector<core::ReplicaNode*>> replicas, RouterOptions options)
-    : Router(sim, std::make_shared<Directory>(directory), std::move(replicas),
-             std::move(options)) {}
 
 Router::~Router() { *alive_ = false; }
 
@@ -87,18 +81,19 @@ void Router::submit(std::int64_t client, db::Command update, RouteReplyFn reply)
 }
 
 void Router::route(std::int64_t client, db::Command update, RouteReplyFn reply, int bounces) {
-  std::vector<int> shards = directory_->shards_of(update);
-  if (shards.empty()) shards.push_back(0);  // pure no-op commands pin to shard 0
+  std::vector<Directory::Slice> slices = directory_->split(update);
 
-  if (shards.size() == 1) {
-    const int shard = shards[0];
+  if (slices.size() <= 1) {
+    // A pure no-op command has no slice and pins to shard 0.
+    const int shard = slices.empty() ? 0 : slices.front().shard;
     if (bounces == 0) ++stats_.routed_single;
     options_.tracer.emit(obs::EventKind::kShardRoute, shard, client, /*xid=*/0);
     // Keep the command for a potential fenced re-route: a fenced abort had
-    // no effects, so resubmitting it is a fresh first attempt.
-    auto retained = std::make_shared<db::Command>(update);
+    // no effects, so resubmitting it is a fresh first attempt. The lone
+    // slice holds the same ops, so it is what goes out.
+    auto retained = std::make_shared<db::Command>(std::move(update));
     session(client, shard).submit(
-        std::move(update),
+        slices.empty() ? db::Command{} : std::move(slices.front().cmd),
         [this, alive = alive_, shard, client, bounces, retained,
          reply = std::move(reply)](const core::SessionReply& r) mutable {
           if (!*alive) return;
@@ -159,7 +154,7 @@ void Router::route(std::int64_t client, db::Command update, RouteReplyFn reply, 
           RouteReply out;
           out.committed = false;
           out.unsupported_mix = true;
-          out.shards_involved = static_cast<int>(shards.size());
+          out.shards_involved = static_cast<int>(slices.size());
           reply(out);
         }
         return;
@@ -190,23 +185,16 @@ void Router::route(std::int64_t client, db::Command update, RouteReplyFn reply, 
   cs.xid = xid;
   cs.client = client;
   cs.marker = cross_marker_key(client, cross_seq);
-  cs.involved = static_cast<int>(shards.size());
+  cs.involved = static_cast<int>(slices.size());
   cs.outstanding = cs.involved;
   cs.bounces = bounces;
   cs.reply = std::move(reply);
   options_.tracer.emit(obs::EventKind::kShardCrossSubmit, xid, client,
-                       static_cast<std::int64_t>(shards.size()));
+                       static_cast<std::int64_t>(slices.size()));
 
-  // Split the ops by owning shard, preserving program order within each
-  // slice; each slice rides the marker write so the action's presence at a
-  // shard is observable state, not just a reply.
-  for (const int shard : shards) {
-    db::Command slice;
-    for (const db::Op& op : update.ops) {
-      if (directory_->shard_of_cached(op.key) == shard) slice.ops.push_back(op);
-    }
-    submit_cross_slice(token, shard, std::move(slice));
-  }
+  // Each slice rides the marker write so the action's presence at a shard
+  // is observable state, not just a reply.
+  for (Directory::Slice& slice : slices) submit_cross_slice(token, slice.shard, std::move(slice.cmd));
 }
 
 void Router::submit_cross_slice(std::int64_t token, int shard, db::Command user_slice) {
@@ -254,14 +242,9 @@ void Router::rebounce_cross_slice(std::int64_t token, const db::Command& user_sl
   // Re-split by the *current* directory — the range may have moved, or even
   // split, since the slice was first routed. Every part re-enters the same
   // commit barrier.
-  // An ordered map on purpose: parts are submitted in ascending shard
-  // order, which the virtual-time goldens depend on.
-  std::map<int, db::Command> parts;
-  for (const db::Op& op : user_slice.ops) {
-    parts[directory_->shard_of_cached(op.key)].ops.push_back(op);
-  }
+  std::vector<Directory::Slice> parts = directory_->split(user_slice);
   cs.outstanding += static_cast<int>(parts.size()) - 1;
-  for (auto& [shard, part] : parts) submit_cross_slice(token, shard, std::move(part));
+  for (Directory::Slice& part : parts) submit_cross_slice(token, part.shard, std::move(part.cmd));
 }
 
 void Router::finish_cross(std::int64_t token) {

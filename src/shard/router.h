@@ -114,12 +114,10 @@ struct RouterStats {
 class Router {
  public:
   /// `replicas[s]` are the members of shard `s`, tried in fail-over order.
-  /// The directory's shard count must match replicas.size(). The shared
-  /// overload is the live form: a Rebalancer mutating the same Directory is
-  /// observed by the very next routing decision.
+  /// The directory's shard count must match replicas.size(). The directory
+  /// is shared: a Rebalancer mutating it is observed by the very next
+  /// routing decision.
   Router(Simulator& sim, std::shared_ptr<Directory> directory,
-         std::vector<std::vector<core::ReplicaNode*>> replicas, RouterOptions options = {});
-  Router(Simulator& sim, const Directory& directory,
          std::vector<std::vector<core::ReplicaNode*>> replicas, RouterOptions options = {});
   ~Router();
 
@@ -132,7 +130,6 @@ class Router {
   static std::string cross_marker_key(std::int64_t client, std::int64_t cross_seq);
 
   const Directory& directory() const { return *directory_; }
-  const std::shared_ptr<Directory>& directory_ptr() const { return directory_; }
   const RouterStats& stats() const { return stats_; }
   /// True when every session created so far has drained.
   bool idle() const;

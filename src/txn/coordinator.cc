@@ -61,6 +61,23 @@ Intent decode_intent(const std::string& blob) {
 
 }  // namespace
 
+TxnStats& TxnStats::operator+=(const TxnStats& o) {
+  begun += o.begun;
+  committed += o.committed;
+  aborted_check += o.aborted_check;
+  aborted_fenced += o.aborted_fenced;
+  aborted_other += o.aborted_other;
+  prepares += o.prepares;
+  confirms += o.confirms;
+  cancels += o.cancels;
+  restarts += o.restarts;
+  confirm_rerouted += o.confirm_rerouted;
+  snapshot_reads += o.snapshot_reads;
+  adopted_confirmed += o.adopted_confirmed;
+  adopted_cancelled += o.adopted_cancelled;
+  return *this;
+}
+
 TxnCoordinator::TxnCoordinator(Simulator& sim, shard::Router& router,
                                std::vector<std::vector<core::ReplicaNode*>> replicas,
                                TxnOptions options)
@@ -153,9 +170,8 @@ void TxnCoordinator::flush_deferred() {
 
 void TxnCoordinator::begin(std::int64_t client, db::Command update, shard::RouteReplyFn reply,
                            int bounces) {
-  const shard::Directory& dir = router_.directory();
-  std::vector<int> shards = dir.shards_of(update);
-  if (shards.size() <= 1) {
+  std::vector<shard::Directory::Slice> slices = router_.directory().split(update);
+  if (slices.size() <= 1) {
     // Degenerate (or a restart whose keys now co-locate after a merge):
     // one shard's green order already gives atomic checked updates.
     router_.submit(client, std::move(update), std::move(reply));
@@ -173,23 +189,25 @@ void TxnCoordinator::begin(std::int64_t client, db::Command update, shard::Route
   t.xid = client * kXidStride + seq;
   t.sid = kTxnSessionBase + options_.session_epoch * kEpochStride + client;
   t.fp = db::range_fingerprint(pending_key(client, seq), "");
-  t.original = update;
+  t.original = std::move(update);
   t.reply = std::move(reply);
-  t.shards = std::move(shards);  // shards_of returns them sorted ascending
-  t.home = t.shards.front();
   t.bounces = bounces;
   t.t0 = sim_.now();
 
-  const std::size_t n = t.shards.size();
+  // Slot i is the i-th slice (ascending shard); each slice's ops divide
+  // into its checks and its buffered updates, each in program order.
+  const std::size_t n = slices.size();
+  t.shards.resize(n);
   t.checks.resize(n);
   t.buffered.resize(n);
   t.prepared.assign(n, 0);
-  for (db::Op& op : update.ops) {
-    const int s = dir.shard_of_cached(op.key);
-    const std::size_t slot = static_cast<std::size_t>(
-        std::lower_bound(t.shards.begin(), t.shards.end(), s) - t.shards.begin());
-    (op.type == db::OpType::kCheck ? t.checks : t.buffered)[slot].ops.push_back(std::move(op));
+  for (std::size_t slot = 0; slot < n; ++slot) {
+    t.shards[slot] = slices[slot].shard;
+    for (db::Op& op : slices[slot].cmd.ops) {
+      (op.type == db::OpType::kCheck ? t.checks : t.buffered)[slot].ops.push_back(std::move(op));
+    }
   }
+  t.home = t.shards.front();
   t.outstanding = static_cast<int>(n);
   options_.tracer.emit(obs::EventKind::kTxnBegin, static_cast<std::int64_t>(t.fp),
                        static_cast<std::int64_t>(n));
@@ -509,7 +527,7 @@ void TxnCoordinator::snapshot_read(db::Command query, SnapshotReadFn reply) {
   s.slices.resize(s.shards.size());
   s.out.resize(s.shards.size());
   for (const db::Op& op : s.query.ops) {
-    const int sh = dir.shard_of_cached(op.key);
+    const int sh = dir.shard_of(op.key);
     const std::size_t slot = static_cast<std::size_t>(
         std::lower_bound(s.shards.begin(), s.shards.end(), sh) - s.shards.begin());
     s.slots.emplace_back(slot, s.slices[slot].ops.size());

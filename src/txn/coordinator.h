@@ -121,6 +121,9 @@ struct TxnStats {
   std::uint64_t snapshot_reads = 0;
   std::uint64_t adopted_confirmed = 0;  ///< recovery pass drove the txn to commit
   std::uint64_t adopted_cancelled = 0;  ///< recovery pass cancelled it
+
+  /// Field-wise sum (a deployment's totals over coordinator incarnations).
+  TxnStats& operator+=(const TxnStats& o);
 };
 
 /// Result of a barrier-stamped snapshot read.

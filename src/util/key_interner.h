@@ -1,7 +1,7 @@
 // Dense key interning: string -> small dense id, id -> string_view.
 //
-// The protocol tier's hot paths (db apply, directory routing) used to
-// re-hash or re-compare full `std::string` keys on every op. Production
+// The db's apply path used to re-hash or re-compare full `std::string`
+// keys on every op. Production
 // replicated stores run per-key machinery on dense ids instead (LARK /
 // Aerospike shape, PAPERS.md): intern each distinct key once, then index
 // flat arrays by the id everywhere downstream.

@@ -96,6 +96,7 @@ void ShardedCluster::make_txn_coordinator(int halt_at_stage) {
 }
 
 void ShardedCluster::restart_txn_coordinator(int halt_at_stage) {
+  retired_txn_stats_ += txn_->stats();
   ++txn_session_epoch_;
   make_txn_coordinator(halt_at_stage);
 }
@@ -219,20 +220,21 @@ void ShardedCluster::sample_tier_metrics(const std::vector<Sample>& groups) {
   m.counter("router.failovers").set_total(rs.failovers);
   m.counter("router.fenced_bounces").set_total(rs.fenced_bounces);
   m.counter("router.txn.handoffs").set_total(rs.txn_handoffs);
-  m.counter("router.txn.prepares").set_total(txn_->stats().prepares);
-  m.counter("router.txn.confirms").set_total(txn_->stats().confirms);
-  m.counter("router.txn.cancels").set_total(txn_->stats().cancels);
+  // Totals over every coordinator incarnation: a restarted coordinator's
+  // stats start at 0, and a registry total only moves up.
+  txn::TxnStats ts = retired_txn_stats_;
+  ts += txn_->stats();
+  m.counter("router.txn.prepares").set_total(ts.prepares);
+  m.counter("router.txn.confirms").set_total(ts.confirms);
+  m.counter("router.txn.cancels").set_total(ts.cancels);
   m.counter("router.rejected_unsupported").set_total(rs.rejected_unsupported);
-  m.counter("txn.committed").set_total(txn_->stats().committed);
-  m.counter("txn.aborted.check").set_total(txn_->stats().aborted_check);
-  m.counter("txn.aborted.fenced").set_total(txn_->stats().aborted_fenced);
-  m.counter("txn.restarts").set_total(txn_->stats().restarts);
-  m.counter("txn.confirm_rerouted").set_total(txn_->stats().confirm_rerouted);
-  m.counter("txn.snapshot_reads").set_total(txn_->stats().snapshot_reads);
+  m.counter("txn.committed").set_total(ts.committed);
+  m.counter("txn.aborted.check").set_total(ts.aborted_check);
+  m.counter("txn.aborted.fenced").set_total(ts.aborted_fenced);
+  m.counter("txn.restarts").set_total(ts.restarts);
+  m.counter("txn.confirm_rerouted").set_total(ts.confirm_rerouted);
+  m.counter("txn.snapshot_reads").set_total(ts.snapshot_reads);
   m.gauge("directory.epoch").set(router_->directory().epoch());
-  const auto& rc = router_->directory().route_cache_stats();
-  m.counter("directory.route_cache.hits").set_total(rc.hits);
-  m.counter("directory.route_cache.misses").set_total(rc.misses);
 }
 
 }  // namespace tordb::workload

@@ -90,7 +90,8 @@ class ShardedCluster : public EngineCluster {
   /// Model a coordinator crash + replacement (DESIGN.md §13): the old
   /// instance's in-flight state dies with it; the new incarnation claims a
   /// fresh session-id epoch (its predecessor consumed the per-id guards)
-  /// and is expected to call txn().adopt_orphans() at quiescence.
+  /// and is expected to call txn().adopt_orphans() at quiescence. txn()'s
+  /// stats restart at 0; the registry's `txn.*` totals keep counting.
   void restart_txn_coordinator(int halt_at_stage = 0);
   const shard::Directory& directory() const { return router_->directory(); }
   std::int64_t directory_epoch() const { return router_->directory().epoch(); }
@@ -173,6 +174,7 @@ class ShardedCluster : public EngineCluster {
   /// runs in reverse order, so the coordinator dies first.
   std::unique_ptr<txn::TxnCoordinator> txn_;
   std::int64_t txn_session_epoch_ = 0;
+  txn::TxnStats retired_txn_stats_;  ///< summed over coordinators replaced by a restart
   std::unique_ptr<shard::Rebalancer> rebalancer_;
   /// Per-shard component layout (local indices); global layout is rebuilt
   /// from these on every change.

@@ -438,7 +438,7 @@ void TpccDriver::do_order_status(std::size_t t) {
   const int d = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(options_.districts)));
   const int c = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(options_.customers)));
   std::string balance_key = customer_balance_key(w, d, c);
-  const int shard = cluster_.directory().shard_of_cached(balance_key);
+  const int shard = cluster_.directory().shard_of(balance_key);
   db::Command query;
   query.ops.push_back(db::Op{db::OpType::kGet, std::move(balance_key), "", 0});
   query.ops.push_back(db::Op{db::OpType::kGet, customer_last_order_key(w, d, c), "", 0});
@@ -473,7 +473,7 @@ void TpccDriver::do_stock_level(std::size_t t) {
       query.ops.push_back(db::Op{db::OpType::kGet, stock_key(w, item), "", 0});
     }
   }
-  const int shard = cluster_.directory().shard_of_cached(query.ops.front().key);
+  const int shard = cluster_.directory().shard_of(query.ops.front().key);
 
   core::ReplicaNode* node = query_replica(shard);
   if (node == nullptr) {

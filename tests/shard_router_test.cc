@@ -3,6 +3,7 @@
 // fail-over (DESIGN.md §8).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -57,6 +58,87 @@ TEST(Directory, ShardsOfDeduplicatesAndSorts) {
   cmd.ops.push_back(db::Op{db::OpType::kPut, "ab", "v", 0});
   EXPECT_EQ(d.shards_of(cmd), (std::vector<int>{0, 1}));
   EXPECT_TRUE(d.shards_of(Command{}).empty());
+}
+
+/// The keys of each slice, in slice order.
+std::vector<std::vector<std::string>> slice_keys(const std::vector<Directory::Slice>& slices) {
+  std::vector<std::vector<std::string>> out;
+  for (const Directory::Slice& slice : slices) {
+    out.emplace_back();
+    for (const db::Op& op : slice.cmd.ops) out.back().push_back(op.key);
+  }
+  return out;
+}
+
+std::vector<int> slice_shards(const std::vector<Directory::Slice>& slices) {
+  std::vector<int> out;
+  for (const Directory::Slice& slice : slices) out.push_back(slice.shard);
+  return out;
+}
+
+TEST(Directory, RangedSplitIsAscendingWithProgramOrderInsideEachSlice) {
+  const Directory d = Directory::ranged({"g", "p"});
+  Command cmd;
+  for (const char* key : {"zebra", "apple", "melon", "banana", "pear", "grape"}) {
+    cmd.ops.push_back(db::Op{db::OpType::kPut, key, std::string("v-") + key, 0});
+  }
+  const std::vector<Directory::Slice> slices = d.split(cmd);
+  EXPECT_EQ(slice_shards(slices), (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(slice_keys(slices), (std::vector<std::vector<std::string>>{
+                                    {"apple", "banana"}, {"melon", "grape"}, {"zebra", "pear"}}));
+  for (const Directory::Slice& slice : slices) {
+    for (const db::Op& op : slice.cmd.ops) EXPECT_EQ(op.value, "v-" + op.key);  // ops intact
+  }
+  EXPECT_TRUE(d.split(Command{}).empty());
+}
+
+TEST(Directory, HashedSplitIsAscendingWithProgramOrderInsideEachSlice) {
+  const Directory d = Directory::hashed(4);
+  Command cmd;
+  for (int i = 0; i < 40; ++i) {
+    cmd.ops.push_back(db::Op{db::OpType::kAdd, "key-" + std::to_string(i), "", i});
+  }
+  const std::vector<Directory::Slice> slices = d.split(cmd);
+  EXPECT_EQ(slice_shards(slices), d.shards_of(cmd));  // ascending, one per shard
+  std::size_t ops = 0;
+  for (const Directory::Slice& slice : slices) {
+    std::int64_t prev = -1;
+    for (const db::Op& op : slice.cmd.ops) {
+      EXPECT_EQ(d.shard_of(op.key), slice.shard) << op.key;
+      EXPECT_GT(op.num, prev) << op.key;  // program order
+      prev = op.num;
+    }
+    ops += slice.cmd.ops.size();
+  }
+  EXPECT_EQ(ops, cmd.ops.size());
+  EXPECT_TRUE(d.split(Command{}).empty());
+}
+
+TEST(Directory, RoutingFollowsAnOwnershipChangeOnTheVeryNextQuery) {
+  // Routing is uncached: the first query after split_at + set_range_owner
+  // already answers from the new map, with no epoch check to miss.
+  Directory d = Directory::ranged({"m"});
+  Command cmd;
+  cmd.ops.push_back(db::Op{db::OpType::kPut, "x", "1", 0});
+  cmd.ops.push_back(db::Op{db::OpType::kPut, "c", "2", 0});
+  cmd.ops.push_back(db::Op{db::OpType::kPut, "h", "3", 0});
+  EXPECT_EQ(d.shard_of("c"), 0);
+  EXPECT_EQ(slice_keys(d.split(cmd)),
+            (std::vector<std::vector<std::string>>{{"c", "h"}, {"x"}}));
+
+  ASSERT_TRUE(d.split_at("f"));
+  ASSERT_TRUE(d.set_range_owner("", "f", 1));
+  EXPECT_EQ(d.shard_of("c"), 1);
+  EXPECT_EQ(d.shard_of("h"), 0);
+  std::vector<Directory::Slice> slices = d.split(cmd);
+  EXPECT_EQ(slice_shards(slices), (std::vector<int>{0, 1}));
+  EXPECT_EQ(slice_keys(slices), (std::vector<std::vector<std::string>>{{"h"}, {"x", "c"}}));
+
+  ASSERT_TRUE(d.set_range_owner("f", "m", 1));  // now every key lives on shard 1
+  EXPECT_EQ(d.shard_of("h"), 1);
+  slices = d.split(cmd);
+  EXPECT_EQ(slice_shards(slices), (std::vector<int>{1}));
+  EXPECT_EQ(slice_keys(slices), (std::vector<std::vector<std::string>>{{"x", "c", "h"}}));
 }
 
 class RouterTest : public ::testing::Test {

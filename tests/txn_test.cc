@@ -6,10 +6,12 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs_enable.h"  // run every cluster under the online safety checker
 #include "db/database.h"
+#include "obs/metrics.h"
 #include "txn/coordinator.h"
 #include "workload/sharded_cluster.h"
 
@@ -25,7 +27,8 @@ std::int64_t as_num(const std::string& v) { return v.empty() ? 0 : std::stoll(v)
 class TxnTest : public ::testing::Test {
  protected:
   TxnTest() : TxnTest(0) {}
-  explicit TxnTest(int halt_at_stage) : c_(options(halt_at_stage)) {
+  explicit TxnTest(int halt_at_stage) : TxnTest(options(halt_at_stage)) {}
+  explicit TxnTest(ShardedClusterOptions o) : c_(std::move(o)) {
     c_.run_for(seconds(2));  // both shards form their primary
   }
 
@@ -127,6 +130,61 @@ TEST_F(TxnTest, CheckAbortIsAtomicAndLeavesNoResidue) {
   EXPECT_EQ(c_.txn().stats().committed, 0u);
   EXPECT_GE(c_.txn().stats().cancels, 1u);  // shard 1's stranded prepare
   EXPECT_EQ(c_.checker()->txn_unresolved(), 0);
+  EXPECT_EQ(c_.check_all(), std::nullopt);
+}
+
+class TxnMetricsTest : public TxnTest {
+ protected:
+  TxnMetricsTest() : TxnTest(with_metrics()) {}
+
+  static ShardedClusterOptions with_metrics() {
+    ShardedClusterOptions o = options(0);
+    o.obs.metrics_window = millis(500);
+    return o;
+  }
+
+  /// Commit `n` checked cross-shard transactions, one after another.
+  void commit(int n) {
+    for (int i = 0; i < n; ++i) {
+      bool committed = false;
+      const std::string v = std::to_string(i);
+      c_.router().submit(5, checked_cross("a-key", v, "z-key", v),
+                         [&](const shard::RouteReply& r) { committed = r.committed; });
+      c_.run_for(seconds(1));
+      ASSERT_TRUE(committed) << i;
+    }
+  }
+};
+
+TEST_F(TxnMetricsTest, RegistryTotalsSumOverCoordinatorRestarts) {
+  // A restarted coordinator's stats start at 0, and a registry total only
+  // moves up: the `txn.*` totals must still count both incarnations, and
+  // the windows after the restart must count the new one's work.
+  obs::MetricsRegistry& m = *c_.metrics();
+  commit(3);
+  const TxnStats first = c_.txn().stats();
+  ASSERT_EQ(first.committed, 3u);
+  c_.sample_metrics();
+  m.roll(c_.sim().now());
+  const std::size_t windows_at_restart = m.windows().size();
+
+  c_.restart_txn_coordinator();
+  commit(2);
+  const TxnStats second = c_.txn().stats();
+  ASSERT_EQ(second.committed, 2u);
+  c_.sample_metrics();
+  EXPECT_EQ(m.counter("txn.committed").value(), first.committed + second.committed);
+  EXPECT_EQ(m.counter("router.txn.prepares").value(), first.prepares + second.prepares);
+  EXPECT_EQ(m.counter("router.txn.confirms").value(), first.confirms + second.confirms);
+
+  m.roll(c_.sim().now());
+  std::uint64_t committed_since_restart = 0;
+  for (std::size_t w = windows_at_restart; w < m.windows().size(); ++w) {
+    const auto& deltas = m.windows()[w].counter_deltas;
+    const auto it = deltas.find("txn.committed");
+    if (it != deltas.end()) committed_since_restart += it->second;
+  }
+  EXPECT_EQ(committed_since_restart, second.committed);
   EXPECT_EQ(c_.check_all(), std::nullopt);
 }
 
