@@ -307,32 +307,17 @@ ApplyResult Database::apply(const Command& query, const Command& update) {
     const util::KeyId id = ids[op_index++];
     switch (op.type) {
       case OpType::kPut:
-        upsert(id).value = op.value;
-        break;
-      case OpType::kAdd: {
-        const std::int64_t cur = to_num(value_at(id));
-        assign_num(upsert(id).value, cur + op.num);
-        break;
-      }
+      case OpType::kAdd:
       case OpType::kAppend:
-        upsert(id).value += op.value;
+      case OpType::kTimestampPut:
+      case OpType::kDelete:
+        write_row(op, id, res);
         break;
       case OpType::kGet:
         res.reads.push_back(value_at(id));
         break;
       case OpType::kCheck:
         break;  // evaluated above
-      case OpType::kTimestampPut: {
-        Cell& cell = upsert(id);
-        if (op.num > cell.ts) {
-          cell.ts = op.num;
-          cell.value = op.value;
-        }
-        break;
-      }
-      case OpType::kDelete:
-        erase_cell(id);
-        break;
       case OpType::kFenceRange: {
         carve_tracked(op.key, op.value);
         ranges_.push_back(TrackedRange{op.key, op.value, true});
@@ -351,13 +336,7 @@ ApplyResult Database::apply(const Command& query, const Command& update) {
         for (std::size_t i = ordered_lower_bound(snap.lo); i < ordered_.size(); ++i) {
           const std::string_view key = keys_.key(ordered_[i]);
           if (!snap.hi.empty() && key >= std::string_view(snap.hi)) break;
-          Cell& cell = cells_[ordered_[i]];
-          if (!cell.live || reserved_key(key)) continue;
-          cell.live = false;
-          cell.value.clear();
-          cell.value.shrink_to_fit();
-          cell.ts = -1;
-          --live_;
+          if (!reserved_key(key)) erase_cell(ordered_[i]);
         }
         carve_tracked(snap.lo, snap.hi);
         ranges_.push_back(TrackedRange{snap.lo, snap.hi, false});
@@ -396,7 +375,10 @@ ApplyResult Database::apply(const Command& query, const Command& update) {
         const std::string pending = value_at(id);
         if (pending.empty()) break;  // already confirmed or cancelled: idempotent
         erase_cell(id);              // erase first; buffered ops cannot resurrect it
-        apply_buffered(TxnPending::decode(Bytes(pending.begin(), pending.end())).update, res);
+        // Checks were consumed at prepare time; reads, range and txn ops are
+        // never buffered. Every op is interned, as in the main loop.
+        const Command buffered = TxnPending::decode(Bytes(pending.begin(), pending.end())).update;
+        for (const Op& b : buffered.ops) write_row(b, keys_.intern(b.key), res);
         res.txn_events.push_back(
             TxnEvent{TxnEvent::Kind::kConfirm, range_fingerprint(op.key, "")});
         break;
@@ -407,18 +389,6 @@ ApplyResult Database::apply(const Command& query, const Command& update) {
         res.txn_events.push_back(
             TxnEvent{TxnEvent::Kind::kCancel, range_fingerprint(op.key, "")});
         break;
-      }
-    }
-    // Surface green-applied user writes into tracked ranges so the checker
-    // can assert single-shard ownership; deduped per command.
-    if (!ranges_.empty() && mutates(op.type) && !reserved_key(op.key)) {
-      if (const TrackedRange* r = range_of(op.key)) {
-        const std::uint64_t h = range_fingerprint(r->lo, r->hi);
-        bool seen = false;
-        for (const RangeEvent& e : res.range_events) {
-          seen = seen || (e.kind == RangeEvent::Kind::kWrite && e.range == h);
-        }
-        if (!seen) res.range_events.push_back(RangeEvent{RangeEvent::Kind::kWrite, h, 0});
       }
     }
   }
@@ -473,48 +443,42 @@ bool Database::update_hits_fence(const Command& cmd) const {
   return false;
 }
 
-void Database::apply_buffered(const Command& cmd, ApplyResult& res) {
-  for (const Op& op : cmd.ops) {
-    const util::KeyId id = keys_.intern(op.key);
-    switch (op.type) {
-      case OpType::kPut:
-        upsert(id).value = op.value;
-        break;
-      case OpType::kAdd: {
-        const std::int64_t cur = to_num(value_at(id));
-        assign_num(upsert(id).value, cur + op.num);
-        break;
-      }
-      case OpType::kAppend:
-        upsert(id).value += op.value;
-        break;
-      case OpType::kTimestampPut: {
-        Cell& cell = upsert(id);
-        if (op.num > cell.ts) {
-          cell.ts = op.num;
-          cell.value = op.value;
-        }
-        break;
-      }
-      case OpType::kDelete:
-        erase_cell(id);
-        break;
-      default:
-        break;  // checks were consumed at prepare time; reads/range/txn ops are never buffered
+void Database::write_row(const Op& op, util::KeyId id, ApplyResult& res) {
+  switch (op.type) {
+    case OpType::kPut:
+      upsert(id).value = op.value;
+      break;
+    case OpType::kAdd: {
+      const std::int64_t cur = to_num(value_at(id));
+      assign_num(upsert(id).value, cur + op.num);
+      break;
     }
-    // Same kWrite surfacing as the main apply loop: a confirmed buffered
-    // write into a tracked range is a green-applied user write the checker's
-    // ownership invariant must see.
-    if (!ranges_.empty() && mutates(op.type) && !reserved_key(op.key)) {
-      if (const TrackedRange* r = range_of(op.key)) {
-        const std::uint64_t h = range_fingerprint(r->lo, r->hi);
-        bool seen = false;
-        for (const RangeEvent& e : res.range_events) {
-          seen = seen || (e.kind == RangeEvent::Kind::kWrite && e.range == h);
-        }
-        if (!seen) res.range_events.push_back(RangeEvent{RangeEvent::Kind::kWrite, h, 0});
+    case OpType::kAppend:
+      upsert(id).value += op.value;
+      break;
+    case OpType::kTimestampPut: {
+      Cell& cell = upsert(id);
+      if (op.num > cell.ts) {
+        cell.ts = op.num;
+        cell.value = op.value;
       }
+      break;
     }
+    case OpType::kDelete:
+      erase_cell(id);
+      break;
+    default:
+      return;
+  }
+  // Surface green-applied user writes into tracked ranges so the checker
+  // can assert single-shard ownership; deduped per command.
+  if (ranges_.empty() || reserved_key(op.key)) return;
+  if (const TrackedRange* r = range_of(op.key)) {
+    const std::uint64_t h = range_fingerprint(r->lo, r->hi);
+    for (const RangeEvent& e : res.range_events) {
+      if (e.kind == RangeEvent::Kind::kWrite && e.range == h) return;
+    }
+    res.range_events.push_back(RangeEvent{RangeEvent::Kind::kWrite, h, 0});
   }
 }
 

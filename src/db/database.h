@@ -258,10 +258,12 @@ class Database {
   /// range — the fence pre-scan for a buffered transaction update, whose
   /// ops are hidden inside a kTxnPrepare blob / pending cell.
   bool update_hits_fence(const Command& cmd) const;
-  /// Apply a pending transaction's buffered update during kTxnConfirm.
-  /// Mutating ops only (checks were evaluated at prepare time); interns on
-  /// the fly and surfaces kWrite range events exactly like the main loop.
-  void apply_buffered(const Command& cmd, ApplyResult& res);
+  /// The one row-write path, shared by apply's main loop and a confirmed
+  /// transaction's buffered update: applies a kPut/kAdd/kAppend/
+  /// kTimestampPut/kDelete to cell `id` (any other op type is a no-op), and
+  /// surfaces a non-reserved write into a tracked range as one kWrite
+  /// event per range and command.
+  void write_row(const Op& op, util::KeyId id, ApplyResult& res);
   void erase_cell(util::KeyId id);
   /// get() without the return-by-value copy, for the apply hot path.
   const std::string& value_of(std::string_view key) const;

@@ -4,20 +4,31 @@
 
 namespace tordb::shard {
 
+namespace {
+/// Pause before re-polling for a source replica that applied the fence.
+constexpr SimDuration kFencedPollInterval = millis(50);
+/// Simulated snapshot transfer cost per byte (~10 MB/s).
+constexpr SimDuration kTransferPerByte = 100;
+}  // namespace
+
 Rebalancer::Rebalancer(Simulator& sim, std::shared_ptr<Directory> directory,
                        std::vector<std::vector<core::ReplicaNode*>> replicas,
+                       core::SessionOptions session, obs::Tracer tracer,
+                       const std::shared_ptr<obs::MetricsRegistry>& metrics,
                        RebalancerOptions options)
     : sim_(sim),
       directory_(std::move(directory)),
       replicas_(std::move(replicas)),
-      options_(std::move(options)),
+      session_options_(session),
+      tracer_(std::move(tracer)),
+      options_(options),
       alive_(std::make_shared<bool>(true)) {
-  if (options_.metrics) {
-    metric_moves_ = &options_.metrics->counter("shard.rebalance.moves");
-    metric_moves_failed_ = &options_.metrics->counter("shard.rebalance.moves_failed");
-    metric_rows_ = &options_.metrics->counter("shard.rebalance.rows_moved");
-    metric_bytes_ = &options_.metrics->counter("shard.rebalance.bytes_moved");
-    move_ms_hist_ = &options_.metrics->histogram("shard.rebalance.move_ms");
+  if (metrics) {
+    metric_moves_ = &metrics->counter("shard.rebalance.moves");
+    metric_moves_failed_ = &metrics->counter("shard.rebalance.moves_failed");
+    metric_rows_ = &metrics->counter("shard.rebalance.rows_moved");
+    metric_bytes_ = &metrics->counter("shard.rebalance.bytes_moved");
+    move_ms_hist_ = &metrics->histogram("shard.rebalance.move_ms");
   }
 }
 
@@ -26,7 +37,7 @@ Rebalancer::~Rebalancer() { *alive_ = false; }
 core::ClientSession& Rebalancer::session(int shard) {
   auto& slot = sessions_[shard];
   if (!slot) {
-    core::SessionOptions opts = options_.session;
+    core::SessionOptions opts = session_options_;
     // A move must survive whole-group outages of either side: wait, don't
     // abort, when every replica of the target group is briefly down.
     opts.retry_when_unavailable = true;
@@ -41,7 +52,7 @@ core::ClientSession& Rebalancer::session(int shard) {
 }
 
 void Rebalancer::bump_epoch_trace(std::int64_t owner, std::uint64_t range) {
-  options_.tracer.emit(obs::EventKind::kDirectoryEpoch, directory_->epoch(), owner,
+  tracer_.emit(obs::EventKind::kDirectoryEpoch, directory_->epoch(), owner,
                        static_cast<std::int64_t>(range));
 }
 
@@ -135,7 +146,7 @@ void Rebalancer::await_fenced_snapshot(std::shared_ptr<Move> mv) {
       db::RangeSnapshot snap = node->engine().extract_range(mv->lo, mv->hi);
       const std::int64_t bytes = static_cast<std::int64_t>(snap.encode().size());
       const SimDuration transfer =
-          options_.transfer_base + options_.transfer_per_byte * bytes;
+          options_.transfer_base + kTransferPerByte * bytes;
       sim_.after(transfer, [this, alive = alive_, mv, snap = std::move(snap)]() mutable {
         if (!*alive) return;
         install(mv, std::move(snap));
@@ -143,7 +154,7 @@ void Rebalancer::await_fenced_snapshot(std::shared_ptr<Move> mv) {
       return;
     }
   }
-  sim_.after(options_.poll_interval, [this, alive = alive_, mv] {
+  sim_.after(kFencedPollInterval, [this, alive = alive_, mv] {
     if (!*alive) return;
     await_fenced_snapshot(mv);
   });

@@ -52,13 +52,10 @@
 
 namespace tordb::shard {
 
+/// What a deployment tunes; the harness's wiring (session knobs, tracer,
+/// metrics) is passed to the constructor instead.
 struct RebalancerOptions {
-  core::SessionOptions session;        ///< fence/install submission knobs
-  SimDuration poll_interval = millis(50);   ///< wait for a fenced replica
-  SimDuration transfer_base = millis(5);    ///< per-move transfer latency floor
-  SimDuration transfer_per_byte = 100;      ///< ns per snapshot byte (~10 MB/s)
-  obs::Tracer tracer;                  ///< kDirectoryEpoch (node = kNoNode)
-  std::shared_ptr<obs::MetricsRegistry> metrics;
+  SimDuration transfer_base = millis(5);  ///< per-move transfer latency floor
 };
 
 struct MoveReport {
@@ -88,8 +85,11 @@ class Rebalancer {
  public:
   /// `directory` must be the same object the Router consults (the shared
   /// pointer IS the cutover mechanism); `replicas[s]` are shard s's members.
+  /// `session` drives the fence/install submissions; `tracer` emits
+  /// kDirectoryEpoch (node = kNoNode); `metrics` may be null.
   Rebalancer(Simulator& sim, std::shared_ptr<Directory> directory,
-             std::vector<std::vector<core::ReplicaNode*>> replicas,
+             std::vector<std::vector<core::ReplicaNode*>> replicas, core::SessionOptions session,
+             obs::Tracer tracer, const std::shared_ptr<obs::MetricsRegistry>& metrics,
              RebalancerOptions options = {});
   ~Rebalancer();
 
@@ -134,6 +134,8 @@ class Rebalancer {
   Simulator& sim_;
   std::shared_ptr<Directory> directory_;
   std::vector<std::vector<core::ReplicaNode*>> replicas_;
+  core::SessionOptions session_options_;
+  obs::Tracer tracer_;
   RebalancerOptions options_;
   std::shared_ptr<bool> alive_;
 

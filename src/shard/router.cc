@@ -60,27 +60,37 @@ void Router::release_cross() {
   // flush re-defers the remainder into the fresh queue.
   std::deque<Deferred> q;
   q.swap(deferred_cross_);
-  for (Deferred& d : q) route(d.client, std::move(d.update), std::move(d.reply), d.bounces);
+  for (Deferred& d : q) {
+    route(d.client, std::move(d.update), std::move(d.reply), d.bounces, /*decided=*/false);
+  }
 }
 
-std::int64_t Router::green_watermark(int shard) const {
-  // Read-only engine access: safe from the control lane in lane mode (the
-  // control phase runs exclusively, over worker state frozen at the window
-  // end), so the watermark needs no handoff.
-  std::int64_t best = 0;
+const core::ReplicaNode* Router::greenest(int shard) const {
+  const core::ReplicaNode* best = nullptr;
   for (const core::ReplicaNode* node : replicas_.at(shard)) {
-    if (node->running() && node->engine().green_count() > best) {
-      best = node->engine().green_count();
+    if (!node->running()) continue;
+    if (best == nullptr || node->engine().green_count() > best->engine().green_count()) {
+      best = node;
     }
   }
   return best;
 }
 
-void Router::submit(std::int64_t client, db::Command update, RouteReplyFn reply) {
-  route(client, std::move(update), std::move(reply), /*bounces=*/0);
+std::int64_t Router::green_watermark(int shard) const {
+  const core::ReplicaNode* best = greenest(shard);
+  return best == nullptr ? 0 : best->engine().green_count();
 }
 
-void Router::route(std::int64_t client, db::Command update, RouteReplyFn reply, int bounces) {
+void Router::submit(std::int64_t client, db::Command update, RouteReplyFn reply) {
+  route(client, std::move(update), std::move(reply), /*bounces=*/0, /*decided=*/false);
+}
+
+void Router::submit_decided(std::int64_t client, db::Command update, RouteReplyFn reply) {
+  route(client, std::move(update), std::move(reply), /*bounces=*/0, /*decided=*/true);
+}
+
+void Router::route(std::int64_t client, db::Command update, RouteReplyFn reply, int bounces,
+                   bool decided) {
   std::vector<Directory::Slice> slices = directory_->split(update);
 
   if (slices.size() <= 1) {
@@ -94,21 +104,22 @@ void Router::route(std::int64_t client, db::Command update, RouteReplyFn reply, 
     auto retained = std::make_shared<db::Command>(std::move(update));
     session(client, shard).submit(
         slices.empty() ? db::Command{} : std::move(slices.front().cmd),
-        [this, alive = alive_, shard, client, bounces, retained,
+        [this, alive = alive_, shard, client, bounces, decided, retained,
          reply = std::move(reply)](const core::SessionReply& r) mutable {
           if (!*alive) return;
           if (r.failed_over) {
             ++stats_.failovers;
             options_.tracer.emit(obs::EventKind::kShardFailover, shard, client, r.attempts);
           }
-          if (!r.committed && r.fenced && bounces < options_.max_fence_bounces) {
+          if (!r.committed && r.fenced && bounces < kMaxFenceBounces) {
             ++stats_.fenced_bounces;
             ++pending_bounces_;
-            sim_.after(options_.fence_retry_delay,
-                       [this, alive, client, retained, bounces,
+            sim_.after(kFenceRetryDelay,
+                       [this, alive, client, retained, bounces, decided,
                         reply = std::move(reply)]() mutable {
                          if (!*alive) return;
-                         route(client, std::move(*retained), std::move(reply), bounces + 1);
+                         route(client, std::move(*retained), std::move(reply), bounces + 1,
+                               decided);
                          --pending_bounces_;
                        });
             return;
@@ -163,16 +174,17 @@ void Router::route(std::int64_t client, db::Command update, RouteReplyFn reply, 
         break;
     }
   }
+  if (cross_hold_ > 0 && !decided) {
+    // A snapshot read is draining toward its watermark vector: defer the
+    // command, checked or not, FIFO until the gate releases. It is not in
+    // flight yet, so the reader's drain does not wait for it. Decided work
+    // passes: it belongs to a transaction the reader already waits for.
+    deferred_cross_.push_back(Deferred{client, std::move(update), std::move(reply), bounces});
+    return;
+  }
   if (has_check) {
     ++stats_.txn_handoffs;
     cross_check_handler_(client, std::move(update), std::move(reply));
-    return;
-  }
-  if (cross_hold_ > 0) {
-    // A snapshot read is pinning its watermark vector: defer the submission
-    // (FIFO) until the gate releases. The command is not in flight yet, so
-    // the drain the reader waits for cannot deadlock on it.
-    deferred_cross_.push_back(Deferred{client, std::move(update), std::move(reply), bounces});
     return;
   }
 
@@ -214,10 +226,10 @@ void Router::submit_cross_slice(std::int64_t token, int shard, db::Command user_
           options_.tracer.emit(obs::EventKind::kShardFailover, shard, cs.client, r.attempts);
         }
         cs.attempts += r.attempts;
-        if (!r.committed && r.fenced && cs.bounces < options_.max_fence_bounces) {
+        if (!r.committed && r.fenced && cs.bounces < kMaxFenceBounces) {
           ++cs.bounces;
           ++stats_.fenced_bounces;
-          sim_.after(options_.fence_retry_delay, [this, alive, token, retained] {
+          sim_.after(kFenceRetryDelay, [this, alive, token, retained] {
             if (!*alive) return;
             rebounce_cross_slice(token, *retained);
           });

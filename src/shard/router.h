@@ -34,13 +34,15 @@
 // error. Within one shard the effects are atomic and 1SR as in the paper; a
 // reader consulting two shards between the first and last green may observe
 // the action partially applied — unless it goes through the coordinator's
-// barrier-stamped snapshot reads, which drain the barrier and pin a vector
-// of per-shard green watermarks first.
+// barrier-stamped snapshot reads. Those hold the router's cross gate, the
+// one place cross-shard work is admitted, drain what is in flight, and pin
+// a vector of per-shard green watermarks first; only work a transaction has
+// already decided (submit_decided) gets past the gate meanwhile.
 //
 // Rebalancing (DESIGN.md §9): the router holds the *shared* Directory that
 // the Rebalancer mutates. A command that lands on a shard which has fenced
 // the key's range aborts deterministically with `fenced` set; the router
-// counts a fenced bounce, waits `fence_retry_delay`, re-consults the
+// counts a fenced bounce, waits kFenceRetryDelay, re-consults the
 // directory (the epoch bump may have happened meanwhile) and re-routes the
 // command — for a cross-shard action, only the bounced slice is re-split
 // and resubmitted into the same commit barrier. Exactly-once is preserved
@@ -70,13 +72,16 @@ struct RouterOptions {
   /// registry gets the cross-shard barrier-wait histogram.
   obs::Tracer tracer;
   std::shared_ptr<obs::MetricsRegistry> metrics;
-  /// Fenced-bounce budget per command (cross-shard: per action, summed over
-  /// slices) and the pause before re-consulting the directory. The budget
-  /// covers a move's fence->cutover window, including a source partition
-  /// that stalls the transfer.
-  int max_fence_bounces = 400;
-  SimDuration fence_retry_delay = millis(50);
 };
+
+/// The one fenced-retry policy of the shard tier, shared by the router and
+/// the txn coordinator: the fenced-bounce budget (router: per command,
+/// summed over a cross-shard action's slices; coordinator: wholesale
+/// restarts per transaction) and the pause before re-consulting the
+/// directory. The budget covers a move's fence->cutover window, including a
+/// source partition that stalls the transfer.
+inline constexpr int kMaxFenceBounces = 400;
+inline constexpr SimDuration kFenceRetryDelay = millis(50);
 
 struct RouteReply {
   bool committed = false;
@@ -125,6 +130,13 @@ class Router {
   /// from one client execute in FIFO order per shard, each exactly once.
   void submit(std::int64_t client, db::Command update, RouteReplyFn reply = nullptr);
 
+  /// Route work a transaction has already decided — the coordinator's
+  /// re-driven slice of a fenced confirm — past the snapshot-read gate, on
+  /// the first attempt and on every fenced re-route. The reader holding the
+  /// gate waits for that transaction, so deferring its slice would deadlock
+  /// the read. Only txn::TxnCoordinator calls this.
+  void submit_decided(std::int64_t client, db::Command update, RouteReplyFn reply);
+
   /// The marker key a cross-shard action writes at every involved shard
   /// (the property tests read it back to assert all-or-nothing).
   static std::string cross_marker_key(std::int64_t client, std::int64_t cross_seq);
@@ -134,23 +146,34 @@ class Router {
   /// True when every session created so far has drained.
   bool idle() const;
 
-  /// Highest green count over the shard's currently running replicas — the
-  /// per-shard green watermark the commit barrier is tracked against.
+  /// Shard `shard`'s members, in fail-over order.
+  const std::vector<core::ReplicaNode*>& members(int shard) const { return replicas_.at(shard); }
+  /// The shard's running replica with the highest green count (the first in
+  /// member order on a tie), or nullptr when none runs. Its green prefix
+  /// covers every action any member applied (checker invariant 1), so its
+  /// state is the shard's canonical view. Read-only engine access: safe
+  /// from the control lane in lane mode (the control phase runs exclusively,
+  /// over worker state frozen at the window end), so it needs no handoff.
+  const core::ReplicaNode* greenest(int shard) const;
+  /// greenest(shard)'s green count, 0 when none runs — the per-shard green
+  /// watermark the commit barrier is tracked against.
   std::int64_t green_watermark(int shard) const;
 
   /// Handler for cross-shard commands carrying user kCheck preconditions:
-  /// the deployment wires this to txn::TxnCoordinator::submit (DESIGN.md
+  /// the deployment wires this to txn::TxnCoordinator::begin (DESIGN.md
   /// §13) before the first submit.
   using CrossCheckHandler = std::function<void(std::int64_t client, db::Command, RouteReplyFn)>;
   void set_cross_check_handler(CrossCheckHandler handler) {
     cross_check_handler_ = std::move(handler);
   }
 
-  /// Snapshot-read gate (DESIGN.md §13): while held, NEW cross-shard
-  /// submissions are deferred in FIFO order (single-shard traffic is
-  /// unaffected — it can never straddle a barrier); release flushes them.
-  /// Held by the coordinator while a barrier-stamped snapshot read drains
-  /// the in-flight barriers and pins its watermark vector. Nests.
+  /// Snapshot-read gate (DESIGN.md §13), the one place cross-shard work is
+  /// admitted: while held, NEW cross-shard commands, checked or not, are
+  /// deferred in FIFO order (single-shard traffic is unaffected — it can
+  /// never straddle a barrier); the last release flushes them. Decided work
+  /// (submit_decided) passes. Held by the coordinator while a
+  /// barrier-stamped snapshot read drains the in-flight barriers and
+  /// transactions and pins its watermark vector. Nests.
   void hold_cross();
   void release_cross();
   /// Cross-shard actions currently inside the commit barrier — what a
@@ -189,7 +212,10 @@ class Router {
   }
 
   core::ClientSession& session(std::int64_t client, int shard);
-  void route(std::int64_t client, db::Command update, RouteReplyFn reply, int bounces);
+  /// `decided`: the command passes the snapshot-read gate (submit_decided);
+  /// fenced re-routes carry it along.
+  void route(std::int64_t client, db::Command update, RouteReplyFn reply, int bounces,
+             bool decided);
   void submit_cross_slice(std::int64_t token, int shard, db::Command user_slice);
   void rebounce_cross_slice(std::int64_t token, const db::Command& user_slice);
   void finish_cross(std::int64_t token);

@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "core/replica_node.h"
 #include "db/database.h"
 
 namespace tordb::txn {
@@ -59,6 +60,13 @@ Intent decode_intent(const std::string& blob) {
   return in;
 }
 
+/// The shard's canonical state for a recovery scan: the database of its
+/// greenest running replica, nullptr when none runs.
+const db::Database* greenest_db(const shard::Router& router, int shard) {
+  const core::ReplicaNode* node = router.greenest(shard);
+  return node == nullptr ? nullptr : &node->engine().database();
+}
+
 }  // namespace
 
 TxnStats& TxnStats::operator+=(const TxnStats& o) {
@@ -78,17 +86,11 @@ TxnStats& TxnStats::operator+=(const TxnStats& o) {
   return *this;
 }
 
-TxnCoordinator::TxnCoordinator(Simulator& sim, shard::Router& router,
-                               std::vector<std::vector<core::ReplicaNode*>> replicas,
-                               TxnOptions options)
+TxnCoordinator::TxnCoordinator(Simulator& sim, shard::Router& router, TxnOptions options)
     : sim_(sim),
       router_(router),
-      replicas_(std::move(replicas)),
       options_(std::move(options)),
       alive_(std::make_shared<bool>(true)) {
-  if (static_cast<int>(replicas_.size()) != router_.directory().shards()) {
-    throw std::invalid_argument("coordinator replica groups must match the directory");
-  }
   if (options_.metrics) {
     prepare_decide_hist_ = &options_.metrics->histogram("txn.prepare_decide_us");
     barrier_hist_ = &options_.metrics->histogram("txn.barrier_wait_us");
@@ -116,24 +118,10 @@ core::ClientSession& TxnCoordinator::session(std::int64_t session_id, int shard)
     // The coordinator's cross-lane handoff point in a lane-partitioned
     // simulation (DESIGN.md §15): sessions live on the control lane and hop
     // each prepare/confirm/cancel submit to the target shard's lane.
-    slot = std::make_unique<core::ClientSession>(sim_, replicas_.at(static_cast<std::size_t>(shard)),
-                                                 session_id, options_.session);
+    slot = std::make_unique<core::ClientSession>(sim_, router_.members(shard), session_id,
+                                                 options_.session);
   }
   return *slot;
-}
-
-const db::Database* TxnCoordinator::best_db(int shard) const {
-  // Highest-green running replica: its green prefix covers every marker any
-  // member of the group has applied (checker invariant 1), so its state is
-  // the canonical view the recovery scan wants.
-  const core::ReplicaNode* best = nullptr;
-  for (const core::ReplicaNode* node : replicas_.at(static_cast<std::size_t>(shard))) {
-    if (!node->running()) continue;
-    if (best == nullptr || node->engine().green_count() > best->engine().green_count()) {
-      best = node;
-    }
-  }
-  return best == nullptr ? nullptr : &best->engine().database();
 }
 
 bool TxnCoordinator::idle() const {
@@ -144,28 +132,7 @@ bool TxnCoordinator::idle() const {
   sessions_.for_each([&](std::uint64_t, const std::unique_ptr<core::ClientSession>& s) {
     if (!s->idle()) sessions_idle = false;
   });
-  return sessions_idle && deferred_.empty() && snapshots_.empty() && pending_restarts_ == 0 &&
-         cleanups_ == 0;
-}
-
-void TxnCoordinator::submit(std::int64_t client, db::Command update, shard::RouteReplyFn reply) {
-  if (hold_ > 0) {
-    // A snapshot read is draining the barrier: admit nothing new until its
-    // watermark vector is stamped and released (FIFO).
-    deferred_.push_back(DeferredTxn{client, std::move(update), std::move(reply)});
-    return;
-  }
-  begin(client, std::move(update), std::move(reply), /*bounces=*/0);
-}
-
-void TxnCoordinator::flush_deferred() {
-  std::deque<DeferredTxn> q;
-  q.swap(deferred_);
-  for (DeferredTxn& d : q) {
-    // Re-enter through submit: a snapshot read arriving mid-flush re-defers
-    // the remainder into the fresh queue.
-    submit(d.client, std::move(d.update), std::move(d.reply));
-  }
+  return sessions_idle && snapshots_.empty() && pending_restarts_ == 0 && cleanups_ == 0;
 }
 
 void TxnCoordinator::begin(std::int64_t client, db::Command update, shard::RouteReplyFn reply,
@@ -269,7 +236,7 @@ void TxnCoordinator::on_prepared(std::int64_t token) {
   const bool all_yes =
       std::all_of(t.prepared.begin(), t.prepared.end(), [](char p) { return p != 0; });
   if (!all_yes && t.fence_fail && !t.check_fail && !t.other_fail &&
-      t.bounces < options_.max_fence_retries) {
+      t.bounces < shard::kMaxFenceBounces) {
     // Pure rebalance interference: cancel what prepared and restart the
     // whole transaction against the fresh directory after a pause.
     ++stats_.restarts;
@@ -393,25 +360,24 @@ void TxnCoordinator::reroute_slice(std::int64_t token, std::size_t slot) {
   Txn& t = *inflight_[token];
   // The slice is already decided (checks consumed at prepare) and purely
   // mutating, so the router's unconditional path applies it exactly once —
-  // possibly across several shards if the range split. Snapshot reads stay
-  // deadlock-free because their router gate is only taken once no
-  // transaction is in flight (drain_for_snapshot stage order).
+  // possibly across several shards if the range split. It passes the
+  // snapshot-read gate: a reader holding it waits for this transaction.
   const std::int64_t rclient = kRerouteClientBase + t.xid * 64 + static_cast<std::int64_t>(slot);
-  router_.submit(rclient, t.buffered[slot],
-                 [this, alive = alive_, token, slot](const shard::RouteReply& r) {
-                   if (!*alive) return;
-                   auto it = inflight_.find(token);
-                   if (it == inflight_.end()) return;
-                   Txn& t = *it->second;
-                   t.attempts += r.attempts;
-                   if (!r.committed) {
-                     reroute_slice(token, slot);
-                     return;
-                   }
-                   mark_marker(t);
-                   --t.outstanding;
-                   maybe_finish(token);
-                 });
+  router_.submit_decided(rclient, t.buffered[slot],
+                         [this, alive = alive_, token, slot](const shard::RouteReply& r) {
+                           if (!*alive) return;
+                           auto it = inflight_.find(token);
+                           if (it == inflight_.end()) return;
+                           Txn& t = *it->second;
+                           t.attempts += r.attempts;
+                           if (!r.committed) {
+                             reroute_slice(token, slot);
+                             return;
+                           }
+                           mark_marker(t);
+                           --t.outstanding;
+                           maybe_finish(token);
+                         });
 }
 
 void TxnCoordinator::mark_marker(Txn& t) {
@@ -482,12 +448,12 @@ void TxnCoordinator::finish(std::int64_t token) {
 void TxnCoordinator::schedule_restart(std::unique_ptr<Txn> t) {
   ++pending_restarts_;
   auto original = std::make_shared<db::Command>(std::move(t->original));
-  sim_.after(options_.fence_retry_delay,
+  sim_.after(shard::kFenceRetryDelay,
              [this, alive = alive_, original, client = t->client, bounces = t->bounces,
               reply = std::move(t->reply)]() mutable {
                if (!*alive) return;
                --pending_restarts_;
-               // Deliberately bypasses the snapshot-read admission gate: the
+               // Deliberately bypasses the router's snapshot-read gate: the
                // transaction was admitted before the hold, and its restart
                // leg has zero applied effects, so the reader just waits for
                // it like any other in-flight transaction.
@@ -515,63 +481,45 @@ void TxnCoordinator::snapshot_read(db::Command query, SnapshotReadFn reply) {
     }
   }
   ++stats_.snapshot_reads;
-  const shard::Directory& dir = router_.directory();
-  std::vector<int> shards = dir.shards_of(query);
-  if (shards.empty()) shards.push_back(0);
-
   const std::int64_t token = ++next_token_;
   Snapshot& s = snapshots_[token];
   s.query = std::move(query);
   s.reply = std::move(reply);
-  s.shards = std::move(shards);
-  s.slices.resize(s.shards.size());
-  s.out.resize(s.shards.size());
-  for (const db::Op& op : s.query.ops) {
-    const int sh = dir.shard_of(op.key);
-    const std::size_t slot = static_cast<std::size_t>(
-        std::lower_bound(s.shards.begin(), s.shards.end(), sh) - s.shards.begin());
-    s.slots.emplace_back(slot, s.slices[slot].ops.size());
-    s.slices[slot].ops.push_back(op);
-  }
   s.t0 = sim_.now();
-  // Gate order matters (deadlock freedom): first stop ADMITTING
-  // transactions and wait for the in-flight ones — which may still need the
-  // router for fenced-confirm reroutes — and only then take the router's
-  // cross gate and wait out the marker barriers.
-  ++hold_;
+  // Close the router's gate at once: no new cross-shard work, checked or
+  // not, starts until the reads are answered. What is already in flight
+  // drains; a transaction's re-driven slice passes the gate.
+  router_.hold_cross();
   drain_for_snapshot(token);
 }
 
 void TxnCoordinator::drain_for_snapshot(std::int64_t token) {
-  auto it = snapshots_.find(token);
-  Snapshot& s = it->second;
-  const auto retry = [this, token] {
+  bool busy = pending_restarts_ > 0 || router_.cross_in_flight() > 0;
+  for (const auto& [tok, t] : inflight_) busy = busy || !t->halted;
+  if (busy) {
     sim_.after(millis(1), [this, alive = alive_, token] {
       if (*alive) drain_for_snapshot(token);
     });
-  };
-  bool own_busy = pending_restarts_ > 0;
-  for (const auto& [tok, t] : inflight_) {
-    if (!t->halted) {
-      own_busy = true;
-      break;
-    }
-  }
-  if (own_busy) {
-    retry();
-    return;
-  }
-  if (!s.gated) {
-    router_.hold_cross();
-    s.gated = true;
-  }
-  if (router_.cross_in_flight() > 0) {
-    retry();
     return;
   }
   // Drained: every cross action is fully green at every involved shard, and
   // nothing new can start. Pin the watermark vector — any cross action is
-  // now entirely at-or-below it, or entirely after the release.
+  // now entirely at-or-below it, or entirely after the release. The query
+  // is split by the directory as of now: a move that cut over during the
+  // drain leaves a stale copy at the old owner.
+  Snapshot& s = snapshots_.find(token)->second;
+  const shard::Directory& dir = router_.directory();
+  s.shards = dir.shards_of(s.query);
+  if (s.shards.empty()) s.shards.push_back(0);
+  s.slices.resize(s.shards.size());
+  s.out.resize(s.shards.size());
+  for (const db::Op& op : s.query.ops) {
+    const std::size_t slot = static_cast<std::size_t>(
+        std::lower_bound(s.shards.begin(), s.shards.end(), dir.shard_of(op.key)) -
+        s.shards.begin());
+    s.slots.emplace_back(slot, s.slices[slot].ops.size());
+    s.slices[slot].ops.push_back(op);
+  }
   s.stamped = sim_.now();
   s.watermarks.resize(s.shards.size());
   for (std::size_t i = 0; i < s.shards.size(); ++i) {
@@ -597,7 +545,7 @@ void TxnCoordinator::read_snapshot_shard(std::int64_t token, std::size_t slot) {
   // same at every qualifying replica. Later single-shard greens may be
   // included — they cannot straddle shards, so atomicity is unaffected.
   core::ReplicaNode* pick = nullptr;
-  for (core::ReplicaNode* node : replicas_.at(static_cast<std::size_t>(s.shards[slot]))) {
+  for (core::ReplicaNode* node : router_.members(s.shards[slot])) {
     if (node->running() && node->engine().green_count() >= s.watermarks[slot]) {
       pick = node;
       break;
@@ -639,9 +587,7 @@ void TxnCoordinator::finish_snapshot(std::int64_t token) {
   for (std::size_t i = 0; i < s.slots.size(); ++i) {
     out.reads[i] = std::move(s.out[s.slots[i].first][s.slots[i].second]);
   }
-  if (s.gated) router_.release_cross();
-  --hold_;
-  if (hold_ == 0) flush_deferred();
+  router_.release_cross();
   if (s.reply) s.reply(out);
 }
 
@@ -666,7 +612,7 @@ std::unique_ptr<TxnCoordinator::Txn> TxnCoordinator::recovered_txn(
   // the buffered slice a confirm (or a fenced confirm's reroute) applies.
   const std::string pend = pending_key(client, seq);
   for (std::size_t slot = 0; slot < n; ++slot) {
-    const db::Database* d = best_db(t->shards[slot]);
+    const db::Database* d = greenest_db(router_, t->shards[slot]);
     const std::string cell = d == nullptr ? std::string() : d->get(pend);
     if (cell.empty()) continue;
     t->prepared[slot] = 1;
@@ -679,15 +625,15 @@ void TxnCoordinator::adopt_orphans(std::function<void(int adopted)> done) {
   // Synchronous scan of every shard's best green state. Assumes the dead
   // coordinator's traffic has drained (run at quiescence): the scan must
   // see the final green marker set, not race half-delivered prepares.
-  const int nshards = static_cast<int>(replicas_.size());
+  const int nshards = router_.directory().shards();
   const auto stamped = [this](int shard, const std::string& dec) {
-    const db::Database* d = best_db(shard);
+    const db::Database* d = greenest_db(router_, shard);
     return d != nullptr && d->get(dec) == "C";
   };
   std::set<std::string> known;  // decision keys of the surviving intents
   std::vector<std::unique_ptr<Txn>> work;
   for (int sh = 0; sh < nshards; ++sh) {
-    const db::Database* d = best_db(sh);
+    const db::Database* d = greenest_db(router_, sh);
     if (d == nullptr) continue;
     for (const auto& [key, value] : d->scan_prefix("__txn/")) {
       Intent in = decode_intent(value);
@@ -713,7 +659,7 @@ void TxnCoordinator::adopt_orphans(std::function<void(int adopted)> done) {
   // stamp can ever exist — cancel them. Grouped per transaction.
   std::map<std::pair<std::int64_t, std::int64_t>, std::pair<int, std::vector<int>>> orphans;
   for (int sh = 0; sh < nshards; ++sh) {
-    const db::Database* d = best_db(sh);
+    const db::Database* d = greenest_db(router_, sh);
     if (d == nullptr) continue;
     for (const auto& [key, value] : d->scan_prefix("__txnp/")) {
       const db::TxnPending p = db::TxnPending::decode(Bytes(value.begin(), value.end()));
@@ -729,7 +675,7 @@ void TxnCoordinator::adopt_orphans(std::function<void(int adopted)> done) {
   // Stamps whose intent is gone: the transaction committed everywhere and
   // the dead coordinator's cleanup retired the intent but not every stamp.
   for (int sh = 0; sh < nshards; ++sh) {
-    const db::Database* d = best_db(sh);
+    const db::Database* d = greenest_db(router_, sh);
     if (d == nullptr) continue;
     for (const auto& [key, value] : d->scan_prefix("__txnd/")) {
       if (known.count(key) != 0) continue;

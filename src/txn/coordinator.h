@@ -30,12 +30,13 @@
 //
 // Rebalance interference: a fenced PREPARE cancels the prepared shards and
 // restarts the whole transaction against the fresh directory (bounded by
-// max_fence_retries). A fenced CONFIRM means a data range moved between
-// prepare and confirm — the reserved pending cell never travels with a
-// move — so the coordinator cancels the stranded prepare and re-drives the
-// already-decided slice through the router, which re-splits it for the
-// range's new owner (`confirm_rerouted`). The stranded cancel carries the
-// confirm's stamp.
+// the router's shard::kMaxFenceBounces, after shard::kFenceRetryDelay). A
+// fenced CONFIRM means a data range moved between prepare and confirm — the
+// reserved pending cell never travels with a move — so the coordinator
+// cancels the stranded prepare and re-drives the already-decided slice
+// through the router (submit_decided), which re-splits it for the range's
+// new owner (`confirm_rerouted`). The stranded cancel carries the confirm's
+// stamp.
 //
 // Isolation caveat (documented, not hidden): checks are evaluated at the
 // prepare position, buffered updates apply at the confirm position; a
@@ -58,16 +59,23 @@
 // drained.
 //
 // Barrier-stamped snapshot reads: snapshot_read() holds the router's
-// cross-shard gate plus this coordinator's own admission gate, waits until
-// every in-flight cross action and transaction drains, pins one green
-// watermark per involved shard, and answers each shard's kGets with a weak
-// query at a replica whose green count reached that watermark. Every cross
-// action is then either entirely before or entirely after the pinned
-// vector — a reader can no longer observe one half-applied.
+// cross-shard gate at once — the one admission gate for cross-shard work,
+// checked or not (this coordinator has none of its own) — waits until
+// every in-flight transaction, restart and router cross action drains,
+// splits the query by the directory as of then (a move may have cut over
+// during the drain), pins one green watermark per involved shard, and
+// answers each shard's kGets with a weak query at a replica whose green
+// count reached that watermark. Every cross action is then either
+// entirely before or entirely after the pinned vector — a reader can no
+// longer observe one half-applied. A fenced confirm's re-driven slice
+// passes the gate (Router::submit_decided): the reader waits for its
+// transaction, so deferring the slice would deadlock the read.
+//
+// The coordinator keeps no copy of router state: shard members, the
+// greenest replica and the green watermarks come from the router.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -75,7 +83,6 @@
 #include <vector>
 
 #include "core/client_session.h"
-#include "core/replica_node.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "shard/router.h"
@@ -87,11 +94,6 @@ struct TxnOptions {
   core::SessionOptions session;  ///< marker/prepare session knobs
   obs::Tracer tracer;            ///< coordinator-side events (node = kNoNode)
   std::shared_ptr<obs::MetricsRegistry> metrics;
-  /// Wholesale-restart budget when a prepare bounces off a fenced range
-  /// mid-rebalance, and the pause before the restart re-consults the
-  /// directory (mirrors RouterOptions' fenced-bounce knobs).
-  int max_fence_retries = 400;
-  SimDuration fence_retry_delay = millis(50);
   /// Distinguishes a replacement coordinator's sessions and transaction
   /// keys from its dead predecessor's: session guards are consumed per id,
   /// and the predecessor's `__txn*` cells may still await adoption, so a
@@ -137,20 +139,21 @@ using SnapshotReadFn = std::function<void(const SnapshotReadReply&)>;
 
 class TxnCoordinator {
  public:
-  /// `replicas[s]` are the members of shard `s` — the same groups the
-  /// router holds; adoption and snapshot reads consult their green state
-  /// directly. The router must outlive the coordinator.
-  TxnCoordinator(Simulator& sim, shard::Router& router,
-                 std::vector<std::vector<core::ReplicaNode*>> replicas, TxnOptions options = {});
+  /// Shard members and green state come from `router`, which must
+  /// outlive the coordinator.
+  TxnCoordinator(Simulator& sim, shard::Router& router, TxnOptions options = {});
   ~TxnCoordinator();
 
   TxnCoordinator(const TxnCoordinator&) = delete;
   TxnCoordinator& operator=(const TxnCoordinator&) = delete;
 
   /// Run `update` as a prepared-check transaction (the router's
-  /// cross-check handler lands here). Degenerate single-shard commands go
-  /// straight back to the router's atomic fast path.
-  void submit(std::int64_t client, db::Command update, shard::RouteReplyFn reply);
+  /// cross-check handler lands here, past the router's snapshot-read gate).
+  /// Degenerate single-shard commands go straight back to the router's
+  /// atomic fast path. `bounces` counts the wholesale fenced restarts
+  /// already consumed: 0 for a new transaction.
+  void begin(std::int64_t client, db::Command update, shard::RouteReplyFn reply,
+             int bounces = 0);
 
   /// Barrier-stamped snapshot read: `query` must be kGet-only; its reads
   /// are answered against one pinned green watermark per involved shard.
@@ -199,9 +202,7 @@ class TxnCoordinator {
   };
 
   core::ClientSession& session(std::int64_t session_id, int shard);
-  const db::Database* best_db(int shard) const;
 
-  void begin(std::int64_t client, db::Command update, shard::RouteReplyFn reply, int bounces);
   void on_prepared(std::int64_t token);
   void round2(std::int64_t token, bool commit);
   /// `__txnd/<client>/<seq>` = "C": rides every committed slice's marker.
@@ -215,7 +216,6 @@ class TxnCoordinator {
   void schedule_restart(std::unique_ptr<Txn> t);
   /// Post-commit retirement of one shard's stamp (and, at home, the intent).
   void submit_cleanup(std::int64_t sid, int shard, db::Command cmd);
-  void flush_deferred();
 
   void drain_for_snapshot(std::int64_t token);
   void read_snapshot_shard(std::int64_t token, std::size_t slot);
@@ -228,7 +228,6 @@ class TxnCoordinator {
 
   Simulator& sim_;
   shard::Router& router_;
-  std::vector<std::vector<core::ReplicaNode*>> replicas_;
   TxnOptions options_;
   std::shared_ptr<bool> alive_;
 
@@ -237,20 +236,12 @@ class TxnCoordinator {
   std::int64_t next_token_ = 0;
   std::map<std::int64_t, std::unique_ptr<Txn>> inflight_;
 
-  /// Snapshot-read admission gate: while > 0, new transactions are
-  /// deferred (FIFO) so the barrier can drain.
-  int hold_ = 0;
-  struct DeferredTxn {
-    std::int64_t client = 0;
-    db::Command update;
-    shard::RouteReplyFn reply;
-  };
-  std::deque<DeferredTxn> deferred_;
-
   struct Snapshot {
     db::Command query;
     SnapshotReadFn reply;
-    std::vector<int> shards;  ///< involved shards, ascending
+    /// Involved shards, ascending; this and the split below are filled when
+    /// the watermarks are pinned, from the directory as of then.
+    std::vector<int> shards;
     /// For each kGet of the query, (slot, index within the slot's slice).
     std::vector<std::pair<std::size_t, std::size_t>> slots;
     std::vector<db::Command> slices;            ///< per slot: the shard's kGets
@@ -259,7 +250,6 @@ class TxnCoordinator {
     SimTime t0 = 0;
     SimTime stamped = 0;
     int outstanding = 0;
-    bool gated = false;  ///< this read holds one router hold_cross()
   };
   std::map<std::int64_t, Snapshot> snapshots_;
 

@@ -52,10 +52,13 @@ ShardedCluster::ShardedCluster(ShardedClusterOptions options)
     : EngineCluster(group_options(options), options.shards, resolve_lanes(options), "shard."),
       options_(std::move(options)) {
   options_.session.retry_when_unavailable = true;  // cross-shard all-or-nothing
+  // Each shard's members, in fail-over order: the router's copy is the one
+  // the coordinator reads; the rebalancer keeps its own.
+  std::vector<std::vector<core::ReplicaNode*>> members;
   for (int s = 0; s < shards(); ++s) {
     std::vector<core::ReplicaNode*> g;
     for (int i = 0; i < replicas_per_shard(); ++i) g.push_back(&node(s, i));
-    members_.push_back(std::move(g));
+    members.push_back(std::move(g));
     shard_components_.push_back({});  // one implicit component: all members
   }
 
@@ -68,21 +71,19 @@ ShardedCluster::ShardedCluster(ShardedClusterOptions options)
   auto dir = std::make_shared<shard::Directory>(
       options_.range_splits.empty() ? shard::Directory::hashed(shards())
                                     : shard::Directory::ranged(options_.range_splits));
-  router_ = std::make_unique<shard::Router>(sim(), dir, members_, std::move(ropts));
+  router_ = std::make_unique<shard::Router>(sim(), dir, members, std::move(ropts));
 
   make_txn_coordinator(options_.txn_halt_at_stage);
   // The handler dereferences txn_ at call time, so it survives coordinator
   // restarts without rewiring.
   router_->set_cross_check_handler(
       [this](std::int64_t client, db::Command update, shard::RouteReplyFn reply) {
-        txn_->submit(client, std::move(update), std::move(reply));
+        txn_->begin(client, std::move(update), std::move(reply));
       });
 
-  shard::RebalancerOptions bopts = options_.rebalance;
-  bopts.session = options_.session;
-  bopts.metrics = metrics();
-  if (trace_bus()) bopts.tracer = obs::Tracer(trace_bus(), kNoNode);
-  rebalancer_ = std::make_unique<shard::Rebalancer>(sim(), dir, members_, std::move(bopts));
+  rebalancer_ = std::make_unique<shard::Rebalancer>(
+      sim(), dir, std::move(members), options_.session, obs::Tracer(trace_bus(), kNoNode),
+      metrics(), options_.rebalance);
 }
 
 void ShardedCluster::make_txn_coordinator(int halt_at_stage) {
@@ -92,7 +93,7 @@ void ShardedCluster::make_txn_coordinator(int halt_at_stage) {
   if (trace_bus()) topts.tracer = obs::Tracer(trace_bus(), kNoNode);
   topts.halt_at_stage = halt_at_stage;
   topts.session_epoch = txn_session_epoch_;
-  txn_ = std::make_unique<txn::TxnCoordinator>(sim(), *router_, members_, std::move(topts));
+  txn_ = std::make_unique<txn::TxnCoordinator>(sim(), *router_, std::move(topts));
 }
 
 void ShardedCluster::restart_txn_coordinator(int halt_at_stage) {

@@ -52,7 +52,8 @@ struct ShardedClusterOptions {
   /// so cross-shard actions wait out whole-group outages instead of
   /// half-applying.
   core::SessionOptions session;
-  /// Rebalancer knobs (its fence/install sessions always use `session`).
+  /// Rebalancer knobs. Its fence/install sessions use `session`, and its
+  /// tracer and metrics are the cluster's.
   shard::RebalancerOptions rebalance;
   /// Forwarded to the transaction coordinator's crash-model test hook
   /// (txn::TxnOptions::halt_at_stage); 0 in every production configuration.
@@ -166,9 +167,6 @@ class ShardedCluster : public EngineCluster {
   void make_txn_coordinator(int halt_at_stage);
 
   ShardedClusterOptions options_;
-  /// Each shard's members, in fail-over order; shared by the router, the
-  /// coordinator and the rebalancer.
-  std::vector<std::vector<core::ReplicaNode*>> members_;
   std::unique_ptr<shard::Router> router_;
   /// Declared after router_ (the coordinator holds a Router&): destruction
   /// runs in reverse order, so the coordinator dies first.

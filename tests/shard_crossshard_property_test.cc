@@ -384,6 +384,8 @@ INSTANTIATE_TEST_SUITE_P(RangedMoves, RangedMoveSchedule, ::testing::ValuesIn(mo
 // reroute. Oracles at quiescence:
 //  - checked atomicity: a transfer's two kAdds both applied (committed) or
 //    neither (check-aborted) — per-key counters equal the committed tally;
+//  - atomic visibility: every snapshot read of k0..k9 sums even (each
+//    committed transfer or add bumps two keys), so none saw half of one;
 //  - deterministic votes: a transfer checking the never-written flag against
 //    "" always commits, against a bogus value always check-aborts;
 //  - no residue: every reserved `__txn*` cell erased at every replica;
@@ -487,6 +489,7 @@ TEST_P(TxnSchedule, PreparedChecksStayAtomicUnderChurnAndMoves) {
   struct SnapOutcome {
     bool replied = false;
     bool ok = false;
+    std::int64_t sum = 0;  ///< k0..k9 at the pinned cut
   };
   std::map<std::string, std::int64_t> committed_adds;
   std::vector<std::unique_ptr<TxnOutcome>> transfers;
@@ -540,15 +543,20 @@ TEST_P(TxnSchedule, PreparedChecksStayAtomicUnderChurnAndMoves) {
                           }
                         });
     } else if (what == 5) {
-      // Barrier-stamped snapshot read of two random keys mid-churn.
+      // Barrier-stamped snapshot read of every key mid-churn. Each committed
+      // transfer or unchecked add bumps two distinct keys by 1, so a read
+      // that saw half of one sums odd. The two discarded draws keep every
+      // seed's RNG stream, and so its schedule, stable.
+      (void)rng.next_below(10);
+      (void)rng.next_below(10);
       Command q;
-      q.ops.push_back(db::Op{db::OpType::kGet, key(static_cast<int>(rng.next_below(10))), "", 0});
-      q.ops.push_back(db::Op{db::OpType::kGet, key(static_cast<int>(rng.next_below(10))), "", 0});
+      for (int i = 0; i < 10; ++i) q.ops.push_back(db::Op{db::OpType::kGet, key(i), "", 0});
       snaps.push_back(std::make_unique<SnapOutcome>());
       SnapOutcome* out = snaps.back().get();
       c.txn().snapshot_read(std::move(q), [out](const txn::SnapshotReadReply& r) {
         out->replied = true;
         out->ok = r.ok;
+        for (const std::string& v : r.reads) out->sum += v.empty() ? 0 : std::stoll(v);
       });
     } else {
       txn_churn_step(c, rng, sc.shards, down, what);
@@ -573,6 +581,8 @@ TEST_P(TxnSchedule, PreparedChecksStayAtomicUnderChurnAndMoves) {
   for (const auto& s : snaps) {
     ASSERT_TRUE(s->replied) << "snapshot read never replied, seed " << sc.seed;
     EXPECT_TRUE(s->ok) << "seed " << sc.seed;
+    // Atomic visibility: every cross action is wholly in or out of the cut.
+    EXPECT_EQ(s->sum % 2, 0) << "snapshot sum " << s->sum << ", seed " << sc.seed;
   }
 
   for (int s = 0; s < sc.shards; ++s) {

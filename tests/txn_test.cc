@@ -244,6 +244,72 @@ TEST_F(TxnTest, SnapshotReadPinsAConsistentCut) {
   EXPECT_EQ(c_.check_all(), std::nullopt);
 }
 
+class TxnMoveTest : public TxnTest {
+ protected:
+  TxnMoveTest() : TxnTest(slow_transfer()) {}
+
+  static ShardedClusterOptions slow_transfer() {
+    ShardedClusterOptions o = options(0);
+    o.rebalance.transfer_base = millis(300);  // a fenced re-route bounces until cutover
+    return o;
+  }
+};
+
+TEST_F(TxnMoveTest, SnapshotReadWaitsOutADecidedSliceReroutedAcrossTwoShards) {
+  // A snapshot read holds the router's gate while it waits for in-flight
+  // transactions. Here the one in flight has a confirm fenced by a move,
+  // and its decided slice is re-driven through the router across two
+  // shards. The read must wait for that slice, not defer it, or neither
+  // the read nor the transaction ever finishes.
+  ASSERT_TRUE(c_.split_at("t"));  // shard 1 now owns [m, t) and [t, "")
+  Command cmd;
+  cmd.ops.push_back(db::Op{db::OpType::kCheck, "a-flag", "", 0});
+  cmd.ops.push_back(db::Op{db::OpType::kPut, "n-key", "vn", 0});
+  cmd.ops.push_back(db::Op{db::OpType::kPut, "z-key", "vz", 0});
+  bool committed = false;
+  c_.router().submit(5, std::move(cmd),
+                     [&](const shard::RouteReply& r) { committed = r.committed; });
+
+  // Move [t, "") away at once: shard 1 orders the fence right behind the
+  // prepare, so the confirm that follows is fenced, and the re-driven slice
+  // bounces until the cutover splits it across shard 1 (n-key) and shard 0
+  // (z-key). The read starts at the cutover, while the slice still waits
+  // to re-route.
+  bool in_flight_at_read = false;
+  bool snapped = false;
+  SnapshotReadReply snap;
+  ASSERT_TRUE(c_.move_range("t", "", 0, [&](const shard::MoveReport& r) {
+    ASSERT_TRUE(r.ok);
+    in_flight_at_read = !committed;
+    Command q;
+    q.ops.push_back(db::Op{db::OpType::kGet, "n-key", "", 0});
+    q.ops.push_back(db::Op{db::OpType::kGet, "z-key", "", 0});
+    c_.txn().snapshot_read(std::move(q), [&](const SnapshotReadReply& sr) {
+      snapped = true;
+      snap = sr;
+    });
+  }));
+  c_.run_for(seconds(3));
+
+  EXPECT_TRUE(in_flight_at_read);
+  ASSERT_TRUE(snapped) << "the snapshot read never replied";
+  ASSERT_TRUE(snap.ok);
+  ASSERT_EQ(snap.reads.size(), 2u);
+  EXPECT_EQ(snap.reads[0].empty(), snap.reads[1].empty())
+      << "n-key '" << snap.reads[0] << "' z-key '" << snap.reads[1] << "'";
+  EXPECT_TRUE(committed);
+  EXPECT_EQ(c_.txn().stats().confirm_rerouted, 1u);
+  EXPECT_EQ(c_.router().stats().routed_cross, 1u);  // the slice crossed two shards
+  for (int idx = 0; idx < 3; ++idx) {
+    EXPECT_EQ(db_at(1, idx, "n-key"), "vn") << idx;
+    EXPECT_EQ(db_at(0, idx, "z-key"), "vz") << idx;  // the range's new owner
+  }
+  EXPECT_TRUE(c_.txn().idle());
+  EXPECT_TRUE(txn_residue().empty());
+  EXPECT_EQ(c_.checker()->txn_unresolved(), 0);
+  EXPECT_EQ(c_.check_all(), std::nullopt);
+}
+
 TEST_F(TxnTest, SnapshotReadRejectsNonGetQueries) {
   Command q;
   q.ops.push_back(db::Op{db::OpType::kGet, "a-acct", "", 0});
