@@ -19,7 +19,7 @@
 //                i), and the map is versioned: split_at / merge_at refine
 //                the ranges, set_range_owner moves one (the rebalancer's
 //                cutover step, DESIGN.md §9), and every mutation bumps
-//                `epoch`. The Router re-consults the shared directory when
+//                `epoch`. The Router re-consults the directory when
 //                a fenced abort bounces a command, so an epoch bump
 //                retargets in-flight traffic without restarting anything.
 #pragma once

@@ -11,19 +11,14 @@ constexpr SimDuration kFencedPollInterval = millis(50);
 constexpr SimDuration kTransferPerByte = 100;
 }  // namespace
 
-Rebalancer::Rebalancer(Simulator& sim, std::shared_ptr<Directory> directory,
-                       std::vector<std::vector<core::ReplicaNode*>> replicas,
-                       core::SessionOptions session, obs::Tracer tracer,
-                       const std::shared_ptr<obs::MetricsRegistry>& metrics,
+Rebalancer::Rebalancer(Simulator& sim, const Router& router, Directory& directory,
                        RebalancerOptions options)
     : sim_(sim),
-      directory_(std::move(directory)),
-      replicas_(std::move(replicas)),
-      session_options_(session),
-      tracer_(std::move(tracer)),
+      router_(router),
+      directory_(directory),
       options_(options),
       alive_(std::make_shared<bool>(true)) {
-  if (metrics) {
+  if (const auto& metrics = router_.metrics()) {
     metric_moves_ = &metrics->counter("shard.rebalance.moves");
     metric_moves_failed_ = &metrics->counter("shard.rebalance.moves_failed");
     metric_rows_ = &metrics->counter("shard.rebalance.rows_moved");
@@ -36,24 +31,16 @@ Rebalancer::~Rebalancer() { *alive_ = false; }
 
 core::ClientSession& Rebalancer::session(int shard) {
   auto& slot = sessions_[shard];
-  if (!slot) {
-    core::SessionOptions opts = session_options_;
-    // A move must survive whole-group outages of either side: wait, don't
-    // abort, when every replica of the target group is briefly down.
-    opts.retry_when_unavailable = true;
-    // Negative session ids: router sessions are client * shards + shard
-    // with non-negative client ids, so the rebalancer's guard keys can
-    // never alias a workload session's, whatever ids the workload picks.
-    slot = std::make_unique<core::ClientSession>(
-        sim_, replicas_.at(static_cast<std::size_t>(shard)),
-        -(1 + static_cast<std::int64_t>(shard)), opts);
-  }
+  // Negative session ids: router sessions are client * shards + shard with
+  // non-negative client ids, so the rebalancer's guard keys can never alias
+  // a workload session's. The sessions wait out whole-group outages.
+  if (!slot) slot = router_.make_session(-(1 + static_cast<std::int64_t>(shard)), shard);
   return *slot;
 }
 
 void Rebalancer::bump_epoch_trace(std::int64_t owner, std::uint64_t range) {
-  tracer_.emit(obs::EventKind::kDirectoryEpoch, directory_->epoch(), owner,
-                       static_cast<std::int64_t>(range));
+  router_.tracer().emit(obs::EventKind::kDirectoryEpoch, directory_.epoch(), owner,
+                        static_cast<std::int64_t>(range));
 }
 
 bool Rebalancer::split_at(const std::string& key) {
@@ -65,12 +52,12 @@ bool Rebalancer::split_at(const std::string& key) {
       return false;
     }
   }
-  if (!directory_->split_at(key)) {
+  if (!directory_.split_at(key)) {
     ++stats_.moves_rejected;
     return false;
   }
   ++stats_.splits;
-  bump_epoch_trace(directory_->shard_of(key), db::range_fingerprint(key, key));
+  bump_epoch_trace(directory_.shard_of(key), db::range_fingerprint(key, key));
   return true;
 }
 
@@ -81,28 +68,28 @@ bool Rebalancer::merge_at(const std::string& key) {
       return false;
     }
   }
-  if (!directory_->merge_at(key)) {
+  if (!directory_.merge_at(key)) {
     ++stats_.moves_rejected;
     return false;
   }
   ++stats_.merges;
-  bump_epoch_trace(directory_->shard_of(key), db::range_fingerprint(key, key));
+  bump_epoch_trace(directory_.shard_of(key), db::range_fingerprint(key, key));
   return true;
 }
 
 bool Rebalancer::move_range(const std::string& lo, const std::string& hi, int to,
                             MoveDoneFn done) {
-  const int idx = directory_->range_index(lo, hi);
+  const int idx = directory_.range_index(lo, hi);
   const bool busy = busy_.count({lo, hi}) > 0;
-  if (idx < 0 || busy || to < 0 || to >= directory_->shards() ||
-      directory_->range_owner(idx) == to) {
+  if (idx < 0 || busy || to < 0 || to >= directory_.shards() ||
+      directory_.range_owner(idx) == to) {
     ++stats_.moves_rejected;
     if (done) {
       MoveReport rep;
       rep.lo = lo;
       rep.hi = hi;
       rep.to = to;
-      rep.from = idx >= 0 ? directory_->range_owner(idx) : -1;
+      rep.from = idx >= 0 ? directory_.range_owner(idx) : -1;
       done(rep);
     }
     return false;
@@ -111,7 +98,7 @@ bool Rebalancer::move_range(const std::string& lo, const std::string& hi, int to
   auto mv = std::make_shared<Move>();
   mv->lo = lo;
   mv->hi = hi;
-  mv->from = directory_->range_owner(idx);
+  mv->from = directory_.range_owner(idx);
   mv->to = to;
   mv->started = sim_.now();
   mv->done = std::move(done);
@@ -140,7 +127,7 @@ void Rebalancer::await_fenced_snapshot(std::shared_ptr<Move> mv) {
   // fence. The submitting session saw the fence green, so at least one
   // replica had it; crashes since then only delay until a replica recovers
   // (recovery replays the log, so the fence survives restarts).
-  for (core::ReplicaNode* node : replicas_.at(static_cast<std::size_t>(mv->from))) {
+  for (core::ReplicaNode* node : router_.members(mv->from)) {
     if (node->running() && !node->has_left() &&
         node->engine().range_fenced(mv->lo, mv->hi)) {
       db::RangeSnapshot snap = node->engine().extract_range(mv->lo, mv->hi);
@@ -180,7 +167,7 @@ void Rebalancer::cutover(std::shared_ptr<Move> mv, std::int64_t rows, std::int64
   // move's whole lifetime, but verify the flip anyway: reporting ok for a
   // cutover that did not apply would strand the range fenced at the source
   // while the directory keeps routing to it.
-  if (!directory_->set_range_owner(mv->lo, mv->hi, mv->to)) {
+  if (!directory_.set_range_owner(mv->lo, mv->hi, mv->to)) {
     fail(mv);
     return;
   }
@@ -205,7 +192,7 @@ void Rebalancer::cutover(std::shared_ptr<Move> mv, std::int64_t rows, std::int64
     rep.rows = rows;
     rep.bytes = bytes;
     rep.duration = took;
-    rep.epoch = directory_->epoch();
+    rep.epoch = directory_.epoch();
     mv->done(rep);
   }
 }

@@ -35,6 +35,9 @@
 //
 // Splits and merges are directory-only (both halves keep the owner; a merge
 // requires one owner), so they are instant epoch bumps with no data motion.
+//
+// Members, sessions (Router::make_session), tracer and metrics come from
+// the router; the rebalancer is the directory's only mutator.
 #pragma once
 
 #include <cstdint>
@@ -43,17 +46,15 @@
 #include <memory>
 #include <set>
 #include <string>
-#include <vector>
 
 #include "core/client_session.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "shard/directory.h"
+#include "shard/router.h"
 
 namespace tordb::shard {
 
-/// What a deployment tunes; the harness's wiring (session knobs, tracer,
-/// metrics) is passed to the constructor instead.
+/// What a deployment tunes; the wiring is the router's.
 struct RebalancerOptions {
   SimDuration transfer_base = millis(5);  ///< per-move transfer latency floor
 };
@@ -83,13 +84,9 @@ struct RebalancerStats {
 
 class Rebalancer {
  public:
-  /// `directory` must be the same object the Router consults (the shared
-  /// pointer IS the cutover mechanism); `replicas[s]` are shard s's members.
-  /// `session` drives the fence/install submissions; `tracer` emits
-  /// kDirectoryEpoch (node = kNoNode); `metrics` may be null.
-  Rebalancer(Simulator& sim, std::shared_ptr<Directory> directory,
-             std::vector<std::vector<core::ReplicaNode*>> replicas, core::SessionOptions session,
-             obs::Tracer tracer, const std::shared_ptr<obs::MetricsRegistry>& metrics,
+  /// `directory` must be the object `router` reads (mutating it IS the
+  /// cutover); both must outlive the rebalancer.
+  Rebalancer(Simulator& sim, const Router& router, Directory& directory,
              RebalancerOptions options = {});
   ~Rebalancer();
 
@@ -132,10 +129,8 @@ class Rebalancer {
   void bump_epoch_trace(std::int64_t owner, std::uint64_t range);
 
   Simulator& sim_;
-  std::shared_ptr<Directory> directory_;
-  std::vector<std::vector<core::ReplicaNode*>> replicas_;
-  core::SessionOptions session_options_;
-  obs::Tracer tracer_;
+  const Router& router_;
+  Directory& directory_;
   RebalancerOptions options_;
   std::shared_ptr<bool> alive_;
 

@@ -5,15 +5,15 @@
 
 namespace tordb::shard {
 
-Router::Router(Simulator& sim, std::shared_ptr<Directory> directory,
+Router::Router(Simulator& sim, const Directory& directory,
                std::vector<std::vector<core::ReplicaNode*>> replicas, RouterOptions options)
     : sim_(sim),
-      directory_(std::move(directory)),
+      directory_(directory),
       replicas_(std::move(replicas)),
       options_(std::move(options)),
       alive_(std::make_shared<bool>(true)) {
-  if (!directory_) throw std::invalid_argument("router needs a directory");
-  if (static_cast<int>(replicas_.size()) != directory_->shards()) {
+  options_.session.retry_when_unavailable = true;  // see make_session
+  if (static_cast<int>(replicas_.size()) != directory_.shards()) {
     throw std::invalid_argument("replica groups must match the directory's shard count");
   }
   if (options_.metrics) {
@@ -27,18 +27,20 @@ std::string Router::cross_marker_key(std::int64_t client, std::int64_t cross_seq
   return "__xs/" + std::to_string(client) + "/" + std::to_string(cross_seq);
 }
 
+std::unique_ptr<core::ClientSession> Router::make_session(std::int64_t session_id,
+                                                         int shard) const {
+  // In a lane-partitioned simulation (DESIGN.md §15) a session is the
+  // tier's cross-lane handoff point: it lives on the control lane and hops
+  // each submit to the target replica's lane itself.
+  return std::make_unique<core::ClientSession>(sim_, replicas_.at(shard), session_id,
+                                               options_.session);
+}
+
 core::ClientSession& Router::session(std::int64_t client, int shard) {
   auto& slot = sessions_[session_key(client, shard)];
-  if (!slot) {
-    // One engine-level session per (client, shard): the guard key is scoped
-    // to the session's group, and sequence numbers stay dense per shard.
-    // In a lane-partitioned simulation (DESIGN.md §15) this is the router's
-    // cross-lane handoff point: the session lives on the router's (control)
-    // lane and hops each submit to the target replica's lane itself.
-    const std::int64_t session_id = client * directory_->shards() + shard;
-    slot = std::make_unique<core::ClientSession>(sim_, replicas_[shard], session_id,
-                                                 options_.session);
-  }
+  // One engine-level session per (client, shard): the guard key is scoped
+  // to the session's group, and sequence numbers stay dense per shard.
+  if (!slot) slot = make_session(client * directory_.shards() + shard, shard);
   return *slot;
 }
 
@@ -91,7 +93,7 @@ void Router::submit_decided(std::int64_t client, db::Command update, RouteReplyF
 
 void Router::route(std::int64_t client, db::Command update, RouteReplyFn reply, int bounces,
                    bool decided) {
-  std::vector<Directory::Slice> slices = directory_->split(update);
+  std::vector<Directory::Slice> slices = directory_.split(update);
 
   if (slices.size() <= 1) {
     // A pure no-op command has no slice and pins to shard 0.
@@ -254,7 +256,7 @@ void Router::rebounce_cross_slice(std::int64_t token, const db::Command& user_sl
   // Re-split by the *current* directory — the range may have moved, or even
   // split, since the slice was first routed. Every part re-enters the same
   // commit barrier.
-  std::vector<Directory::Slice> parts = directory_->split(user_slice);
+  std::vector<Directory::Slice> parts = directory_.split(user_slice);
   cs.outstanding += static_cast<int>(parts.size()) - 1;
   for (Directory::Slice& part : parts) submit_cross_slice(token, part.shard, std::move(part.cmd));
 }

@@ -39,8 +39,12 @@
 // a vector of per-shard green watermarks first; only work a transaction has
 // already decided (submit_decided) gets past the gate meanwhile.
 //
-// Rebalancing (DESIGN.md §9): the router holds the *shared* Directory that
-// the Rebalancer mutates. A command that lands on a shard which has fenced
+// The router is the tier's one owner of members, session knobs, tracer and
+// metrics: the txn coordinator and the Rebalancer read them here and build
+// their sessions through make_session.
+//
+// Rebalancing (DESIGN.md §9): the router reads the Directory that the
+// Rebalancer mutates. A command that lands on a shard which has fenced
 // the key's range aborts deterministically with `fenced` set; the router
 // counts a fenced bounce, waits kFenceRetryDelay, re-consults the
 // directory (the epoch bump may have happened meanwhile) and re-routes the
@@ -65,7 +69,7 @@
 namespace tordb::shard {
 
 struct RouterOptions {
-  core::SessionOptions session;  ///< per-(client, shard) session knobs
+  core::SessionOptions session;  ///< every session's knobs (see make_session)
   /// Observability (disconnected/null by default — zero cost). The tracer
   /// emits kShardRoute / kShardFailover / kShardCross* events with
   /// node = kNoNode (the router is client-side, not a replica). The
@@ -120,9 +124,9 @@ class Router {
  public:
   /// `replicas[s]` are the members of shard `s`, tried in fail-over order.
   /// The directory's shard count must match replicas.size(). The directory
-  /// is shared: a Rebalancer mutating it is observed by the very next
-  /// routing decision.
-  Router(Simulator& sim, std::shared_ptr<Directory> directory,
+  /// must outlive the router; a Rebalancer mutating it is observed by the
+  /// very next routing decision.
+  Router(Simulator& sim, const Directory& directory,
          std::vector<std::vector<core::ReplicaNode*>> replicas, RouterOptions options = {});
   ~Router();
 
@@ -141,13 +145,21 @@ class Router {
   /// (the property tests read it back to assert all-or-nothing).
   static std::string cross_marker_key(std::int64_t client, std::int64_t cross_seq);
 
-  const Directory& directory() const { return *directory_; }
+  const Directory& directory() const { return directory_; }
   const RouterStats& stats() const { return stats_; }
   /// True when every session created so far has drained.
   bool idle() const;
 
   /// Shard `shard`'s members, in fail-over order.
   const std::vector<core::ReplicaNode*>& members(int shard) const { return replicas_.at(shard); }
+  /// A session over shard `shard`'s members with the tier's knobs, and
+  /// retry_when_unavailable forced on: the one place, so no session of the
+  /// tier half-applies a cross-shard action. Callers keep their own
+  /// sessions, each in its own id space (guards are consumed per id).
+  std::unique_ptr<core::ClientSession> make_session(std::int64_t session_id, int shard) const;
+  /// The tier's tracer (node = kNoNode) and registry (may be null).
+  const obs::Tracer& tracer() const { return options_.tracer; }
+  const std::shared_ptr<obs::MetricsRegistry>& metrics() const { return options_.metrics; }
   /// The shard's running replica with the highest green count (the first in
   /// member order on a tie), or nullptr when none runs. Its green prefix
   /// covers every action any member applied (checker invariant 1), so its
@@ -221,7 +233,7 @@ class Router {
   void finish_cross(std::int64_t token);
 
   Simulator& sim_;
-  std::shared_ptr<Directory> directory_;
+  const Directory& directory_;
   std::vector<std::vector<core::ReplicaNode*>> replicas_;
   RouterOptions options_;
   std::shared_ptr<bool> alive_;

@@ -87,13 +87,10 @@ TxnStats& TxnStats::operator+=(const TxnStats& o) {
 }
 
 TxnCoordinator::TxnCoordinator(Simulator& sim, shard::Router& router, TxnOptions options)
-    : sim_(sim),
-      router_(router),
-      options_(std::move(options)),
-      alive_(std::make_shared<bool>(true)) {
-  if (options_.metrics) {
-    prepare_decide_hist_ = &options_.metrics->histogram("txn.prepare_decide_us");
-    barrier_hist_ = &options_.metrics->histogram("txn.barrier_wait_us");
+    : sim_(sim), router_(router), options_(options), alive_(std::make_shared<bool>(true)) {
+  if (const auto& metrics = router_.metrics()) {
+    prepare_decide_hist_ = &metrics->histogram("txn.prepare_decide_us");
+    barrier_hist_ = &metrics->histogram("txn.barrier_wait_us");
   }
 }
 
@@ -112,15 +109,10 @@ std::string TxnCoordinator::decision_key(std::int64_t client, std::int64_t seq) 
 }
 
 core::ClientSession& TxnCoordinator::session(std::int64_t session_id, int shard) {
+  // Kept here, not at the router: they die with the coordinator.
   auto& slot = sessions_[(static_cast<std::uint64_t>(session_id) << 16) |
                          static_cast<std::uint64_t>(shard & 0xffff)];
-  if (!slot) {
-    // The coordinator's cross-lane handoff point in a lane-partitioned
-    // simulation (DESIGN.md §15): sessions live on the control lane and hop
-    // each prepare/confirm/cancel submit to the target shard's lane.
-    slot = std::make_unique<core::ClientSession>(sim_, router_.members(shard), session_id,
-                                                 options_.session);
-  }
+  if (!slot) slot = router_.make_session(session_id, shard);
   return *slot;
 }
 
@@ -176,8 +168,8 @@ void TxnCoordinator::begin(std::int64_t client, db::Command update, shard::Route
   }
   t.home = t.shards.front();
   t.outstanding = static_cast<int>(n);
-  options_.tracer.emit(obs::EventKind::kTxnBegin, static_cast<std::int64_t>(t.fp),
-                       static_cast<std::int64_t>(n));
+  router_.tracer().emit(obs::EventKind::kTxnBegin, static_cast<std::int64_t>(t.fp),
+                        static_cast<std::int64_t>(n));
 
   const std::int64_t token = ++next_token_;
   inflight_[token] = std::move(txn);
@@ -254,7 +246,7 @@ void TxnCoordinator::round2(std::int64_t token, bool commit) {
     // stamps the commit on its own shard, so the first one green is the
     // durable decision.
     const SimDuration lat = sim_.now() - t.t0;
-    options_.tracer.emit(obs::EventKind::kTxnDecide, static_cast<std::int64_t>(t.fp), 1, lat);
+    router_.tracer().emit(obs::EventKind::kTxnDecide, static_cast<std::int64_t>(t.fp), 1, lat);
     if (prepare_decide_hist_ != nullptr) prepare_decide_hist_->record(lat / 1000);  // ns -> us
   }
   std::vector<std::size_t> slots;
@@ -438,8 +430,8 @@ void TxnCoordinator::finish(std::int64_t token) {
     } else {
       ++stats_.aborted_other;
     }
-    options_.tracer.emit(obs::EventKind::kTxnDecide, static_cast<std::int64_t>(t->fp), 0,
-                         sim_.now() - t->t0);
+    router_.tracer().emit(obs::EventKind::kTxnDecide, static_cast<std::int64_t>(t->fp), 0,
+                          sim_.now() - t->t0);
   }
   if (t->reply) t->reply(out);
   if (t->adopted && --adopting_ == 0 && adoption_done_) std::exchange(adoption_done_, nullptr)();
@@ -509,31 +501,33 @@ void TxnCoordinator::drain_for_snapshot(std::int64_t token) {
   // drain leaves a stale copy at the old owner.
   Snapshot& s = snapshots_.find(token)->second;
   const shard::Directory& dir = router_.directory();
-  s.shards = dir.shards_of(s.query);
-  if (s.shards.empty()) s.shards.push_back(0);
-  s.slices.resize(s.shards.size());
-  s.out.resize(s.shards.size());
+  s.slices = dir.split(s.query);
+  if (s.slices.empty()) s.slices.emplace_back();  // an empty query pins shard 0
+  const std::size_t slots = s.slices.size();
+  std::vector<std::size_t> slot_of(static_cast<std::size_t>(dir.shards()));
+  for (std::size_t slot = 0; slot < slots; ++slot) {
+    slot_of[static_cast<std::size_t>(s.slices[slot].shard)] = slot;
+  }
+  // Each slice holds its kGets in program order: number them per slot.
+  std::vector<std::size_t> next(slots, 0);
   for (const db::Op& op : s.query.ops) {
-    const std::size_t slot = static_cast<std::size_t>(
-        std::lower_bound(s.shards.begin(), s.shards.end(), dir.shard_of(op.key)) -
-        s.shards.begin());
-    s.slots.emplace_back(slot, s.slices[slot].ops.size());
-    s.slices[slot].ops.push_back(op);
+    const std::size_t slot = slot_of[static_cast<std::size_t>(dir.shard_of(op.key))];
+    s.slots.emplace_back(slot, next[slot]++);
   }
+  s.out.resize(slots);
   s.stamped = sim_.now();
-  s.watermarks.resize(s.shards.size());
-  for (std::size_t i = 0; i < s.shards.size(); ++i) {
-    s.watermarks[i] = router_.green_watermark(s.shards[i]);
+  s.watermarks.resize(slots);
+  for (std::size_t i = 0; i < slots; ++i) {
+    s.watermarks[i] = router_.green_watermark(s.slices[i].shard);
   }
-  options_.tracer.emit(obs::EventKind::kTxnSnapshotRead,
-                       static_cast<std::int64_t>(s.shards.size()), s.stamped - s.t0);
+  router_.tracer().emit(obs::EventKind::kTxnSnapshotRead, static_cast<std::int64_t>(slots),
+                        s.stamped - s.t0);
   if (s.query.ops.empty()) {
     finish_snapshot(token);
     return;
   }
   // A weak query can answer inline: the last slot's reply erases the
   // Snapshot, so `s` must not be touched once the reads start.
-  const std::size_t slots = s.shards.size();
   s.outstanding = static_cast<int>(slots);
   for (std::size_t slot = 0; slot < slots; ++slot) read_snapshot_shard(token, slot);
 }
@@ -545,7 +539,7 @@ void TxnCoordinator::read_snapshot_shard(std::int64_t token, std::size_t slot) {
   // same at every qualifying replica. Later single-shard greens may be
   // included — they cannot straddle shards, so atomicity is unaffected.
   core::ReplicaNode* pick = nullptr;
-  for (core::ReplicaNode* node : router_.members(s.shards[slot])) {
+  for (core::ReplicaNode* node : router_.members(s.slices[slot].shard)) {
     if (node->running() && node->engine().green_count() >= s.watermarks[slot]) {
       pick = node;
       break;
@@ -563,7 +557,7 @@ void TxnCoordinator::read_snapshot_shard(std::int64_t token, std::size_t slot) {
   // it may run inline from the control phase against worker state frozen at
   // the window end — the snapshot semantics are unchanged.
   pick->engine().submit_query(
-      s.slices[slot], core::QueryMode::kWeak,
+      s.slices[slot].cmd, core::QueryMode::kWeak,
       [this, alive = alive_, token, slot](const core::Reply& r) {
         if (!*alive) return;
         auto it = snapshots_.find(token);

@@ -71,8 +71,9 @@
 // passes the gate (Router::submit_decided): the reader waits for its
 // transaction, so deferring the slice would deadlock the read.
 //
-// The coordinator keeps no copy of router state: shard members, the
-// greenest replica and the green watermarks come from the router.
+// The coordinator keeps no copy of router state: members, green state,
+// session knobs (Router::make_session), tracer and metrics come from the
+// router. Its sessions are its own, so they die with it.
 #pragma once
 
 #include <cstdint>
@@ -84,16 +85,12 @@
 
 #include "core/client_session.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "shard/router.h"
 #include "util/flat_map.h"
 
 namespace tordb::txn {
 
 struct TxnOptions {
-  core::SessionOptions session;  ///< marker/prepare session knobs
-  obs::Tracer tracer;            ///< coordinator-side events (node = kNoNode)
-  std::shared_ptr<obs::MetricsRegistry> metrics;
   /// Distinguishes a replacement coordinator's sessions and transaction
   /// keys from its dead predecessor's: session guards are consumed per id,
   /// and the predecessor's `__txn*` cells may still await adoption, so a
@@ -139,8 +136,8 @@ using SnapshotReadFn = std::function<void(const SnapshotReadReply&)>;
 
 class TxnCoordinator {
  public:
-  /// Shard members and green state come from `router`, which must
-  /// outlive the coordinator.
+  /// Shard members, green state, sessions and obs wiring come from
+  /// `router`, which must outlive the coordinator.
   TxnCoordinator(Simulator& sim, shard::Router& router, TxnOptions options = {});
   ~TxnCoordinator();
 
@@ -239,12 +236,12 @@ class TxnCoordinator {
   struct Snapshot {
     db::Command query;
     SnapshotReadFn reply;
-    /// Involved shards, ascending; this and the split below are filled when
-    /// the watermarks are pinned, from the directory as of then.
-    std::vector<int> shards;
+    /// Per slot: one involved shard and its kGets, ascending by shard; the
+    /// query is split when the watermarks are pinned, by the directory as
+    /// of then.
+    std::vector<shard::Directory::Slice> slices;
     /// For each kGet of the query, (slot, index within the slot's slice).
     std::vector<std::pair<std::size_t, std::size_t>> slots;
-    std::vector<db::Command> slices;            ///< per slot: the shard's kGets
     std::vector<std::vector<std::string>> out;  ///< per slot: that shard's reads
     std::vector<std::int64_t> watermarks;
     SimTime t0 = 0;

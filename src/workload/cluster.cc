@@ -152,9 +152,10 @@ void EngineCluster::sample_metrics() {
   metrics_->gauge("gc.bodies.stored").set(t.stored_bodies);
   metrics_->gauge("gc.bodies.bytes").set(t.body_bytes);
   // Flat-layout accounting (DESIGN.md §11), summed over running replicas.
-  metrics_->counter("db.intern.keys").set_total(t.intern_keys);
-  metrics_->counter("db.intern.bytes").set_total(t.intern_bytes);
-  metrics_->counter("db.table.slots").set_total(t.table_slots);
+  // Sizes are gauges: they fall when a replica crashes.
+  metrics_->gauge("db.intern.keys").set(static_cast<std::int64_t>(t.intern_keys));
+  metrics_->gauge("db.intern.bytes").set(static_cast<std::int64_t>(t.intern_bytes));
+  metrics_->gauge("db.table.slots").set(static_cast<std::int64_t>(t.table_slots));
   metrics_->counter("db.table.rehashes").set_total(t.table_rehashes);
   metrics_->counter("net.messages").set_total(net_.stats().messages_sent);
   metrics_->counter("net.bytes").set_total(net_.stats().bytes_sent);

@@ -50,10 +50,11 @@ EngineCluster::Lanes ShardedCluster::resolve_lanes(const ShardedClusterOptions& 
 
 ShardedCluster::ShardedCluster(ShardedClusterOptions options)
     : EngineCluster(group_options(options), options.shards, resolve_lanes(options), "shard."),
-      options_(std::move(options)) {
-  options_.session.retry_when_unavailable = true;  // cross-shard all-or-nothing
-  // Each shard's members, in fail-over order: the router's copy is the one
-  // the coordinator reads; the rebalancer keeps its own.
+      options_(std::move(options)),
+      directory_(options_.range_splits.empty()
+                     ? shard::Directory::hashed(options_.shards)
+                     : shard::Directory::ranged(options_.range_splits)) {
+  // Each shard's members, in fail-over order: the router's is the one copy.
   std::vector<std::vector<core::ReplicaNode*>> members;
   for (int s = 0; s < shards(); ++s) {
     std::vector<core::ReplicaNode*> g;
@@ -62,16 +63,11 @@ ShardedCluster::ShardedCluster(ShardedClusterOptions options)
     shard_components_.push_back({});  // one implicit component: all members
   }
 
-  shard::RouterOptions ropts;
-  ropts.session = options_.session;
-  ropts.metrics = metrics();
-  if (trace_bus()) ropts.tracer = obs::Tracer(trace_bus(), kNoNode);
-  // One shared Directory: the rebalancer mutates it, the router observes
-  // the new epoch on its very next routing decision.
-  auto dir = std::make_shared<shard::Directory>(
-      options_.range_splits.empty() ? shard::Directory::hashed(shards())
-                                    : shard::Directory::ranged(options_.range_splits));
-  router_ = std::make_unique<shard::Router>(sim(), dir, members, std::move(ropts));
+  router_ = std::make_unique<shard::Router>(
+      sim(), directory_, std::move(members),
+      shard::RouterOptions{.session = options_.session,
+                           .tracer = obs::Tracer(trace_bus(), kNoNode),
+                           .metrics = metrics()});
 
   make_txn_coordinator(options_.txn_halt_at_stage);
   // The handler dereferences txn_ at call time, so it survives coordinator
@@ -81,19 +77,15 @@ ShardedCluster::ShardedCluster(ShardedClusterOptions options)
         txn_->begin(client, std::move(update), std::move(reply));
       });
 
-  rebalancer_ = std::make_unique<shard::Rebalancer>(
-      sim(), dir, std::move(members), options_.session, obs::Tracer(trace_bus(), kNoNode),
-      metrics(), options_.rebalance);
+  // The directory's one mutator: the router sees each epoch bump at once.
+  rebalancer_ =
+      std::make_unique<shard::Rebalancer>(sim(), *router_, directory_, options_.rebalance);
 }
 
 void ShardedCluster::make_txn_coordinator(int halt_at_stage) {
-  txn::TxnOptions topts;
-  topts.session = options_.session;
-  topts.metrics = metrics();
-  if (trace_bus()) topts.tracer = obs::Tracer(trace_bus(), kNoNode);
-  topts.halt_at_stage = halt_at_stage;
-  topts.session_epoch = txn_session_epoch_;
-  txn_ = std::make_unique<txn::TxnCoordinator>(sim(), *router_, std::move(topts));
+  txn_ = std::make_unique<txn::TxnCoordinator>(
+      sim(), *router_,
+      txn::TxnOptions{.session_epoch = txn_session_epoch_, .halt_at_stage = halt_at_stage});
 }
 
 void ShardedCluster::restart_txn_coordinator(int halt_at_stage) {
@@ -235,7 +227,7 @@ void ShardedCluster::sample_tier_metrics(const std::vector<Sample>& groups) {
   m.counter("txn.restarts").set_total(ts.restarts);
   m.counter("txn.confirm_rerouted").set_total(ts.confirm_rerouted);
   m.counter("txn.snapshot_reads").set_total(ts.snapshot_reads);
-  m.gauge("directory.epoch").set(router_->directory().epoch());
+  m.gauge("directory.epoch").set(directory_.epoch());
 }
 
 }  // namespace tordb::workload

@@ -5,13 +5,14 @@
 // ShardedCluster IS an EngineCluster built with N groups: the base builds
 // the simulator, network, observability wiring and nodes, and runs the
 // crash/recover, convergence and per-group invariant checks. This class
-// adds only what is sharded: the shared Directory, the shard::Router, the
-// prepared-check txn::TxnCoordinator, the shard::Rebalancer, per-shard
-// partitions, the TORDB_SIM_* lane resolution and the shard/router/txn/lane
-// metrics. The engine itself is untouched: isolation comes from
-// Network::set_group scoping the reachability service per group, so the
-// groups never see each other's membership events while sharing the
-// network's clock, latency model and per-node CPU accounting.
+// adds only what is sharded: the Directory, the shard::Router (which holds
+// the member lists, session knobs and obs wiring), the prepared-check
+// txn::TxnCoordinator, the shard::Rebalancer, per-shard partitions, the
+// TORDB_SIM_* lane resolution and the shard/router/txn/lane metrics. The
+// engine itself is untouched: isolation comes from Network::set_group
+// scoping the reachability service per group, so the groups never see
+// each other's membership events while sharing the network's clock,
+// latency model and per-node CPU accounting.
 //
 // Node ids are global and contiguous: shard s owns ids
 // [s * replicas_per_shard, (s+1) * replicas_per_shard). Topology controls
@@ -48,12 +49,11 @@ struct ShardedClusterOptions {
   std::vector<std::string> range_splits;
   NetworkParams net;
   core::ReplicaOptions node;
-  /// Per-(client, shard) session knobs. retry_when_unavailable is forced on
-  /// so cross-shard actions wait out whole-group outages instead of
-  /// half-applying.
+  /// Every shard-tier session's knobs; the router forces
+  /// retry_when_unavailable on, so cross-shard actions wait out whole-group
+  /// outages instead of half-applying.
   core::SessionOptions session;
-  /// Rebalancer knobs. Its fence/install sessions use `session`, and its
-  /// tracer and metrics are the cluster's.
+  /// Rebalancer knobs; its sessions, tracer and metrics are the router's.
   shard::RebalancerOptions rebalance;
   /// Forwarded to the transaction coordinator's crash-model test hook
   /// (txn::TxnOptions::halt_at_stage); 0 in every production configuration.
@@ -94,8 +94,8 @@ class ShardedCluster : public EngineCluster {
   /// and is expected to call txn().adopt_orphans() at quiescence. txn()'s
   /// stats restart at 0; the registry's `txn.*` totals keep counting.
   void restart_txn_coordinator(int halt_at_stage = 0);
-  const shard::Directory& directory() const { return router_->directory(); }
-  std::int64_t directory_epoch() const { return router_->directory().epoch(); }
+  const shard::Directory& directory() const { return directory_; }
+  std::int64_t directory_epoch() const { return directory_.epoch(); }
   int shards() const { return groups(); }
   int replicas_per_shard() const { return group_size(); }
   /// True when the simulator runs partitioned into per-shard event lanes
@@ -167,6 +167,7 @@ class ShardedCluster : public EngineCluster {
   void make_txn_coordinator(int halt_at_stage);
 
   ShardedClusterOptions options_;
+  shard::Directory directory_;  ///< outlives the router and rebalancer that refer to it
   std::unique_ptr<shard::Router> router_;
   /// Declared after router_ (the coordinator holds a Router&): destruction
   /// runs in reverse order, so the coordinator dies first.

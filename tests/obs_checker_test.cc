@@ -364,6 +364,37 @@ TEST(ObsChecker, ShardCountersKeepCountingThroughACrash) {
   EXPECT_EQ(c.check_all(), std::nullopt);
 }
 
+TEST(ObsChecker, DbSizeGaugesFallWhenAReplicaCrashes) {
+  // db.intern.{keys,bytes} and db.table.slots are sizes summed over the
+  // running replicas: a crash takes the dead replica's share away. As
+  // monotonic counter totals they would hold the old high forever.
+  workload::ClusterOptions o;
+  o.replicas = 3;
+  o.obs.metrics_window = millis(250);
+  workload::EngineCluster c(o);
+  c.run_for(seconds(1));
+  int committed = 0;
+  for (int i = 0; i < 20; ++i) {
+    c.engine(0).submit({}, Command::put("k" + std::to_string(i), "v"), 1, Semantics::kStrict,
+                       [&](const Reply& r) { committed += r.aborted ? 0 : 1; });
+  }
+  c.run_for(seconds(1));
+  ASSERT_EQ(committed, 20);
+
+  ASSERT_NE(c.metrics(), nullptr);
+  MetricsRegistry& m = *c.metrics();
+  c.sample_metrics();
+  const std::int64_t keys = m.gauge("db.intern.keys").value();
+  const std::int64_t bytes = m.gauge("db.intern.bytes").value();
+  const std::int64_t slots = m.gauge("db.table.slots").value();
+  EXPECT_GE(keys, 3 * 20);
+  c.crash(2);
+  c.sample_metrics();
+  EXPECT_LT(m.gauge("db.intern.keys").value(), keys);
+  EXPECT_LT(m.gauge("db.intern.bytes").value(), bytes);
+  EXPECT_LT(m.gauge("db.table.slots").value(), slots);
+}
+
 TEST(ObsChecker, CapturesLogLinesAsTraceEvents) {
   Simulator sim{1};
   auto bus = std::make_shared<TraceBus>(sim);

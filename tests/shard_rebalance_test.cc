@@ -214,6 +214,39 @@ TEST(ShardRebalance, DestinationCrashMidInstall) {
   EXPECT_EQ(c.check_all(), std::nullopt);
 }
 
+TEST(ShardRebalance, MoveWaitsOutWholeDestinationOutage) {
+  // The deployment leaves retry_when_unavailable off; the router forces it
+  // on for every session it builds, the rebalancer's included, so a move
+  // waits out a whole-group outage of its destination instead of failing.
+  ShardedClusterOptions o = ranged_options(19);
+  ASSERT_FALSE(o.session.retry_when_unavailable);
+  o.rebalance.transfer_base = millis(600);  // the install starts mid-outage
+  ShardedCluster c(o);
+  c.run_for(seconds(2));
+
+  std::uint64_t committed = 0;
+  add_loop(c, "a", 3, millis(50), &committed);
+  drain(c, 19);
+
+  MoveReport report;
+  ASSERT_TRUE(c.move_range("", "m", 1, [&report](const MoveReport& r) { report = r; }));
+  c.run_for(millis(300));  // fence is green; the snapshot is in flight
+  for (int i = 0; i < 3; ++i) c.crash(1, i);
+  c.run_for(seconds(2));
+  EXPECT_FALSE(c.rebalancer().idle());
+  for (int i = 0; i < 3; ++i) c.recover(1, i);
+  drain(c, 19);
+  c.run_for(seconds(15));
+
+  EXPECT_TRUE(report.ok);
+  EXPECT_EQ(report.to, 1);
+  EXPECT_EQ(c.rebalancer().stats().moves_failed, 0u);
+  EXPECT_EQ(c.directory().shard_of("a"), 1);
+  ASSERT_TRUE(c.converged(1));
+  EXPECT_EQ(c.node(1, 0).engine().database().get("a"), "3");
+  EXPECT_EQ(c.check_all(), std::nullopt);
+}
+
 TEST(ShardRebalance, SplitAndMergeOnline) {
   ShardedCluster c(ranged_options(15));
   c.run_for(seconds(2));

@@ -448,5 +448,51 @@ TEST(ShardedClusterObs, RouterEmitsTraceEventsAndPerShardMetrics) {
             c.checker()->canonical_green_count(0) + c.checker()->canonical_green_count(1));
 }
 
+TEST(ShardedClusterObs, RebalancerAndCoordinatorEmitThroughTheRouter) {
+  // The rebalancer and the txn coordinator have no tracer or registry of
+  // their own: a split, a move and a checked cross-shard transaction still
+  // reach the cluster's trace ring and metrics registry through the router.
+  ShardedClusterOptions o;
+  o.shards = 2;
+  o.replicas_per_shard = 3;
+  o.seed = 6;
+  o.range_splits = {"m"};  // "a*" -> shard 0, "z*" -> shard 1
+  o.obs.trace = true;
+  o.obs.check = true;
+  o.obs.metrics_window = millis(500);
+  ShardedCluster c(o);
+  c.run_for(seconds(2));
+
+  ASSERT_TRUE(c.split_at("d"));
+  bool moved = false;
+  ASSERT_TRUE(c.move_range("d", "m", 1, [&](const MoveReport& r) { moved = r.ok; }));
+  c.run_for(seconds(2));
+  ASSERT_TRUE(moved);
+
+  Command checked;
+  checked.ops.push_back(db::Op{db::OpType::kCheck, "a-flag", "", 0});
+  checked.ops.push_back(db::Op{db::OpType::kPut, "a-key", "x", 0});
+  checked.ops.push_back(db::Op{db::OpType::kPut, "z-key", "x", 0});
+  bool committed = false;
+  c.router().submit(1, checked, [&](const RouteReply& r) { committed = r.committed; });
+  c.run_for(seconds(2));
+  ASSERT_TRUE(committed);
+  ASSERT_TRUE(c.router().idle() && c.txn().idle() && c.rebalancer().idle());
+
+  int epochs = 0, begins = 0;
+  for (const auto& e : c.trace_bus()->ring_snapshot()) {
+    if (e.kind == obs::EventKind::kDirectoryEpoch) ++epochs;
+    if (e.kind == obs::EventKind::kTxnBegin) ++begins;
+  }
+  EXPECT_EQ(epochs, 2);  // the split and the move's cutover
+  EXPECT_EQ(begins, 1);
+  c.sample_metrics();
+  EXPECT_EQ(c.metrics()->counter("shard.rebalance.moves").value(), 1u);
+  EXPECT_GT(c.metrics()->histogram("txn.prepare_decide_us").count(), 0u);
+  ASSERT_NE(c.checker(), nullptr);
+  EXPECT_TRUE(c.checker()->ok()) << c.checker()->report();
+  EXPECT_EQ(c.check_all(), std::nullopt);
+}
+
 }  // namespace
 }  // namespace tordb::shard
