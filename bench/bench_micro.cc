@@ -65,11 +65,11 @@ void BM_DatabaseSnapshot(benchmark::State& state) {
 }
 BENCHMARK(BM_DatabaseSnapshot)->Arg(100)->Arg(10000);
 
-core::Action mk_action(NodeId creator, std::int64_t index) {
+core::ActionRef mk_action(NodeId creator, std::int64_t index) {
   core::Action a;
   a.id = ActionId{creator, index};
   a.update = db::Command::add("k" + std::to_string(index % 64), 1);
-  return a;
+  return std::make_shared<const core::Action>(std::move(a));
 }
 
 void BM_ActionLogMarkGreen(benchmark::State& state) {

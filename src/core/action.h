@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "db/database.h"
@@ -54,6 +55,11 @@ struct Action {
   /// network cost model. The paper's evaluation uses 200-byte actions.
   std::size_t wire_size() const;
 };
+
+/// One immutable action shared by reference. Every replica of a group that
+/// delivers the same wire holds the same object (DESIGN.md §3.1), so the
+/// body is decoded once per group, not once per replica.
+using ActionRef = std::shared_ptr<const Action>;
 
 std::string to_string(ActionType t);
 

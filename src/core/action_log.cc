@@ -4,32 +4,9 @@
 
 namespace tordb::core {
 
-std::unique_ptr<ActionLog::StoredAction> ActionLog::alloc_stored() {
-  if (pool_.empty()) return std::make_unique<StoredAction>();
-  std::unique_ptr<StoredAction> p = std::move(pool_.back());
-  pool_.pop_back();
-  p->green_pos = 0;
-  return p;
-}
-
-void ActionLog::recycle(std::unique_ptr<StoredAction> p) {
-  if (pool_.size() < 4096) pool_.push_back(std::move(p));
-}
-
-void ActionLog::put_body(std::unique_ptr<StoredAction>& slot, Action&& a) {
-  if (!slot) {
-    slot = alloc_stored();
-  } else {
-    body_bytes_ -= slot->bytes;
-  }
-  slot->bytes = static_cast<std::int64_t>(a.wire_size());
-  body_bytes_ += slot->bytes;
-  slot->body = std::move(a);
-}
-
-std::span<const Action* const> ActionLog::mark_red(Action&& a) {
+std::span<const Action* const> ActionLog::mark_red(ActionRef a) {
   admitted_.clear();
-  const ActionId aid = a.id;
+  const ActionId aid = a->id;
   CreatorState& cs = creators_[aid.server_id];
   if (cs.red_cut >= aid.index) return admitted_;  // duplicate
   if (cs.red_cut < aid.index - 1) {
@@ -39,75 +16,111 @@ std::span<const Action* const> ActionLog::mark_red(Action&& a) {
     red_waiting_[pack_action_id(aid)] = std::move(a);
     return admitted_;
   }
-  Action current = std::move(a);
-  for (;;) {
-    const ActionId cid = current.id;
-    cs.red_cut = cid.index;
-    // Fetch-or-create (not overwrite) so a body re-admitted after a
-    // green-during-gap keeps the green position it already earned.
-    auto& slot = store_[pack_action_id(cid)];
-    put_body(slot, std::move(current));
-    admitted_.push_back(&slot->body);
-    const std::uint64_t next_key = pack_action_id(ActionId{aid.server_id, cs.red_cut + 1});
-    Action* next = red_waiting_.find(next_key);
-    if (next == nullptr) break;
-    current = std::move(*next);
-    red_waiting_.erase(next_key);
-  }
+  cs.red_cut = aid.index;
+  admitted_.push_back(store_red(std::move(a)));
+  admit_parked(cs, aid.server_id);
   return admitted_;
 }
 
-ActionLog::GreenResult ActionLog::mark_green(Action&& a) {
-  GreenResult res;
-  const ActionId aid = a.id;
-  res.newly_red = mark_red(std::move(a));
-  if (is_green(aid)) return res;  // duplicate: position stays 0
+void ActionLog::admit_parked(CreatorState& cs, NodeId creator) {
+  // Parked actions exist only around exchanges; skip the probe otherwise.
+  while (!red_waiting_.empty()) {
+    const std::uint64_t key = pack_action_id(ActionId{creator, cs.red_cut + 1});
+    if (red_waiting_.find(key) == nullptr) break;
+    ++cs.red_cut;
+    admitted_.push_back(store_red(red_waiting_.extract(key)));
+  }
+}
+
+const Action* ActionLog::store_red(ActionRef a) {
+  // An action that turned green while parked is already in the green
+  // sequence (with this very body, or one equal to it: an ActionId names
+  // one immutable action); it is admitted red without a second copy.
+  if (is_green(a->id)) {
+    if (const GreenEntry* g = find_green(a->id)) return g->body.action.get();
+  }
+  Body& slot = store_[pack_action_id(a->id)];
+  body_bytes_ -= slot.bytes;
+  slot = body(std::move(a));
+  body_bytes_ += slot.bytes;
+  return slot.action.get();
+}
+
+void ActionLog::push_green(const ActionId& id, Body b) {
   ++green_count_;
-  green_seq_.push_back(aid);
+  body_bytes_ += b.bytes;
+  green_seq_.push_back(GreenEntry{id, std::move(b)});
+}
+
+ActionLog::GreenResult ActionLog::mark_green(ActionRef a) {
+  GreenResult res;
+  const ActionId aid = a->id;
   CreatorState& cs = creators_[aid.server_id];
+  if (aid.index <= cs.green_red_cut) {  // duplicate: position stays 0
+    res.newly_red = mark_red(std::move(a));
+    return res;
+  }
+  admitted_.clear();
+  Body b;
+  if (cs.red_cut == aid.index - 1) {
+    // Red and green in one step (the regular primary's path): the body
+    // goes straight into the green sequence; only successors it unparks
+    // are stored as reds.
+    cs.red_cut = aid.index;
+    admitted_.push_back(a.get());
+    b = body(std::move(a));
+    admit_parked(cs, aid.server_id);
+  } else if (cs.red_cut >= aid.index) {
+    // A pending red turns green: its stored body moves to the green order.
+    const std::uint64_t key = pack_action_id(aid);
+    if (store_.find(key) != nullptr) {
+      b = store_.extract(key);
+      body_bytes_ -= b.bytes;
+    } else {
+      b = body(std::move(a));
+    }
+  } else {
+    // Green ahead of its creator-FIFO predecessors: park it for the red
+    // order, and share the parked body with the green order.
+    b = body(a);
+    red_waiting_[pack_action_id(aid)] = std::move(a);
+  }
   cs.green_red_cut = std::max(cs.green_red_cut, aid.index);
-  // The action may have been parked (gap) rather than admitted red; the
-  // green order still needs its body in the store, so mirror the parked
-  // copy there (mark_red consumed the argument).
-  const std::uint64_t key = pack_action_id(aid);
-  StoredAction* cell = nullptr;
-  if (auto* slot = store_.find(key)) {
-    cell = slot->get();
-  } else if (const Action* parked = red_waiting_.find(key)) {
-    auto& fresh = store_[key];
-    put_body(fresh, Action(*parked));
-    cell = fresh.get();
-  }
-  if (cell != nullptr) {
-    cell->green_pos = green_count_;
-    res.body = &cell->body;
-  }
+  res.body = b.action.get();
+  push_green(aid, std::move(b));
+  res.newly_red = admitted_;
   res.position = green_count_;
   return res;
 }
 
-const Action* ActionLog::body_of(const ActionId& id) const {
-  const auto* slot = store_.find(pack_action_id(id));
-  return slot == nullptr ? nullptr : &(*slot)->body;
+ActionRef ActionLog::body_of(const ActionId& id) const {
+  if (const Body* b = store_.find(pack_action_id(id))) return b->action;
+  if (!is_green(id)) return nullptr;
+  const GreenEntry* g = find_green(id);
+  return g == nullptr ? nullptr : g->body.action;
 }
 
-const Action* ActionLog::green_body_at(std::int64_t position) const {
-  const ActionId id = green_action_at(position);
-  return id.server_id == kNoNode ? nullptr : body_of(id);
-}
-
-ActionId ActionLog::green_action_at(std::int64_t position) const {
-  if (position <= white_count_ || position > green_count_) return ActionId{};
+const ActionLog::GreenEntry* ActionLog::green_entry(std::int64_t position) const {
+  if (position <= white_count_ || position > green_count_) return nullptr;
   const std::size_t idx =
       green_head_ + static_cast<std::size_t>(position - white_count_ - 1);
-  // An adopted prefix has no per-position ids; never index out of range.
-  if (idx >= green_seq_.size()) return ActionId{};
-  return green_seq_[idx];
+  // An adopted prefix has no per-position entries; never index out of range.
+  return idx < green_seq_.size() ? &green_seq_[idx] : nullptr;
+}
+
+const ActionLog::GreenEntry* ActionLog::find_green(const ActionId& id) const {
+  for (std::size_t i = green_seq_.size(); i > green_head_; --i) {
+    if (green_seq_[i - 1].id == id) return &green_seq_[i - 1];
+  }
+  return nullptr;
 }
 
 std::int64_t ActionLog::position_of(const ActionId& id) const {
-  const auto* slot = store_.find(pack_action_id(id));
-  return slot == nullptr ? 0 : (*slot)->green_pos;
+  if (!is_green(id)) return 0;
+  const GreenEntry* g = find_green(id);
+  if (g == nullptr) return 0;
+  return white_count_ + static_cast<std::int64_t>(g - green_seq_.data()) -
+         static_cast<std::int64_t>(green_head_) + 1;
 }
 
 std::size_t ActionLog::red_count() const {
@@ -157,7 +170,7 @@ std::vector<ActionId> ActionLog::pending_red_ids() const {
 void ActionLog::for_each_pending_red(const std::function<void(const Action&)>& fn) const {
   for (const auto& [c, cs] : creators_) {
     for (std::int64_t i = cs.green_red_cut + 1; i <= cs.red_cut; ++i) {
-      if (const Action* b = body_of(ActionId{c, i})) fn(*b);
+      if (const Body* b = store_.find(pack_action_id(ActionId{c, i}))) fn(*b->action);
     }
   }
 }
@@ -165,14 +178,10 @@ void ActionLog::for_each_pending_red(const std::function<void(const Action&)>& f
 std::size_t ActionLog::trim_white_to(std::int64_t white_line) {
   std::size_t trimmed = 0;
   while (white_count_ < white_line && green_head_ < green_seq_.size()) {
-    const ActionId aid = green_seq_[green_head_++];
+    Body& b = green_seq_[green_head_++].body;
     ++white_count_;
-    const std::uint64_t key = pack_action_id(aid);
-    if (auto* slot = store_.find(key)) {
-      body_bytes_ -= (*slot)->bytes;
-      recycle(std::move(*slot));
-      store_.erase(key);
-    }
+    body_bytes_ -= b.bytes;
+    b = Body{};
     ++trimmed;
   }
   compact_green_seq();
@@ -206,6 +215,9 @@ std::span<const Action* const> ActionLog::adopt_green_prefix(
     const std::vector<std::pair<NodeId, std::int64_t>>& green_red_cut) {
   green_count_ = green_count;
   white_count_ = green_count;
+  for (std::size_t i = green_head_; i < green_seq_.size(); ++i) {
+    body_bytes_ -= green_seq_[i].body.bytes;
+  }
   green_seq_.clear();
   green_head_ = 0;
   for (const auto& [c, v] : green_red_cut) {
@@ -219,15 +231,15 @@ std::span<const Action* const> ActionLog::adopt_green_prefix(
   // can never be pending reds again. Collect first, then erase — the flat
   // tables must not shrink under their own iteration.
   std::vector<std::uint64_t> dead;
-  store_.for_each([&](std::uint64_t key, const std::unique_ptr<StoredAction>& s) {
+  store_.for_each([&](std::uint64_t key, const Body& b) {
     if (is_green(unpack_action_id(key))) {
-      body_bytes_ -= s->bytes;
+      body_bytes_ -= b.bytes;
       dead.push_back(key);
     }
   });
   for (const std::uint64_t key : dead) store_.erase(key);
   dead.clear();
-  red_waiting_.for_each([&](std::uint64_t key, const Action&) {
+  red_waiting_.for_each([&](std::uint64_t key, const ActionRef&) {
     if (is_green(unpack_action_id(key))) dead.push_back(key);
   });
   for (const std::uint64_t key : dead) red_waiting_.erase(key);
@@ -240,32 +252,20 @@ std::span<const Action* const> ActionLog::adopt_green_prefix(
   std::vector<NodeId> ids;
   ids.reserve(creators_.size());
   for (const auto& [c, cs] : creators_) ids.push_back(c);
-  for (const NodeId c : ids) {
-    CreatorState& cs = creators_[c];
-    for (;;) {
-      const std::uint64_t key = pack_action_id(ActionId{c, cs.red_cut + 1});
-      Action* w = red_waiting_.find(key);
-      if (w == nullptr) break;
-      ++cs.red_cut;
-      auto& slot = store_[key];
-      put_body(slot, std::move(*w));
-      red_waiting_.erase(key);
-      admitted_.push_back(&slot->body);
-    }
-  }
+  for (const NodeId c : ids) admit_parked(creators_[c], c);
   return admitted_;
 }
 
-bool ActionLog::replay_green(std::int64_t position, const Action& a) {
+bool ActionLog::replay_green(std::int64_t position, ActionRef a) {
   if (position != green_count_ + 1) return false;  // duplicate / out of order
-  ++green_count_;
-  green_seq_.push_back(a.id);
-  CreatorState& cs = creators_[a.id.server_id];
-  cs.green_red_cut = std::max(cs.green_red_cut, a.id.index);
-  cs.red_cut = std::max(cs.red_cut, a.id.index);
-  auto& slot = store_[pack_action_id(a.id)];
-  put_body(slot, Action(a));
-  slot->green_pos = green_count_;
+  const ActionId aid = a->id;
+  CreatorState& cs = creators_[aid.server_id];
+  cs.green_red_cut = std::max(cs.green_red_cut, aid.index);
+  cs.red_cut = std::max(cs.red_cut, aid.index);
+  // A red record replayed earlier stored the same action as a pending red.
+  const std::uint64_t key = pack_action_id(aid);
+  if (store_.find(key) != nullptr) body_bytes_ -= store_.extract(key).bytes;
+  push_green(aid, body(std::move(a)));
   return true;
 }
 

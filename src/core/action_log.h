@@ -7,9 +7,13 @@
 // green at every replica, discardable). This module owns all of the
 // bookkeeping that coloring needs:
 //
-//   - action body storage (red + untrimmed green bodies),
-//   - the green sequence with O(1) position indexing (contiguous vector
-//     with a trim offset — positions white+1..green),
+//   - action body storage: shared ActionRefs, never deep copies. A green
+//     body lives in the green sequence beside its id, indexed by position
+//     (a contiguous vector with a trim offset — positions white+1..green);
+//     only bodies outside it (pending reds) sit in a hash table keyed by
+//     id. An action that turns red and green in one step, the regular
+//     primary's path, goes straight into the green sequence, and the white
+//     trim pops it from the front: that path probes no hash table,
 //   - per-creator cuts: `red_cut` (contiguous locally-ordered prefix,
 //     Appendix A's redCut) and `green_red_cut` (prefix covered by the
 //     green order), from which the set of *pending* reds — red but not
@@ -33,7 +37,9 @@
 //     kNoNode / nullptr (never an out-of-range access).
 //   - for every creator, indices (green_red_cut, red_cut] are exactly the
 //     pending reds: each has a stored body and is not green.
-//   - no pending red is trimmed: trimming only ever erases green bodies.
+//   - no pending red is trimmed: trimming only ever drops green bodies.
+//   - stored_bodies() / body_bytes() count each stored body once, wherever
+//     it lives (core.peak_body_kb is read from them).
 #pragma once
 
 #include <cstdint>
@@ -51,14 +57,6 @@ namespace tordb::core {
 
 class ActionLog {
  public:
-  ActionLog() {
-    // Pre-size the hot hash table: it grows to thousands of entries
-    // between white trims, and the rehash ladder from empty showed up in
-    // scale-sweep profiles. (Bucket count never affects behavior — the
-    // table is only probed by key or erase-filtered.)
-    store_.reserve(1024);
-  }
-
   struct GreenResult {
     /// Actions newly admitted to the local red order by this call (the
     /// argument and any unparked successors), in admission order. Views the
@@ -66,8 +64,7 @@ class ActionLog {
     std::span<const Action* const> newly_red;
     /// Assigned global green position; 0 if the action was already green.
     std::int64_t position = 0;
-    /// Stored body of the newly-green action (nullptr when position == 0 or
-    /// the body is unknown) — saves callers the store re-probe.
+    /// Stored body of the newly-green action (nullptr when position == 0).
     const Action* body = nullptr;
   };
 
@@ -76,19 +73,15 @@ class ActionLog {
   /// Admit `a` to the local red order (A.14). Ignores duplicates; parks
   /// actions arriving ahead of their creator-FIFO predecessors in the
   /// retransmission buffer; admitting a gap-filler drains the parked
-  /// chain. Returns every action newly ordered red, in order; body pointers
-  /// are stable until the action is trimmed, but the returned view itself
-  /// reuses a scratch buffer valid only until the next mark_red/mark_green
-  /// (consume-immediately, like the hot path does). The rvalue overload
-  /// moves the body into storage (one deep copy per delivery saved on the
-  /// hot path); the lvalue overload copies.
-  std::span<const Action* const> mark_red(Action&& a);
-  std::span<const Action* const> mark_red(const Action& a) { return mark_red(Action(a)); }
+  /// chain. Returns every action newly ordered red, in order; the bodies
+  /// live until the action is trimmed, but the returned view itself reuses
+  /// a scratch buffer valid only until the next mark_red/mark_green
+  /// (consume-immediately, like the hot path does).
+  std::span<const Action* const> mark_red(ActionRef a);
 
   /// Append `a` to the green sequence (A.14 mark-green), admitting it red
   /// first if needed. Duplicates (already green) return position 0.
-  GreenResult mark_green(Action&& a);
-  GreenResult mark_green(const Action& a) { return mark_green(Action(a)); }
+  GreenResult mark_green(ActionRef a);
 
   // --- queries -------------------------------------------------------------
 
@@ -96,12 +89,20 @@ class ActionLog {
     const CreatorState* cs = creators_.find(id.server_id);
     return cs != nullptr && id.index <= cs->green_red_cut;
   }
-  /// Stored body, or nullptr if unknown or trimmed.
-  const Action* body_of(const ActionId& id) const;
+  /// Stored body, or null if unknown or trimmed. A pending red is one
+  /// probe; a green id scans the untrimmed green sequence (the engine asks
+  /// only for reds).
+  ActionRef body_of(const ActionId& id) const;
   /// Body at green `position` (1-based); nullptr if trimmed/out of range.
-  const Action* green_body_at(std::int64_t position) const;
+  const Action* green_body_at(std::int64_t position) const {
+    const GreenEntry* g = green_entry(position);
+    return g == nullptr ? nullptr : g->body.action.get();
+  }
   /// Id at green `position` (1-based); kNoNode id if trimmed/out of range.
-  ActionId green_action_at(std::int64_t position) const;
+  ActionId green_action_at(std::int64_t position) const {
+    const GreenEntry* g = green_entry(position);
+    return g == nullptr ? ActionId{} : g->id;
+  }
   /// Green position of `id`, or 0 if not green here / already trimmed.
   std::int64_t position_of(const ActionId& id) const;
 
@@ -112,10 +113,10 @@ class ActionLog {
   /// Actions parked waiting for creator-FIFO predecessors.
   std::size_t waiting_count() const { return red_waiting_.size(); }
   /// Bodies currently stored (pending reds + untrimmed greens).
-  std::size_t stored_bodies() const { return store_.size(); }
+  std::size_t stored_bodies() const { return store_.size() + (green_seq_.size() - green_head_); }
   /// Logical bytes of the stored bodies (sum of wire sizes) — the memory
   /// curve bench_memory plots and the gc.bodies.bytes gauge samples.
-  /// Maintained incrementally at every store insert/overwrite/erase.
+  /// Maintained incrementally wherever a body is stored, moved or dropped.
   std::int64_t body_bytes() const { return body_bytes_; }
 
   std::int64_t red_cut(NodeId creator) const;
@@ -162,56 +163,62 @@ class ActionLog {
 
   /// Recovery replay of a persisted green record: append iff `position`
   /// extends the green sequence. Returns false on duplicates / gaps.
-  bool replay_green(std::int64_t position, const Action& a);
+  bool replay_green(std::int64_t position, ActionRef a);
 
  private:
   struct CreatorState {
     std::int64_t red_cut = 0;        ///< A: redCut — contiguous local prefix
     std::int64_t green_red_cut = 0;  ///< prefix covered by the green order
   };
-  /// Body plus its green position (0 while only red), one entry per stored
-  /// action instead of parallel body/position tables. Heap-allocated behind
-  /// the flat table so body pointers stay stable across table growth (the
-  /// mark_red contract: pointers live until the action is trimmed).
-  struct StoredAction {
-    Action body;
-    std::int64_t green_pos = 0;
-    std::int64_t bytes = 0;  ///< body.wire_size(), computed once at store time
+  /// A stored body and its wire size, computed once when stored.
+  struct Body {
+    ActionRef action;
+    std::int64_t bytes = 0;
   };
-  /// Store `a` in `slot`, allocating it when empty (a filled slot keeps its
-  /// green position), and keep body_bytes_ in step.
-  void put_body(std::unique_ptr<StoredAction>& slot, Action&& a);
+  struct GreenEntry {
+    ActionId id;
+    Body body;  ///< released (null) once trimmed
+  };
+  static Body body(ActionRef a) {
+    const auto bytes = static_cast<std::int64_t>(a->wire_size());
+    return Body{std::move(a), bytes};
+  }
 
+  const GreenEntry* green_entry(std::int64_t position) const;
+  /// The untrimmed green entry for `id`, or nullptr. Linear: only the rare
+  /// paths (green-while-parked admission, body_of/position_of of a green)
+  /// look a green body up by id.
+  const GreenEntry* find_green(const ActionId& id) const;
+  /// Admit red, in index order, every parked action of `creator` that its
+  /// red cut now reaches, appending each to admitted_.
+  void admit_parked(CreatorState& cs, NodeId creator);
+  /// Keep the body of a newly red action and return the stored object.
+  const Action* store_red(ActionRef a);
+  void push_green(const ActionId& id, Body b);
   void compact_green_seq();
 
   std::int64_t green_count_ = 0;
   std::int64_t white_count_ = 0;  ///< greens trimmed as white
-  std::int64_t body_bytes_ = 0;   ///< wire bytes of the bodies in store_
+  std::int64_t body_bytes_ = 0;   ///< wire bytes of the stored bodies
   /// Positions white+1..green live at indexes [green_head_, size).
-  std::vector<ActionId> green_seq_;
+  std::vector<GreenEntry> green_seq_;
   std::size_t green_head_ = 0;
   /// Tiny (group-sized) and iterated for wire encodings: the sorted vector
   /// gives creator-ordered iteration for free.
   util::VecMap<NodeId, CreatorState> creators_;
-  /// Recycle StoredAction blocks between trim (which frees one per white
-  /// action) and admit (which allocates one per red action): the two rates
-  /// match in steady state, so the pool turns a malloc/free pair per action
-  /// per replica into a pop/push on this vector. Entries keep their last
-  /// body until reuse (the move-assign there releases it); the pool is
-  /// capped so a burst can't pin memory.
-  std::unique_ptr<StoredAction> alloc_stored();
-  void recycle(std::unique_ptr<StoredAction> p);
-  std::vector<std::unique_ptr<StoredAction>> pool_;
 
   /// Scratch for mark_red's return view — reused across calls so the hot
-  /// path (one mark_red per delivered action per member) allocates nothing.
+  /// path (one admission per delivered action per member) allocates nothing.
   std::vector<const Action*> admitted_;
 
   /// Keyed by pack_action_id; probed per retransmission, never iterated in
   /// a determinism-relevant order.
-  util::FlatMap64<Action> red_waiting_;
-  /// Bodies (red + untrimmed green), keyed by pack_action_id.
-  util::FlatMap64<std::unique_ptr<StoredAction>> store_;
+  util::FlatMap64<ActionRef> red_waiting_;
+  /// Bodies outside the green sequence, keyed by pack_action_id: pending
+  /// reds, plus the rare action admitted red after green coverage of its
+  /// creator already passed it without it entering the green order (a
+  /// successor turned green while parked).
+  util::FlatMap64<Body> store_;
 };
 
 }  // namespace tordb::core

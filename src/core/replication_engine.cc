@@ -197,7 +197,7 @@ void ReplicationEngine::recover_from_log(const std::vector<NodeId>& fallback_ser
         for (const auto& [n, g] : s.meta.green_lines) green_lines_[n] = g;
         gc_counter = std::max(gc_counter, s.meta.gc_counter);
         ongoing_candidates.clear();
-        for (const Action& a : s.red_actions) log_.mark_red(a);
+        for (Action& a : s.red_actions) log_.mark_red(std::make_shared<const Action>(std::move(a)));
         for (const Action& a : s.ongoing_actions) ongoing_candidates.push_back(a);
         break;
       }
@@ -217,8 +217,9 @@ void ReplicationEngine::recover_from_log(const std::vector<NodeId>& fallback_ser
       }
       case LogRecordType::kGreen: {
         const std::int64_t pos = r.i64();
-        Action a = Action::decode(r);
-        if (!log_.replay_green(pos, a)) break;  // duplicate / out of order
+        const ActionRef ref = std::make_shared<const Action>(Action::decode(r));
+        if (!log_.replay_green(pos, ref)) break;  // duplicate / out of order
+        const Action& a = *ref;
         if (a.type == ActionType::kUpdate) {
           db_.apply(a.query, a.update);
         } else if (a.type == ActionType::kPersistentJoin) {
@@ -234,7 +235,7 @@ void ReplicationEngine::recover_from_log(const std::vector<NodeId>& fallback_ser
         break;
       }
       case LogRecordType::kRed: {
-        log_.mark_red(Action::decode(r));
+        log_.mark_red(std::make_shared<const Action>(Action::decode(r)));
         break;
       }
       case LogRecordType::kOngoing: {
@@ -253,7 +254,7 @@ void ReplicationEngine::recover_from_log(const std::vector<NodeId>& fallback_ser
             [](const Action& a, const Action& b) { return a.id < b.id; });
   for (const Action& a : ongoing_candidates) {
     action_index_ = std::max(action_index_, a.id.index);
-    if (log_.red_cut(id_) < a.id.index) mark_red(a);
+    if (log_.red_cut(id_) < a.id.index) mark_red(std::make_shared<const Action>(a));
   }
   action_index_ = std::max({action_index_, log_.red_cut(id_), log_.green_red_cut(id_)});
   green_lines_[id_] = log_.green_count();
@@ -581,12 +582,18 @@ void ReplicationEngine::on_deliver(const gc::Delivery& d) {
   const auto type = static_cast<EngineMsgType>(r.u8());
   switch (type) {
     case EngineMsgType::kAction: {
-      Action a = Action::decode(r);
+      // Every member of the group delivers this same wire: the first to get
+      // here decodes it, the others share that action object (DESIGN.md
+      // §3.1). A separate allocation, not make_shared, so the wire's weak
+      // memo, which lives as long as a disk record holds the wire, pins
+      // only the control block once the action itself is released.
+      auto decode = [&r] { return ActionRef(new Action(Action::decode(r))); };
+      ActionRef a = d.wire ? d.wire->decoded<Action>(sim_.current_lane(), decode) : decode();
       // The wire payload is [type][body] where [body] is the canonical
       // Action encoding; point the body-encode cache at that slice of the
       // shared wire, so the log record this action triggers references the
       // wire instead of copying or re-encoding the body.
-      enc_body_id_ = a.id;
+      enc_body_id_ = a->id;
       enc_body_ = d.payload.subspan(1);
       enc_wire_ = d.wire;
       handle_action(std::move(a));
@@ -595,7 +602,9 @@ void ReplicationEngine::on_deliver(const gc::Delivery& d) {
     case EngineMsgType::kActionBatch: {
       // A batch shares one delivery (and therefore one color decision);
       // members process its actions in batch order.
-      for (Action& a : decode_action_batch(r)) handle_action(std::move(a));
+      for (Action& a : decode_action_batch(r)) {
+        handle_action(std::make_shared<const Action>(std::move(a)));
+      }
       break;
     }
     case EngineMsgType::kState:
@@ -610,11 +619,11 @@ void ReplicationEngine::on_deliver(const gc::Delivery& d) {
     }
     case EngineMsgType::kGreenRetrans: {
       const std::int64_t pos = r.i64();
-      handle_green_retrans(pos, Action::decode(r));
+      handle_green_retrans(pos, std::make_shared<const Action>(Action::decode(r)));
       break;
     }
     case EngineMsgType::kRedRetrans:
-      handle_red_retrans(Action::decode(r));
+      handle_red_retrans(std::make_shared<const Action>(Action::decode(r)));
       break;
     case EngineMsgType::kCatchup:
       handle_catchup(decode_snapshot(r));
@@ -622,13 +631,13 @@ void ReplicationEngine::on_deliver(const gc::Delivery& d) {
   }
 }
 
-void ReplicationEngine::handle_action(Action&& a) {
+void ReplicationEngine::handle_action(ActionRef a) {
   switch (state_) {
     case EngineState::kRegPrim: {
       // A.2 (OR-1.1): safe delivery in the primary's regular configuration
       // determines the global order immediately.
-      const NodeId creator = a.id.server_id;
-      const std::int64_t line = a.green_line;
+      const NodeId creator = a->id.server_id;
+      const std::int64_t line = a->green_line;
       mark_green(std::move(a));
       std::int64_t& v = green_lines_[creator];
       v = std::max(v, line);
@@ -637,14 +646,14 @@ void ReplicationEngine::handle_action(Action&& a) {
       break;
     }
     case EngineState::kTransPrim:
-      mark_yellow(a);  // A.3
+      mark_yellow(std::move(a));  // A.3
       break;
     case EngineState::kUn:
       // A.12 (1b): an action in Un proves some server installed the primary
       // component and generated actions; act as if installing to stay
       // consistent with it.
       install();
-      mark_yellow(a);
+      mark_yellow(std::move(a));
       set_state(EngineState::kTransPrim);
       break;
     case EngineState::kNonPrim:
@@ -801,7 +810,7 @@ void ReplicationEngine::shift_to_exchange_actions() {
     expected_retrans_ += cmax - lo;
     if (holder == id_) {
       for (std::int64_t idx = lo + 1; idx <= cmax; ++idx) {
-        const Action* body = log_.body_of(ActionId{c, idx});
+        const ActionRef body = log_.body_of(ActionId{c, idx});
         assert(body != nullptr);
         gc_->multicast(encode_red_retrans(*body), gc::Service::kAgreed);
         ++stats_.red_retrans_sent;
@@ -813,17 +822,17 @@ void ReplicationEngine::shift_to_exchange_actions() {
   maybe_end_of_retrans();
 }
 
-void ReplicationEngine::handle_green_retrans(std::int64_t position, const Action& a) {
+void ReplicationEngine::handle_green_retrans(std::int64_t position, ActionRef a) {
   ++stats_.retrans_received;
   ++received_retrans_;
-  if (position == log_.green_count() + 1) mark_green(a);
+  if (position == log_.green_count() + 1) mark_green(std::move(a));
   maybe_end_of_retrans();
 }
 
-void ReplicationEngine::handle_red_retrans(const Action& a) {
+void ReplicationEngine::handle_red_retrans(ActionRef a) {
   ++stats_.retrans_received;
   ++received_retrans_;
-  mark_red(a);
+  mark_red(std::move(a));
   maybe_end_of_retrans();
 }
 
@@ -1050,10 +1059,7 @@ void ReplicationEngine::install() {
   if (yellow_.valid) {
     for (const ActionId& aid : yellow_.set) {
       if (is_green(aid)) continue;
-      if (const Action* body = log_.body_of(aid)) {
-        const Action copy = *body;  // mark_green may invalidate `body`
-        mark_green(copy);  // OR-1.2
-      }
+      if (ActionRef body = log_.body_of(aid)) mark_green(std::move(body));  // OR-1.2
     }
   }
   yellow_ = YellowRecord{};
@@ -1067,10 +1073,7 @@ void ReplicationEngine::install() {
   // deterministic ActionId order OR-2 requires.
   for (const ActionId& rid : log_.pending_red_ids()) {
     if (is_green(rid)) continue;  // promoted via the yellow set above
-    if (const Action* body = log_.body_of(rid)) {
-      const Action copy = *body;
-      mark_green(copy);  // OR-2
-    }
+    if (ActionRef body = log_.body_of(rid)) mark_green(std::move(body));  // OR-2
   }
 
   ++stats_.primaries_installed;
@@ -1115,15 +1118,12 @@ void ReplicationEngine::on_newly_red(const Action& a, bool log_red) {
   if (tracer_) tracer_.emit_action(obs::EventKind::kActionRed, a.id);
   if (metric_red_ != nullptr) metric_red_->inc();
   if (scoped_red_ != nullptr) scoped_red_->inc();
-  ongoing_.erase(pack_action_id(a.id));
+  // Only this server's own actions wait in the ongoing queue.
+  if (a.id.server_id == id_) ongoing_.erase(pack_action_id(a.id));
   maybe_reply_red(a);
 }
 
-void ReplicationEngine::mark_red(const Action& a) {
-  for (const Action* r : log_.mark_red(a)) on_newly_red(*r);
-}
-
-void ReplicationEngine::mark_red(Action&& a) {
+void ReplicationEngine::mark_red(ActionRef a) {
   for (const Action* r : log_.mark_red(std::move(a))) on_newly_red(*r);
 }
 
@@ -1146,7 +1146,9 @@ void ReplicationEngine::append_body_record(const std::uint8_t* header, std::size
     return;
   }
   const auto off = static_cast<std::size_t>(body.data() - enc_wire_->data());
-  storage_.append_shared(header, header_len, enc_wire_, off, body.size());
+  storage_.append_shared(header, header_len,
+                         std::shared_ptr<const Bytes>(enc_wire_, &enc_wire_->bytes()), off,
+                         body.size());
 }
 
 std::span<const std::uint8_t> ReplicationEngine::encoded_body(const Action& a) {
@@ -1161,26 +1163,23 @@ std::span<const std::uint8_t> ReplicationEngine::encoded_body(const Action& a) {
   return enc_body_;
 }
 
-void ReplicationEngine::mark_yellow(const Action& a) {
-  mark_red(a);
-  if (!is_green(a.id) &&
-      std::find(yellow_.set.begin(), yellow_.set.end(), a.id) == yellow_.set.end()) {
-    yellow_.set.push_back(a.id);
+void ReplicationEngine::mark_yellow(ActionRef a) {
+  const ActionId aid = a->id;
+  mark_red(std::move(a));
+  if (!is_green(aid) &&
+      std::find(yellow_.set.begin(), yellow_.set.end(), aid) == yellow_.set.end()) {
+    yellow_.set.push_back(aid);
   }
 }
 
-void ReplicationEngine::mark_green(const Action& a) { mark_green(Action(a)); }
-
-void ReplicationEngine::mark_green(Action&& a) {
-  const ActionId aid = a.id;
+void ReplicationEngine::mark_green(ActionRef a) {
+  const ActionId aid = a->id;
   const ActionLog::GreenResult res = log_.mark_green(std::move(a));
   if (res.position == 0) {  // duplicate: already green
     for (const Action* r : res.newly_red) on_newly_red(*r);
     return;
   }
-  // A newly-green action always has its body in the log store; the result
-  // carries the stored pointer, versus the deep copy the lvalue path pays.
-  const Action& g = res.body != nullptr ? *res.body : *log_.body_of(aid);
+  const Action& g = *res.body;
   // An action turning red and green in one step (the regular-primary path)
   // is logged once, as green: replaying a green record implies red. The
   // green record goes first, so a crash, which loses a suffix of the log,

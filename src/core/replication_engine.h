@@ -231,11 +231,11 @@ class ReplicationEngine {
   void on_regular_config(const gc::Configuration& conf);
   void on_transitional_config(const gc::Configuration& conf);
   void on_deliver(const gc::Delivery& d);
-  void handle_action(Action&& a);  ///< consumes the body into the log
+  void handle_action(ActionRef a);
   void handle_state_msg(const StateMessage& s);
   void handle_cpc(const CpcMessage& c);
-  void handle_green_retrans(std::int64_t position, const Action& a);
-  void handle_red_retrans(const Action& a);
+  void handle_green_retrans(std::int64_t position, ActionRef a);
+  void handle_red_retrans(ActionRef a);
   void handle_catchup(const SnapshotMessage& s);
 
   // --- knowledge and the white line (DESIGN.md §14) ---------------------------
@@ -264,11 +264,9 @@ class ReplicationEngine {
   void check_construct_complete();             // A.9
   void install();                              // A.10
   void handle_buffered_requests();             // A.8
-  void mark_red(const Action& a);              // A.14
-  void mark_red(Action&& a);                   // A.14 (hot path: moves body)
-  void mark_yellow(const Action& a);           // A.14
-  void mark_green(const Action& a);            // A.14 + CodeSegment 5.1
-  void mark_green(Action&& a);                 // hot path: moves body
+  void mark_red(ActionRef a);                  // A.14
+  void mark_yellow(ActionRef a);               // A.14
+  void mark_green(ActionRef a);                // A.14 + CodeSegment 5.1
   void apply_green(const Action& a);
   void on_join_green(const Action& a);         // 5.1 lines 5-10
   void on_leave_green(const Action& a);        // 5.1 lines 11-13
@@ -349,7 +347,7 @@ class ReplicationEngine {
   /// null, of `enc_owned_`.
   ActionId enc_body_id_;
   std::span<const std::uint8_t> enc_body_;
-  std::shared_ptr<const Bytes> enc_wire_;
+  std::shared_ptr<const SharedWire> enc_wire_;
   Bytes enc_owned_;
   /// A: greenLines (as counts). Group-sized; the sorted vector keeps
   /// map_to_pairs-style wire encodings in creator order for free.

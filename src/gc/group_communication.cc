@@ -41,7 +41,7 @@ GroupCommunication::GroupCommunication(Network& net, NodeId id, Listener listene
   // The shared handler hands over the refcounted wire buffer, letting the
   // delivery buffer retain ORDERED payloads without a per-member deep copy.
   net_.set_shared_packet_handler(
-      id_, [this](NodeId from, const std::shared_ptr<const Bytes>& wire) {
+      id_, [this](NodeId from, const std::shared_ptr<const SharedWire>& wire) {
         on_packet(from, wire);
       });
   // Deliver the initial singleton configuration before anything else runs.
@@ -86,8 +86,8 @@ void GroupCommunication::send_data(const OutEntry& entry) {
   send_to(config_.members.front(), w.take());
 }
 
-void GroupCommunication::on_packet(NodeId from, const std::shared_ptr<const Bytes>& wire) {
-  BufReader r(*wire);
+void GroupCommunication::on_packet(NodeId from, const std::shared_ptr<const SharedWire>& wire) {
+  BufReader r(wire->bytes());
   const auto type = static_cast<MsgType>(r.u8());
   switch (type) {
     case MsgType::kData: handle_data(from, r); break;
@@ -132,7 +132,8 @@ void GroupCommunication::handle_data(NodeId from, BufReader& r) {
   send_all(config_.members, w.take());
 }
 
-void GroupCommunication::handle_ordered(BufReader& r, const std::shared_ptr<const Bytes>& wire) {
+void GroupCommunication::handle_ordered(BufReader& r,
+                                        const std::shared_ptr<const SharedWire>& wire) {
   // Decode the ORDERED header in place (same layout as decode_ordered) and
   // buffer the payload as a slice of the shared wire — every recipient of
   // the multicast holds the same refcounted buffer, zero deep copies.
@@ -176,7 +177,7 @@ void GroupCommunication::buffer_put(std::int64_t seq, BufferedMsg m) {
 void GroupCommunication::store_ordered(OrderedMsg&& msg) {
   // Retransmission path: the payload arrives as an owned Bytes; wrap it so
   // it fits the shared-buffer slot format (offset 0, full length).
-  auto buf = std::make_shared<const Bytes>(std::move(msg.payload));
+  auto buf = std::make_shared<const SharedWire>(std::move(msg.payload));
   const auto len = static_cast<std::uint32_t>(buf->size());
   store_buffered(msg.seq, BufferedMsg{msg.origin, msg.origin_local_seq, msg.service,
                                       std::move(buf), 0, len});

@@ -142,7 +142,7 @@ class GroupCommunication {
     NodeId origin = kNoNode;
     std::int64_t origin_local_seq = 0;
     Service service = Service::kAgreed;
-    std::shared_ptr<const Bytes> buf;
+    std::shared_ptr<const SharedWire> buf;
     std::uint32_t payload_off = 0;
     std::uint32_t payload_len = 0;
 
@@ -157,7 +157,7 @@ class GroupCommunication {
   };
 
   // --- wiring ---------------------------------------------------------
-  void on_packet(NodeId from, const std::shared_ptr<const Bytes>& wire);
+  void on_packet(NodeId from, const std::shared_ptr<const SharedWire>& wire);
   void on_reachability(const std::vector<NodeId>& reachable);
   /// Schedule `fn` guarded by this instance's liveness. A forwarding
   /// template so the closure lands inline in the simulator's SmallFn slot
@@ -173,7 +173,7 @@ class GroupCommunication {
 
   // --- data path ------------------------------------------------------
   void handle_data(NodeId from, BufReader& r);
-  void handle_ordered(BufReader& r, const std::shared_ptr<const Bytes>& wire);
+  void handle_ordered(BufReader& r, const std::shared_ptr<const SharedWire>& wire);
   void handle_ack(NodeId from, const AckMsg& msg);
   void handle_stable(const StableMsg& msg);
   void store_ordered(OrderedMsg&& msg);

@@ -72,8 +72,11 @@ struct Delivery {
   /// The immutable buffer `payload` points into. The span alone is valid
   /// for the on_deliver callback only; holding `wire` keeps it valid for as
   /// long as the holder needs it, which is how a replica's disk records a
-  /// delivered body without copying it (DESIGN.md §10).
-  std::shared_ptr<const Bytes> wire;
+  /// delivered body without copying it (DESIGN.md §10). Every member that
+  /// delivers the message holds the same wire, so its decode memo is how
+  /// the group decodes the payload once (DESIGN.md §3.1). Null for a
+  /// delivery made outside the layer (test harness copies).
+  std::shared_ptr<const SharedWire> wire;
 };
 
 /// Callbacks the application (the replication engine) installs. The layer

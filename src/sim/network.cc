@@ -234,7 +234,7 @@ void Network::send(NodeId from, NodeId to, Bytes&& payload, Channel channel) {
   horizon = arrive;
 
   const std::uint64_t to_epoch = states_[ti].epoch;
-  auto p = std::make_shared<const Bytes>(std::move(payload));
+  auto p = std::make_shared<const SharedWire>(std::move(payload));
   sim_.at(arrive, [this, from, to, to_epoch, channel, p = std::move(p)]() mutable {
     deliver(from, to, to_epoch, channel, std::move(p));
   });
@@ -259,7 +259,7 @@ void Network::multicast(NodeId from, const std::vector<NodeId>& to, Bytes&& payl
   st.bytes_sent += payload.size();
 
   // One refcounted buffer shared by every recipient's delivery event.
-  auto p = std::make_shared<const Bytes>(std::move(payload));
+  auto p = std::make_shared<const SharedWire>(std::move(payload));
 
   // One WAN copy per remote site, not per remote target.
   std::map<int, SimDuration> site_serialization;
@@ -302,7 +302,7 @@ void Network::multicast(NodeId from, const std::vector<NodeId>& to, Bytes&& payl
 }
 
 void Network::deliver(NodeId from, NodeId to, std::uint64_t to_epoch, Channel channel,
-                      std::shared_ptr<const Bytes> payload) {
+                      std::shared_ptr<const SharedWire> payload) {
   const std::size_t fi = idx(from);
   const std::size_t ti = idx(to);
   NodeState& dst = states_[ti];
@@ -333,7 +333,7 @@ void Network::deliver(NodeId from, NodeId to, std::uint64_t to_epoch, Channel ch
       return;
     }
     PacketHandler& handler = d.on_packet[static_cast<int>(channel)];
-    if (handler) handler(from, *p);
+    if (handler) handler(from, p->bytes());
   };
   static_assert(sizeof(ev) <= SmallFn::kInlineSize, "delivery event must stay inline");
   sim_.at(dst.busy_until, std::move(ev));

@@ -98,7 +98,7 @@ class Network {
   /// a layer that must retain the payload (the gc delivery buffer) can hold
   /// a reference instead of deep-copying it once per member.
   using SharedPacketHandler =
-      std::function<void(NodeId from, const std::shared_ptr<const Bytes>& payload)>;
+      std::function<void(NodeId from, const std::shared_ptr<const SharedWire>& payload)>;
   using ReachabilityHandler = std::function<void(const std::vector<NodeId>& reachable)>;
 
   Network(Simulator& sim, NetworkParams params = {});
@@ -233,7 +233,7 @@ class Network {
   /// Throws when a send would cross lanes in lane mode.
   void check_same_lane(const NodeState& src, const NodeState& dst) const;
   void deliver(NodeId from, NodeId to, std::uint64_t to_epoch, Channel channel,
-               std::shared_ptr<const Bytes> payload);
+               std::shared_ptr<const SharedWire> payload);
   /// Occupy `site`'s egress for one cross-site copy of `bytes`; returns the
   /// serialization delay to add to that copy's arrival time.
   SimDuration wan_serialize(int site, std::size_t bytes);

@@ -6,12 +6,14 @@
 // Those keys all pack into one integer, so a flat power-of-two table with
 // linear probing serves each lookup in ~one cache line.
 //
-// Deletion uses tombstones; a rehash (on growth, or when tombstones pile
-// up past half the live count) drops them. Values must be movable; value
-// references are invalidated by any insert (callers re-fetch after calls
-// that may insert — the same discipline the simulator's flat tables use).
-// Iteration order is the table's probe order, i.e. unspecified: callers
-// that need determinism-relevant ordering must sort.
+// Deletion is backward-shift (no tombstones): erasing a key moves later
+// members of its probe run back into the hole, so a probe run never holds
+// dead slots and lookups stay as short as the live load allows, however
+// many keys come and go. Values must be movable; value references are
+// invalidated by any insert or erase (callers re-fetch after calls that
+// may insert or erase — the same discipline the simulator's flat tables
+// use). Iteration order is the table's slot order, i.e. unspecified:
+// callers that need determinism-relevant ordering must sort.
 #pragma once
 
 #include <algorithm>
@@ -36,28 +38,18 @@ class FlatMap64 {
 
   /// Value for `key`, default-constructed on first touch.
   T& operator[](std::uint64_t key) {
-    if (slots_.empty() || (size_ + tombs_ + 1) * 4 > slots_.size() * 3) {
-      rehash(slots_.empty() ? kInitialSlots
-                            : (size_ + 1) * 4 > slots_.size() * 3 ? slots_.size() * 2
-                                                                  : slots_.size());
+    if (slots_.empty() || (size_ + 1) * 4 > slots_.size() * 3) {
+      rehash(slots_.empty() ? kInitialSlots : slots_.size() * 2);
     }
     std::size_t i = probe_start(key);
-    std::size_t insert_at = kNpos;
-    while (slots_[i].state != State::kEmpty) {
-      if (slots_[i].state == State::kFull && slots_[i].key == key) return slots_[i].value;
-      if (slots_[i].state == State::kTomb && insert_at == kNpos) insert_at = i;
-      i = (i + 1) & (slots_.size() - 1);
+    while (slots_[i].full) {
+      if (slots_[i].key == key) return slots_[i].value;
+      i = next(i);
     }
-    if (insert_at == kNpos) {
-      insert_at = i;
-    } else {
-      --tombs_;
-    }
-    slots_[insert_at].key = key;
-    slots_[insert_at].state = State::kFull;
-    slots_[insert_at].value = T{};
+    slots_[i].key = key;
+    slots_[i].full = true;
     ++size_;
-    return slots_[insert_at].value;
+    return slots_[i].value;
   }
 
   /// Pre-size the table so `n` entries fit without growth rehashes.
@@ -70,21 +62,17 @@ class FlatMap64 {
   /// Drop every entry, keeping the allocated table.
   void clear() {
     for (Slot& s : slots_) {
-      if (s.state != State::kEmpty) s.value = T{};
-      s.state = State::kEmpty;
+      if (s.full) s.value = T{};
+      s.full = false;
     }
     size_ = 0;
-    tombs_ = 0;
   }
 
   /// Remove `key`; returns whether it was present.
   bool erase(std::uint64_t key) {
     const std::size_t i = find_slot(key);
     if (i == kNpos) return false;
-    slots_[i].state = State::kTomb;
-    slots_[i].value = T{};
-    --size_;
-    ++tombs_;
+    remove_at(i);
     return true;
   }
 
@@ -93,36 +81,32 @@ class FlatMap64 {
   T extract(std::uint64_t key) {
     const std::size_t i = find_slot(key);
     T out = std::move(slots_[i].value);
-    slots_[i].state = State::kTomb;
-    slots_[i].value = T{};
-    --size_;
-    ++tombs_;
+    remove_at(i);
     return out;
   }
 
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
-  /// Visit every (key, value) pair, probe order (unspecified).
+  /// Visit every (key, value) pair, slot order (unspecified).
   template <typename F>
   void for_each(F&& fn) const {
     for (const Slot& s : slots_) {
-      if (s.state == State::kFull) fn(s.key, s.value);
+      if (s.full) fn(s.key, s.value);
     }
   }
   template <typename F>
   void for_each(F&& fn) {
     for (Slot& s : slots_) {
-      if (s.state == State::kFull) fn(s.key, s.value);
+      if (s.full) fn(s.key, s.value);
     }
   }
 
  private:
-  enum class State : std::uint8_t { kEmpty = 0, kFull = 1, kTomb = 2 };
   struct Slot {
     std::uint64_t key = 0;
     T value{};
-    State state = State::kEmpty;
+    bool full = false;
   };
   static constexpr std::size_t kInitialSlots = 16;
   static constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
@@ -137,35 +121,52 @@ class FlatMap64 {
   std::size_t probe_start(std::uint64_t key) const {
     return static_cast<std::size_t>(mix(key)) & (slots_.size() - 1);
   }
+  std::size_t next(std::size_t i) const { return (i + 1) & (slots_.size() - 1); }
 
   std::size_t find_slot(std::uint64_t key) const {
     if (slots_.empty()) return kNpos;
     std::size_t i = probe_start(key);
-    while (slots_[i].state != State::kEmpty) {
-      if (slots_[i].state == State::kFull && slots_[i].key == key) return i;
-      i = (i + 1) & (slots_.size() - 1);
+    while (slots_[i].full) {
+      if (slots_[i].key == key) return i;
+      i = next(i);
     }
     return kNpos;
+  }
+
+  /// Empty slot `hole`, then walk its probe run: an entry whose home slot
+  /// is not cyclically within (hole, j] can move back into the hole, which
+  /// then advances to j. The run ends at the first empty slot.
+  void remove_at(std::size_t hole) {
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t j = next(hole); slots_[j].full; j = next(j)) {
+      const std::size_t home = probe_start(slots_[j].key);
+      if (((j - home) & mask) >= ((j - hole) & mask)) {
+        slots_[hole].key = slots_[j].key;
+        slots_[hole].value = std::move(slots_[j].value);
+        hole = j;
+      }
+    }
+    slots_[hole].value = T{};
+    slots_[hole].full = false;
+    --size_;
   }
 
   void rehash(std::size_t new_slots) {
     std::vector<Slot> old = std::move(slots_);
     slots_.clear();
     slots_.resize(new_slots);  // value-initialized: works for move-only T
-    tombs_ = 0;
     for (Slot& s : old) {
-      if (s.state != State::kFull) continue;
+      if (!s.full) continue;
       std::size_t i = probe_start(s.key);
-      while (slots_[i].state == State::kFull) i = (i + 1) & (new_slots - 1);
+      while (slots_[i].full) i = next(i);
       slots_[i].key = s.key;
       slots_[i].value = std::move(s.value);
-      slots_[i].state = State::kFull;
+      slots_[i].full = true;
     }
   }
 
   std::vector<Slot> slots_;
   std::size_t size_ = 0;
-  std::size_t tombs_ = 0;
 };
 
 /// Sorted-vector map for tiny key sets (per-creator cuts, green lines —

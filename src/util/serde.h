@@ -8,11 +8,14 @@
 #pragma once
 
 #include <bit>
+#include <cassert>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "util/types.h"
@@ -25,6 +28,49 @@ class SerdeError : public std::runtime_error {
 };
 
 using Bytes = std::vector<std::uint8_t>;
+
+/// An immutable wire buffer, shared by reference among every recipient of
+/// a send or multicast: sim::Network makes one per packet and hands each
+/// receiver the same refcounted object.
+///
+/// decoded() lets the recipients share the work of decoding it too (the
+/// replication engine's ORDERED actions, DESIGN.md §3.1): the first caller
+/// runs `decode`, later callers get the same object back. The memo is weak,
+/// so holding the wire (a disk record of a delivered body does, until
+/// compaction) never keeps the decoded object alive; once its last owner
+/// drops it, the next caller decodes afresh. A wire has one decoded form:
+/// every caller asks for the same T.
+///
+/// `lane` is the simulator lane the caller runs in. Every delivery of a
+/// wire runs in the sender's lane (the network refuses cross-lane
+/// traffic), and a lane's events never run concurrently, so the memo
+/// needs no lock; the assertion pins it to one lane. Not to one thread:
+/// a lane may run on a different worker thread in each window.
+class SharedWire {
+ public:
+  explicit SharedWire(Bytes bytes) : bytes_(std::move(bytes)) {}
+
+  const Bytes& bytes() const { return bytes_; }
+  std::size_t size() const { return bytes_.size(); }
+  const std::uint8_t* data() const { return bytes_.data(); }
+
+  template <typename T, typename Decode>
+  std::shared_ptr<const T> decoded(int lane, Decode&& decode) const {
+    if (std::shared_ptr<const void> hit = memo_.lock()) {
+      assert(memo_lane_ == lane);
+      return std::static_pointer_cast<const T>(std::move(hit));
+    }
+    std::shared_ptr<const T> fresh = std::forward<Decode>(decode)();
+    memo_ = fresh;
+    memo_lane_ = lane;
+    return fresh;
+  }
+
+ private:
+  const Bytes bytes_;
+  mutable std::weak_ptr<const void> memo_;
+  mutable int memo_lane_ = -1;
+};
 
 class BufWriter {
  public:

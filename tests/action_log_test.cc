@@ -13,12 +13,12 @@
 namespace tordb::core {
 namespace {
 
-Action mk(NodeId creator, std::int64_t index) {
+ActionRef mk(NodeId creator, std::int64_t index) {
   Action a;
   a.type = ActionType::kUpdate;
   a.id = ActionId{creator, index};
   a.update = db::Command::add("k" + std::to_string(index), index);
-  return a;
+  return std::make_shared<const Action>(std::move(a));
 }
 
 TEST(ActionLog, RedThenGreenPromotion) {
@@ -198,6 +198,110 @@ TEST(ActionLog, ResetAndReplayFromRecovery) {
   EXPECT_TRUE(log.is_green(ActionId{1, 8}));
 }
 
+// --- exact body accounting --------------------------------------------------
+//
+// stored_bodies() and body_bytes() feed the gc.bodies.* gauges and the
+// simulated core.peak_body_kb metric, so every path that stores, moves or
+// drops a body must keep them exact, not merely bounded.
+
+std::int64_t wsize(NodeId creator, std::int64_t index) {
+  return static_cast<std::int64_t>(mk(creator, index)->wire_size());
+}
+
+TEST(ActionLogBodies, RedThenGreenThenTrim) {
+  ActionLog log;
+  log.mark_red(mk(1, 1));
+  log.mark_red(mk(1, 2));
+  EXPECT_EQ(log.stored_bodies(), 2u);
+  EXPECT_EQ(log.body_bytes(), wsize(1, 1) + wsize(1, 2));
+
+  // Red → green keeps the one body; red and green in one step adds one.
+  log.mark_green(mk(1, 1));
+  log.mark_green(mk(2, 1));
+  EXPECT_EQ(log.stored_bodies(), 3u);
+  EXPECT_EQ(log.body_bytes(), wsize(1, 1) + wsize(1, 2) + wsize(2, 1));
+
+  // A duplicate green changes nothing.
+  log.mark_green(mk(2, 1));
+  EXPECT_EQ(log.stored_bodies(), 3u);
+
+  // Trim drops green bodies in green order; the pending red stays.
+  EXPECT_EQ(log.trim_white_to(1), 1u);
+  EXPECT_EQ(log.stored_bodies(), 2u);
+  EXPECT_EQ(log.body_bytes(), wsize(1, 2) + wsize(2, 1));
+  EXPECT_EQ(log.trim_white_to(2), 1u);
+  EXPECT_EQ(log.stored_bodies(), 1u);
+  EXPECT_EQ(log.body_bytes(), wsize(1, 2));
+  EXPECT_NE(log.body_of(ActionId{1, 2}), nullptr);
+}
+
+TEST(ActionLogBodies, GreenWhileParkedThenGapFillsCountsOnce) {
+  ActionLog log;
+  log.mark_red(mk(1, 1));
+  // {1,3} turns green while parked behind the missing {1,2}: the green
+  // order holds its body, the parked copy is not counted.
+  const auto res = log.mark_green(mk(1, 3));
+  EXPECT_EQ(res.position, 1);
+  ASSERT_NE(res.body, nullptr);
+  EXPECT_EQ(res.body->id, (ActionId{1, 3}));
+  EXPECT_EQ(log.waiting_count(), 1u);
+  EXPECT_EQ(log.stored_bodies(), 2u);
+  EXPECT_EQ(log.body_bytes(), wsize(1, 1) + wsize(1, 3));
+
+  // The gap-filler admits {1,2} and drains {1,3}, which is already stored.
+  const auto newly = log.mark_red(mk(1, 2));
+  ASSERT_EQ(newly.size(), 2u);
+  EXPECT_EQ(log.waiting_count(), 0u);
+  EXPECT_EQ(log.stored_bodies(), 3u);
+  EXPECT_EQ(log.body_bytes(), wsize(1, 1) + wsize(1, 2) + wsize(1, 3));
+  ASSERT_NE(log.green_body_at(1), nullptr);
+  EXPECT_EQ(log.green_body_at(1)->id, (ActionId{1, 3}));
+
+  // Trimming the one green drops exactly its body.
+  EXPECT_EQ(log.trim_white_to(1), 1u);
+  EXPECT_EQ(log.stored_bodies(), 2u);
+  EXPECT_EQ(log.body_bytes(), wsize(1, 1) + wsize(1, 2));
+}
+
+TEST(ActionLogBodies, ReplayGreenOverPendingRed) {
+  ActionLog log;
+  // Recovery replays a red record, then the green record of the same
+  // action: one body, not two.
+  log.mark_red(mk(1, 1));
+  log.mark_red(mk(1, 2));
+  EXPECT_TRUE(log.replay_green(1, mk(1, 1)));
+  EXPECT_EQ(log.stored_bodies(), 2u);
+  EXPECT_EQ(log.body_bytes(), wsize(1, 1) + wsize(1, 2));
+  EXPECT_EQ(log.position_of(ActionId{1, 1}), 1);
+  EXPECT_EQ(log.red_count(), 1u);
+
+  EXPECT_EQ(log.trim_white_to(1), 1u);
+  EXPECT_EQ(log.stored_bodies(), 1u);
+  EXPECT_EQ(log.body_bytes(), wsize(1, 2));
+}
+
+TEST(ActionLogBodies, AdoptGreenPrefixWithUntrimmedGreens) {
+  ActionLog log;
+  log.mark_green(mk(1, 1));
+  log.mark_green(mk(1, 2));
+  log.mark_red(mk(1, 3));
+  log.mark_red(mk(1, 4));
+  log.mark_red(mk(2, 2));  // parked behind {2,1}
+  EXPECT_EQ(log.stored_bodies(), 4u);
+  EXPECT_EQ(log.waiting_count(), 1u);
+
+  // The prefix covers both greens and {1,3}; raising creator 2's cut to 1
+  // unparks {2,2}.
+  const auto admitted = log.adopt_green_prefix(10, {{1, 3}, {2, 1}});
+  ASSERT_EQ(admitted.size(), 1u);
+  EXPECT_EQ(admitted[0]->id, (ActionId{2, 2}));
+  EXPECT_EQ(log.stored_bodies(), 2u);
+  EXPECT_EQ(log.body_bytes(), wsize(1, 4) + wsize(2, 2));
+  EXPECT_EQ(log.green_body_at(2), nullptr);
+  EXPECT_EQ(log.trim_white_to(10), 0u);
+  EXPECT_EQ(log.stored_bodies(), 2u);
+}
+
 // wire_size() is counted, not encoded: it must match encode() byte for byte,
 // since the body-store accounting and the network cost model both use it.
 TEST(ActionLog, WireSizeEqualsEncodedSize) {
@@ -209,7 +313,7 @@ TEST(ActionLog, WireSizeEqualsEncodedSize) {
   Action empty;
   EXPECT_EQ(empty.wire_size(), encoded(empty));
 
-  Action padded = mk(3, 4);
+  Action padded = *mk(3, 4);
   padded.padding = 110;
   EXPECT_EQ(padded.wire_size(), encoded(padded));
 
@@ -229,6 +333,34 @@ TEST(ActionLog, WireSizeEqualsEncodedSize) {
 
 using workload::ClusterOptions;
 using workload::EngineCluster;
+
+// Every replica of a group delivers the same wire, so they share the one
+// action object its first recipient decoded, instead of holding a copy each.
+TEST(ActionLogSharing, OneActionObjectPerGroup) {
+  ClusterOptions o;
+  o.replicas = 5;
+  o.seed = 5;
+  EngineCluster c(o);
+  c.run_for(seconds(1));
+  ASSERT_EQ(c.engine(0).state(), EngineState::kRegPrim);
+  const std::int64_t pos = c.engine(0).green_count() + 1;
+  c.engine(2).submit({}, db::Command::put("shared", "once"), 0, Semantics::kStrict, nullptr);
+  auto all_green = [&] {
+    for (NodeId i = 0; i < 5; ++i) {
+      if (c.engine(i).green_count() < pos) return false;
+    }
+    return true;
+  };
+  for (int step = 0; step < 1000 && !all_green(); ++step) c.run_for(micros(100));
+  ASSERT_TRUE(all_green());
+
+  const Action* first = c.engine(0).action_log().green_body_at(pos);
+  ASSERT_NE(first, nullptr);
+  EXPECT_EQ(first->id.server_id, 2);
+  for (NodeId i = 1; i < 5; ++i) {
+    EXPECT_EQ(c.engine(i).action_log().green_body_at(pos), first) << "node " << i;
+  }
+}
 
 struct RunResult {
   std::vector<std::uint64_t> digests;

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
 #include <set>
+#include <unordered_map>
 #include <vector>
 
+#include "util/flat_map.h"
 #include "util/rng.h"
 #include "util/serde.h"
 #include "util/types.h"
@@ -150,6 +154,141 @@ TEST(Serde, StringUnderrunThrows) {
   Bytes b = w.take();
   BufReader r(b);
   EXPECT_THROW(r.str(), SerdeError);
+}
+
+// SharedWire's decode memo: one decode while any owner holds the result,
+// and a fresh one after the last owner drops it (the memo is weak).
+TEST(SharedWire, DecodesOncePerLiveResult) {
+  const SharedWire wire(Bytes{1, 2, 3});
+  int decodes = 0;
+  auto decode = [&] {
+    ++decodes;
+    return std::make_shared<const int>(static_cast<int>(wire.size()));
+  };
+  std::shared_ptr<const int> a = wire.decoded<int>(0, decode);
+  std::shared_ptr<const int> b = wire.decoded<int>(0, decode);
+  EXPECT_EQ(decodes, 1);
+  EXPECT_EQ(a.get(), b.get());
+  EXPECT_EQ(*a, 3);
+  a.reset();
+  b.reset();
+  std::shared_ptr<const int> c = wire.decoded<int>(0, decode);
+  EXPECT_EQ(decodes, 2);
+  EXPECT_EQ(*c, 3);
+}
+
+// Model test: FlatMap64 against std::unordered_map over a small key set,
+// so probe runs are long, wrap around the table's end, and every erase
+// shifts entries back through them.
+TEST(FlatMap64, MatchesUnorderedMapModel) {
+  Rng rng(42);
+  util::FlatMap64<std::int64_t> map;
+  std::unordered_map<std::uint64_t, std::int64_t> model;
+  const std::uint64_t kKeys = 40;
+  for (int op = 0; op < 100000; ++op) {
+    const std::uint64_t key = rng.next_below(kKeys) * 0x10001;
+    switch (rng.next_below(5)) {
+      case 0:
+      case 1:
+        map[key] = op;
+        model[key] = op;
+        break;
+      case 2:
+        EXPECT_EQ(map.erase(key), model.erase(key) == 1) << "op " << op;
+        break;
+      case 3: {
+        auto it = model.find(key);
+        if (it != model.end()) {
+          EXPECT_EQ(map.extract(key), it->second) << "op " << op;
+          model.erase(it);
+        }
+        break;
+      }
+      case 4: {
+        const std::int64_t* v = map.find(key);
+        auto it = model.find(key);
+        ASSERT_EQ(v != nullptr, it != model.end()) << "op " << op;
+        if (v != nullptr) {
+          EXPECT_EQ(*v, it->second) << "op " << op;
+        }
+        break;
+      }
+    }
+    ASSERT_EQ(map.size(), model.size()) << "op " << op;
+    ASSERT_EQ(map.empty(), model.empty());
+    if (op % 1000 == 0) {
+      std::size_t seen = 0;
+      map.for_each([&](std::uint64_t k, std::int64_t v) {
+        ++seen;
+        auto it = model.find(k);
+        ASSERT_NE(it, model.end()) << "op " << op;
+        EXPECT_EQ(v, it->second);
+      });
+      EXPECT_EQ(seen, model.size()) << "op " << op;
+    }
+    if (op % 25000 == 24999) {
+      map.clear();
+      model.clear();
+      EXPECT_EQ(map.size(), 0u);
+      EXPECT_EQ(map.find(key), nullptr);
+    }
+  }
+}
+
+TEST(FlatMap64, ReserveClearAndMoveOnlyValues) {
+  util::FlatMap64<std::unique_ptr<int>> map;
+  map.reserve(1000);
+  for (int i = 0; i < 1000; ++i) map[static_cast<std::uint64_t>(i)] = std::make_unique<int>(i);
+  EXPECT_EQ(map.size(), 1000u);
+  for (int i = 0; i < 1000; i += 2) EXPECT_TRUE(map.erase(static_cast<std::uint64_t>(i)));
+  EXPECT_FALSE(map.erase(0));
+  std::size_t count = 0;
+  map.for_each([&](std::uint64_t k, const std::unique_ptr<int>& v) {
+    ++count;
+    EXPECT_EQ(static_cast<std::uint64_t>(*v), k);
+    EXPECT_EQ(k % 2, 1u);
+  });
+  EXPECT_EQ(count, 500u);
+  std::unique_ptr<int> v = map.extract(999);
+  EXPECT_EQ(*v, 999);
+  EXPECT_EQ(map.find(999), nullptr);
+  map.clear();
+  EXPECT_TRUE(map.empty());
+  EXPECT_EQ(map.find(1), nullptr);
+  // A cleared slot reads as a fresh default value on reuse.
+  EXPECT_EQ(map[1], nullptr);
+}
+
+TEST(VecMap, MatchesMapModelAndIteratesInKeyOrder) {
+  Rng rng(7);
+  util::VecMap<std::int32_t, std::int64_t> map;
+  std::map<std::int32_t, std::int64_t> model;
+  for (int op = 0; op < 20000; ++op) {
+    const auto key = static_cast<std::int32_t>(rng.next_below(24)) - 4;
+    switch (rng.next_below(3)) {
+      case 0:
+        map[key] = op;
+        model[key] = op;
+        break;
+      case 1:
+        EXPECT_EQ(map.erase(key), model.erase(key) == 1);
+        break;
+      case 2: {
+        const std::int64_t* v = map.find(key);
+        auto it = model.find(key);
+        ASSERT_EQ(v != nullptr, it != model.end());
+        if (v != nullptr) {
+          EXPECT_EQ(*v, it->second);
+        }
+        break;
+      }
+    }
+    ASSERT_EQ(map.size(), model.size());
+  }
+  const std::vector<std::pair<std::int32_t, std::int64_t>> expected(model.begin(), model.end());
+  EXPECT_EQ(map.entries(), expected);
+  map.clear();
+  EXPECT_TRUE(map.empty());
 }
 
 TEST(Zipf, Deterministic) {
