@@ -12,11 +12,15 @@ void encode_pairs(BufWriter& w, const std::vector<std::pair<NodeId, std::int64_t
 
 std::vector<std::pair<NodeId, std::int64_t>> decode_pairs(BufReader& r) {
   const std::uint32_t n = r.u32();
+  // Each pair is an i32 and an i64 on the wire: a count the payload cannot
+  // hold is malformed, and must not size the reservation.
+  if (n > r.remaining() / 12) throw SerdeError("pair count exceeds payload");
   std::vector<std::pair<NodeId, std::int64_t>> v;
   v.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     NodeId node = r.i32();
     std::int64_t x = r.i64();
+    if (!v.empty() && node <= v.back().first) throw SerdeError("pair keys not ascending");
     v.emplace_back(node, x);
   }
   return v;

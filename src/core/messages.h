@@ -190,6 +190,9 @@ DbSnapshotRecord decode_db_snapshot(BufReader& r);
 LogRecordType peek_log_type(const Bytes& record);
 MetaRecord decode_meta(BufReader& r);
 
+/// Per-node pairs (cuts, green lines), strictly ascending by node: every
+/// encoder writes a VecMap's entries, and the exchange plan's merge walk
+/// relies on the order, so decode_pairs throws SerdeError on any other.
 void encode_pairs(BufWriter& w, const std::vector<std::pair<NodeId, std::int64_t>>& v);
 std::vector<std::pair<NodeId, std::int64_t>> decode_pairs(BufReader& r);
 

@@ -19,7 +19,56 @@ void insert_sorted(std::vector<NodeId>& v, NodeId n) {
 void erase_value(std::vector<NodeId>& v, NodeId n) {
   v.erase(std::remove(v.begin(), v.end(), n), v.end());
 }
+
+// Every member of the group delivers the same wire: the first to get here
+// decodes it, the others share that object (DESIGN.md §3.1). A separate
+// allocation, not make_shared, so the wire's weak memo, which lives as long
+// as anything holds the wire (a disk record of an action does), pins only
+// the control block once the object itself is released.
+template <typename T, typename Decode>
+std::shared_ptr<const T> decode_shared(const gc::Delivery& d, int lane, Decode&& decode) {
+  auto fresh = [&] { return std::shared_ptr<const T>(new T(decode())); };
+  return d.wire ? d.wire->decoded<T>(lane, fresh) : fresh();
+}
 }  // namespace
+
+std::vector<RedRetrans> red_retrans_plan(std::span<const StateMessage* const> members) {
+  std::vector<RedRetrans> plan;
+  std::vector<std::size_t> at(members.size(), 0);  // per member: next red_cut pair
+  for (;;) {
+    // The next creator is the smallest one under any member's cursor.
+    bool any = false;
+    NodeId c = kNoNode;
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      const auto& cuts = members[i]->red_cut;
+      if (at[i] < cuts.size() && (!any || cuts[at[i]].first < c)) {
+        c = cuts[at[i]].first;
+        any = true;
+      }
+    }
+    if (!any) break;
+    std::int64_t hi = 0, lo = INT64_MAX;
+    std::size_t holder = 0;
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      const auto& cuts = members[i]->red_cut;
+      std::int64_t v = 0;
+      if (at[i] < cuts.size() && cuts[at[i]].first == c) v = cuts[at[i]++].second;
+      lo = std::min(lo, v);
+      if (v > hi) {
+        hi = v;
+        holder = i;
+      }
+    }
+    const auto& green = members[holder]->green_red_cut;
+    auto g = std::lower_bound(green.begin(), green.end(), c,
+                              [](const std::pair<NodeId, std::int64_t>& e, NodeId k) {
+                                return e.first < k;
+                              });
+    if (g != green.end() && g->first == c) lo = std::max(lo, g->second);
+    if (hi > lo) plan.push_back({c, members[holder]->server_id, lo, hi});
+  }
+  return plan;
+}
 
 std::string to_string(EngineState s) {
   switch (s) {
@@ -582,13 +631,8 @@ void ReplicationEngine::on_deliver(const gc::Delivery& d) {
   const auto type = static_cast<EngineMsgType>(r.u8());
   switch (type) {
     case EngineMsgType::kAction: {
-      // Every member of the group delivers this same wire: the first to get
-      // here decodes it, the others share that action object (DESIGN.md
-      // §3.1). A separate allocation, not make_shared, so the wire's weak
-      // memo, which lives as long as a disk record holds the wire, pins
-      // only the control block once the action itself is released.
-      auto decode = [&r] { return ActionRef(new Action(Action::decode(r))); };
-      ActionRef a = d.wire ? d.wire->decoded<Action>(sim_.current_lane(), decode) : decode();
+      ActionRef a =
+          decode_shared<Action>(d, sim_.current_lane(), [&r] { return Action::decode(r); });
       // The wire payload is [type][body] where [body] is the canonical
       // Action encoding; point the body-encode cache at that slice of the
       // shared wire, so the log record this action triggers references the
@@ -608,7 +652,8 @@ void ReplicationEngine::on_deliver(const gc::Delivery& d) {
       break;
     }
     case EngineMsgType::kState:
-      handle_state_msg(StateMessage::decode(r));
+      handle_state_msg(decode_shared<StateMessage>(d, sim_.current_lane(),
+                                                   [&r] { return StateMessage::decode(r); }));
       break;
     case EngineMsgType::kCpc: {
       CpcMessage c;
@@ -712,10 +757,12 @@ void ReplicationEngine::shift_to_exchange_states() {
   });
 }
 
-void ReplicationEngine::handle_state_msg(const StateMessage& s) {
+void ReplicationEngine::handle_state_msg(std::shared_ptr<const StateMessage> s) {
   if (state_ != EngineState::kExchangeStates) return;  // A.1/A.3: ignore
-  if (!(s.conf_id == conf_.id)) return;
-  state_msgs_[s.server_id] = s;
+  if (!(s->conf_id == conf_.id)) return;
+  const NodeId from = s->server_id;
+  state_msgs_[from] = std::move(s);
+  if (state_msgs_.size() < conf_.members.size()) return;
   for (NodeId m : conf_.members) {
     if (!state_msgs_.count(m)) return;
   }
@@ -728,25 +775,26 @@ void ReplicationEngine::shift_to_exchange_actions() {
   // Deterministic retransmission plan, computed identically by every member
   // from the identical set of State messages (replacing the turn-based
   // Retrans() of A.4/A.6 — same content, fully parallel).
+  std::vector<const StateMessage*> states;
+  states.reserve(conf_.members.size());
+  for (NodeId m : conf_.members) states.push_back(state_msgs_.at(m).get());
   std::int64_t min_green = INT64_MAX, max_green = -1;
-  NodeId most_updated = kNoNode;
-  for (NodeId m : conf_.members) {
-    const StateMessage& s = state_msgs_.at(m);
-    min_green = std::min(min_green, s.green_count);
+  const StateMessage* holder_msg = nullptr;
+  for (const StateMessage* s : states) {
+    min_green = std::min(min_green, s->green_count);
     // Among members with the maximal green count, prefer one that still
     // holds action bodies (lower white line) so cheap per-action
     // retransmission beats a full state transfer; then lowest id.
-    if (s.green_count > max_green ||
-        (s.green_count == max_green &&
-         s.white_count < state_msgs_.at(most_updated).white_count)) {
-      max_green = s.green_count;
-      most_updated = m;
+    if (s->green_count > max_green ||
+        (s->green_count == max_green && s->white_count < holder_msg->white_count)) {
+      max_green = s->green_count;
+      holder_msg = s;
     }
   }
-  const StateMessage& holder_msg = state_msgs_.at(most_updated);
+  const NodeId most_updated = holder_msg->server_id;
 
   if (max_green > min_green) {
-    if (holder_msg.white_count > min_green) {
+    if (holder_msg->white_count > min_green) {
       // The most updated member inherited its prefix (joined via snapshot)
       // and holds no bodies below its white line: transfer the whole green
       // state instead of individual actions.
@@ -777,40 +825,11 @@ void ReplicationEngine::shift_to_exchange_actions() {
 
   // Red actions, per creator: the member holding the longest prefix
   // retransmits what others lack (beyond what the green path carries).
-  std::set<NodeId> creators;
-  for (const auto& [m, s] : state_msgs_) {
-    for (const auto& [c, v] : s.red_cut) creators.insert(c);
-  }
-  auto cut_of = [](const StateMessage& s, NodeId c) {
-    for (const auto& [n, v] : s.red_cut) {
-      if (n == c) return v;
-    }
-    return std::int64_t{0};
-  };
-  auto green_cut_of = [](const StateMessage& s, NodeId c) {
-    for (const auto& [n, v] : s.green_red_cut) {
-      if (n == c) return v;
-    }
-    return std::int64_t{0};
-  };
-  for (NodeId c : creators) {
-    std::int64_t cmax = 0, cmin = INT64_MAX;
-    NodeId holder = kNoNode;
-    for (NodeId m : conf_.members) {
-      const std::int64_t v = cut_of(state_msgs_.at(m), c);
-      cmin = std::min(cmin, v);
-      if (v > cmax || (v == cmax && holder == kNoNode)) {
-        cmax = v;
-        holder = m;
-      }
-    }
-    if (holder == kNoNode) continue;
-    const std::int64_t lo = std::max(cmin, green_cut_of(state_msgs_.at(holder), c));
-    if (cmax <= lo) continue;
-    expected_retrans_ += cmax - lo;
-    if (holder == id_) {
-      for (std::int64_t idx = lo + 1; idx <= cmax; ++idx) {
-        const ActionRef body = log_.body_of(ActionId{c, idx});
+  for (const RedRetrans& p : red_retrans_plan(states)) {
+    expected_retrans_ += p.hi - p.lo;
+    if (p.holder == id_) {
+      for (std::int64_t idx = p.lo + 1; idx <= p.hi; ++idx) {
+        const ActionRef body = log_.body_of(ActionId{p.creator, idx});
         assert(body != nullptr);
         gc_->multicast(encode_red_retrans(*body), gc::Service::kAgreed);
         ++stats_.red_retrans_sent;
@@ -866,7 +885,7 @@ void ReplicationEngine::end_of_retrans() {
   // A.5 End_of_retrans: incorporate green lines, compute knowledge, decide.
   for (const auto& [m, s] : state_msgs_) {
     std::int64_t& g = green_lines_[m];
-    g = std::max(g, s.green_count);
+    g = std::max(g, s->green_count);
   }
   compute_knowledge();
   raise_white(/*rescan=*/true);
@@ -901,17 +920,17 @@ void ReplicationEngine::compute_knowledge() {
   // A.7 step 1: adopt the most advanced primary component knowledge.
   std::pair<std::int64_t, std::int64_t> best{-1, -1};
   for (const auto& [m, s] : state_msgs_) {
-    best = std::max(best, {s.prim.prim_index, s.prim.attempt_index});
+    best = std::max(best, {s->prim.prim_index, s->prim.attempt_index});
   }
   std::vector<NodeId> updated_group;
   std::vector<NodeId> valid_group;
   std::int64_t max_attempt = 0;
   for (const auto& [m, s] : state_msgs_) {
-    if (std::pair{s.prim.prim_index, s.prim.attempt_index} == best) {
+    if (std::pair{s->prim.prim_index, s->prim.attempt_index} == best) {
       updated_group.push_back(m);
-      prim_ = s.prim;
-      max_attempt = std::max(max_attempt, s.attempt_index);
-      if (s.yellow.valid) valid_group.push_back(m);
+      prim_ = s->prim;
+      max_attempt = std::max(max_attempt, s->attempt_index);
+      if (s->yellow.valid) valid_group.push_back(m);
     }
   }
   attempt_index_ = max_attempt;
@@ -930,10 +949,10 @@ void ReplicationEngine::compute_knowledge() {
   if (!valid_group.empty()) {
     YellowRecord merged;
     merged.valid = true;
-    for (const ActionId& aid : state_msgs_.at(valid_group.front()).yellow.set) {
+    for (const ActionId& aid : state_msgs_.at(valid_group.front())->yellow.set) {
       bool in_all = true;
       for (NodeId v : valid_group) {
-        const auto& set = state_msgs_.at(v).yellow.set;
+        const auto& set = state_msgs_.at(v)->yellow.set;
         if (std::find(set.begin(), set.end(), aid) == set.end()) {
           in_all = false;
           break;
@@ -949,7 +968,7 @@ void ReplicationEngine::compute_knowledge() {
   // A.7 step 3: invalidate vulnerable records that the exchanged knowledge
   // proves moot (superseded attempt, or a co-attempter that resolved it).
   std::map<NodeId, VulnerableRecord> eff;
-  for (const auto& [m, s] : state_msgs_) eff[m] = s.vulnerable;
+  for (const auto& [m, s] : state_msgs_) eff[m] = s->vulnerable;
   for (auto& [m, v] : eff) {
     if (!v.valid) continue;
     bool invalidate = !contains(prim_.servers, m);
@@ -957,7 +976,7 @@ void ReplicationEngine::compute_knowledge() {
       for (NodeId j : v.set) {
         auto it = state_msgs_.find(j);
         if (it == state_msgs_.end()) continue;
-        const VulnerableRecord& jv = it->second.vulnerable;
+        const VulnerableRecord& jv = it->second->vulnerable;
         if (!jv.valid || jv.prim_index != v.prim_index ||
             jv.attempt_index != v.attempt_index) {
           invalidate = true;

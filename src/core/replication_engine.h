@@ -141,6 +141,27 @@ struct EngineCallbacks {
   std::function<void()> on_non_prim;
 };
 
+/// One creator's share of the A.5 red retransmission: `holder` multicasts
+/// that creator's actions with indices in (lo, hi].
+struct RedRetrans {
+  NodeId creator = kNoNode;
+  NodeId holder = kNoNode;
+  std::int64_t lo = 0;
+  std::int64_t hi = 0;
+
+  friend bool operator==(const RedRetrans&, const RedRetrans&) = default;
+};
+
+/// The A.5 red retransmission plan, computed identically by every member
+/// from the same State messages, given in configuration order. Per creator,
+/// ascending: `hi` is the highest red cut; the holder is the first member
+/// with it; `lo` is the higher of the lowest red cut (0 where a member lists
+/// no such creator) and the holder's green cut, since the green path
+/// carries the rest; creators with hi <= lo are left out. One merge walk
+/// over the members' red cuts, which decode_pairs keeps ascending:
+/// O(members x creators).
+std::vector<RedRetrans> red_retrans_plan(std::span<const StateMessage* const> members);
+
 class ReplicationEngine {
  public:
   /// Fresh start as a founding member of `initial_servers`.
@@ -212,6 +233,11 @@ class ReplicationEngine {
   gc::GroupCommunication& group_comm() { return *gc_; }
   /// Green sequence entry at `position` (1-based); kNoNode id if trimmed.
   ActionId green_action_at(std::int64_t position) const;
+  /// The State messages of the current or last exchange, by sender. Every
+  /// member of the group holds the same decoded objects (DESIGN.md §3.1).
+  const std::map<NodeId, std::shared_ptr<const StateMessage>>& exchange_states() const {
+    return state_msgs_;
+  }
 
   // --- shard rebalancing hooks (DESIGN.md §9) --------------------------------
 
@@ -232,7 +258,7 @@ class ReplicationEngine {
   void on_transitional_config(const gc::Configuration& conf);
   void on_deliver(const gc::Delivery& d);
   void handle_action(ActionRef a);
-  void handle_state_msg(const StateMessage& s);
+  void handle_state_msg(std::shared_ptr<const StateMessage> s);
   void handle_cpc(const CpcMessage& c);
   void handle_green_retrans(std::int64_t position, ActionRef a);
   void handle_red_retrans(ActionRef a);
@@ -364,7 +390,7 @@ class ReplicationEngine {
   util::FlatMap64<Bytes> ongoing_;
 
   // Exchange state.
-  std::map<NodeId, StateMessage> state_msgs_;
+  std::map<NodeId, std::shared_ptr<const StateMessage>> state_msgs_;
   bool exchange_plan_ready_ = false;
   std::int64_t expected_retrans_ = 0;
   std::int64_t received_retrans_ = 0;

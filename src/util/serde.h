@@ -34,12 +34,13 @@ using Bytes = std::vector<std::uint8_t>;
 /// receiver the same refcounted object.
 ///
 /// decoded() lets the recipients share the work of decoding it too (the
-/// replication engine's ORDERED actions, DESIGN.md §3.1): the first caller
-/// runs `decode`, later callers get the same object back. The memo is weak,
-/// so holding the wire (a disk record of a delivered body does, until
-/// compaction) never keeps the decoded object alive; once its last owner
-/// drops it, the next caller decodes afresh. A wire has one decoded form:
-/// every caller asks for the same T.
+/// replication engine's ORDERED actions and State messages, DESIGN.md
+/// §3.1): the first caller runs `decode`, later callers get the same
+/// object back. The memo is weak, so holding the wire (a disk record of a
+/// delivered body does, until compaction) never keeps the decoded object
+/// alive; once its last owner drops it, the next caller decodes afresh. A
+/// decode that throws stores nothing. A wire has one decoded form: every
+/// caller asks for the same T.
 ///
 /// `lane` is the simulator lane the caller runs in. Every delivery of a
 /// wire runs in the sender's lane (the network refuses cross-lane

@@ -3,8 +3,12 @@
 // trimming interplay, and request buffering across state-machine states.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
 #include "obs_enable.h"  // run every cluster under the online safety checker
 #include "db/database.h"
+#include "util/rng.h"
 #include "workload/cluster.h"
 
 namespace tordb::core {
@@ -232,6 +236,125 @@ TEST(CoreExchange, LargeDivergenceExchanges) {
   EXPECT_EQ(c.engine(3).database().get("g"), "120");
   EXPECT_EQ(c.engine(0).database().get("r"), "120");
   EXPECT_EQ(c.check_all(), std::nullopt);
+}
+
+// Every replica of a group delivers the same State wires, so after an
+// exchange they all hold the one object per member that the first
+// recipient decoded, instead of a copy of all of them each.
+TEST(CoreExchange, OneStateObjectPerGroup) {
+  EngineCluster c(small(5, 5));
+  c.run_for(seconds(1));
+  c.partition({{0, 1, 2}, {3, 4}});
+  c.run_for(millis(400));
+  c.heal();
+  c.run_for(seconds(1));
+  ASSERT_TRUE(c.converged_primary(c.all_ids()));
+  const auto& first = c.engine(0).exchange_states();
+  ASSERT_EQ(first.size(), 5u);
+  for (NodeId i = 1; i < 5; ++i) {
+    const auto& states = c.engine(i).exchange_states();
+    ASSERT_EQ(states.size(), first.size()) << "node " << i;
+    for (const auto& [m, s] : first) {
+      ASSERT_TRUE(states.count(m)) << "node " << i << " member " << m;
+      EXPECT_EQ(states.at(m).get(), s.get()) << "node " << i << " member " << m;
+    }
+  }
+}
+
+// The retransmission plan as first written: a scan of a member's cut list
+// for every (creator, member) pair. Kept here only as the model that
+// red_retrans_plan's merge walk must match.
+std::vector<RedRetrans> reference_plan(const std::vector<const StateMessage*>& members) {
+  std::set<NodeId> creators;
+  for (const StateMessage* s : members) {
+    for (const auto& [c, v] : s->red_cut) creators.insert(c);
+  }
+  auto cut_of = [](const std::vector<std::pair<NodeId, std::int64_t>>& cuts, NodeId c) {
+    for (const auto& [n, v] : cuts) {
+      if (n == c) return v;
+    }
+    return std::int64_t{0};
+  };
+  std::vector<RedRetrans> plan;
+  for (NodeId c : creators) {
+    std::int64_t cmax = 0, cmin = INT64_MAX;
+    const StateMessage* holder = nullptr;
+    for (const StateMessage* s : members) {
+      const std::int64_t v = cut_of(s->red_cut, c);
+      cmin = std::min(cmin, v);
+      if (v > cmax || (v == cmax && holder == nullptr)) {
+        cmax = v;
+        holder = s;
+      }
+    }
+    if (holder == nullptr) continue;
+    const std::int64_t lo = std::max(cmin, cut_of(holder->green_red_cut, c));
+    if (cmax <= lo) continue;
+    plan.push_back({c, holder->server_id, lo, cmax});
+  }
+  return plan;
+}
+
+// Model test: the merge walk against the quadratic reference over random
+// State sets of 1 to 64 members, with creators some members do not list,
+// tied and all-zero cuts, and holders whose green cut is above the lowest
+// red cut. Each of those cases must actually occur.
+TEST(CoreExchange, RedRetransPlanMatchesQuadraticReference) {
+  Rng rng(26);
+  int missing = 0, late_tied_holder = 0, all_zero = 0, green_above_min = 0;
+  std::set<std::size_t> sizes;
+  for (int trial = 0; trial < 4000; ++trial) {
+    const std::size_t n = trial < 64 ? static_cast<std::size_t>(trial + 1)
+                                     : static_cast<std::size_t>(rng.next_range(1, 64));
+    sizes.insert(n);
+    std::vector<NodeId> universe(rng.next_range(1, 12));
+    for (NodeId& c : universe) c = static_cast<NodeId>(rng.next_below(80));
+    std::sort(universe.begin(), universe.end());
+    universe.erase(std::unique(universe.begin(), universe.end()), universe.end());
+    const std::uint64_t miss_pct = rng.next_below(4) * 15;  // 0, 15, 30 or 45%
+    const std::int64_t max_cut = static_cast<std::int64_t>(rng.next_below(7));  // 0: all zero
+
+    std::vector<StateMessage> states(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      StateMessage& s = states[i];
+      s.server_id = static_cast<NodeId>(2 * i + rng.next_below(2));
+      for (NodeId c : universe) {
+        if (rng.next_below(100) < miss_pct) continue;
+        const std::int64_t cut = rng.next_range(0, max_cut);
+        s.red_cut.emplace_back(c, cut);
+        if (rng.next_below(3) != 0) s.green_red_cut.emplace_back(c, rng.next_range(0, cut));
+      }
+    }
+    std::vector<const StateMessage*> members;
+    for (const StateMessage& s : states) members.push_back(&s);
+
+    const std::vector<RedRetrans> plan = red_retrans_plan(members);
+    ASSERT_EQ(plan, reference_plan(members)) << "trial " << trial << ", " << n << " members";
+
+    // Which cases this trial covered.
+    for (NodeId c : universe) {
+      std::vector<std::int64_t> cuts;
+      for (const StateMessage& s : states) {
+        auto it = std::find_if(s.red_cut.begin(), s.red_cut.end(),
+                               [c](const auto& e) { return e.first == c; });
+        cuts.push_back(it == s.red_cut.end() ? 0 : it->second);
+        if (it == s.red_cut.end()) ++missing;
+      }
+      const auto top = std::max_element(cuts.begin(), cuts.end());
+      const std::int64_t lowest = *std::min_element(cuts.begin(), cuts.end());
+      const std::size_t holder = static_cast<std::size_t>(top - cuts.begin());
+      if (*top == 0) ++all_zero;
+      if (holder > 0 && std::count(cuts.begin(), cuts.end(), *top) > 1) ++late_tied_holder;
+      for (const auto& [g, v] : states[holder].green_red_cut) {
+        if (g == c && v > lowest && v < *top) ++green_above_min;
+      }
+    }
+  }
+  EXPECT_EQ(sizes.size(), 64u);
+  EXPECT_GT(missing, 0);
+  EXPECT_GT(late_tied_holder, 0);
+  EXPECT_GT(all_zero, 0);
+  EXPECT_GT(green_above_min, 0);
 }
 
 }  // namespace

@@ -144,7 +144,7 @@ TEST(CoreMessages, ActionWireSizeTracksPadding) {
   EXPECT_EQ(a.wire_size(), base + 110);
 }
 
-TEST(CoreMessages, StateMessageRoundTrip) {
+core::StateMessage sample_state() {
   core::StateMessage s;
   s.server_id = 2;
   s.conf_id = ConfigId{5, 0};
@@ -162,6 +162,17 @@ TEST(CoreMessages, StateMessageRoundTrip) {
   s.vulnerable.bits = {true, false, true};
   s.yellow.valid = true;
   s.yellow.set = {ActionId{1, 9}, ActionId{0, 12}};
+  return s;
+}
+
+core::StateMessage decode_state(const std::uint8_t* data, std::size_t size) {
+  BufReader r(data, size);
+  r.u8();
+  return core::StateMessage::decode(r);
+}
+
+TEST(CoreMessages, StateMessageRoundTrip) {
+  const core::StateMessage s = sample_state();
   Bytes wire = core::encode_state_msg(s);
   EXPECT_EQ(core::peek_engine_type(wire), core::EngineMsgType::kState);
   BufReader r(wire);
@@ -174,6 +185,45 @@ TEST(CoreMessages, StateMessageRoundTrip) {
   EXPECT_EQ(back.prim, s.prim);
   EXPECT_EQ(back.vulnerable, s.vulnerable);
   EXPECT_EQ(back.yellow, s.yellow);
+}
+
+// Every proper prefix of a State payload is malformed: the decoder throws
+// instead of reading past it.
+TEST(CoreMessages, TruncatedStateMessageThrows) {
+  const Bytes wire = core::encode_state_msg(sample_state());
+  EXPECT_EQ(decode_state(wire.data(), wire.size()).red_cut, sample_state().red_cut);
+  for (std::size_t len = 1; len < wire.size(); ++len) {
+    EXPECT_THROW(decode_state(wire.data(), len), SerdeError) << "length " << len;
+  }
+}
+
+// The exchange plan walks the cuts in creator order, so a State payload
+// whose cuts are out of order or repeat a creator is refused.
+TEST(CoreMessages, UnsortedStateCutsThrow) {
+  using Pairs = std::vector<std::pair<NodeId, std::int64_t>>;
+  for (const Pairs& bad : {Pairs{{1, 25}, {0, 30}, {2, 45}}, Pairs{{0, 30}, {0, 31}}}) {
+    core::StateMessage red = sample_state();
+    red.red_cut = bad;
+    const Bytes red_wire = core::encode_state_msg(red);
+    EXPECT_THROW(decode_state(red_wire.data(), red_wire.size()), SerdeError);
+
+    core::StateMessage green = sample_state();
+    green.green_red_cut = bad;
+    const Bytes green_wire = core::encode_state_msg(green);
+    EXPECT_THROW(decode_state(green_wire.data(), green_wire.size()), SerdeError);
+  }
+}
+
+// A pair count larger than the payload can hold is refused before it sizes
+// any allocation.
+TEST(CoreMessages, OversizedPairCountThrows) {
+  BufWriter w;
+  w.u32(0xFFFFFFFFu);
+  w.i32(0);
+  w.i64(1);
+  const Bytes b = w.take();
+  BufReader r(b);
+  EXPECT_THROW(core::decode_pairs(r), SerdeError);
 }
 
 TEST(CoreMessages, VulnerableBits) {

@@ -177,6 +177,28 @@ TEST(SharedWire, DecodesOncePerLiveResult) {
   EXPECT_EQ(*c, 3);
 }
 
+// A decode that throws stores nothing: the memo stays empty and the next
+// caller decodes again, rather than getting a half-built or stale object.
+TEST(SharedWire, ThrowingDecodeLeavesMemoEmpty) {
+  const SharedWire wire(Bytes{1, 2, 3});
+  int decodes = 0;
+  auto failing = [&]() -> std::shared_ptr<const int> {
+    ++decodes;
+    throw SerdeError("malformed");
+  };
+  auto decode = [&] {
+    ++decodes;
+    return std::make_shared<const int>(7);
+  };
+  EXPECT_THROW(wire.decoded<int>(0, failing), SerdeError);
+  std::shared_ptr<const int> a = wire.decoded<int>(0, decode);
+  EXPECT_EQ(decodes, 2);
+  EXPECT_EQ(*a, 7);
+  std::shared_ptr<const int> b = wire.decoded<int>(0, decode);
+  EXPECT_EQ(decodes, 2);
+  EXPECT_EQ(a.get(), b.get());
+}
+
 // Model test: FlatMap64 against std::unordered_map over a small key set,
 // so probe runs are long, wrap around the table's end, and every erase
 // shifts entries back through them.
