@@ -26,6 +26,27 @@ void BM_EventQueueScheduleRun(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueScheduleRun);
 
+// The hold model: N events stay pending, and each popped event schedules
+// one more after a random delay, so every pop sifts through a heap of N
+// (BM_EventQueueScheduleRun's ascending times never sift deep). evs48 holds
+// about 1,000 pending events. One iteration is one event.
+void BM_EventQueueHold(benchmark::State& state) {
+  const auto n = state.range(0);
+  Simulator sim;
+  Rng rng(7);
+  struct Hold {
+    Simulator* sim;
+    Rng* rng;
+    void operator()() const {
+      sim->after(static_cast<SimDuration>(rng->next_below(1000000)), Hold{sim, rng});
+    }
+  };
+  for (std::int64_t i = 0; i < n; ++i) Hold{&sim, &rng}();
+  for (auto _ : state) benchmark::DoNotOptimize(sim.run(1));
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventQueueHold)->Arg(64)->Arg(1024)->Arg(16384);
+
 void BM_RngNext(benchmark::State& state) {
   Rng rng(1);
   for (auto _ : state) benchmark::DoNotOptimize(rng.next_u64());

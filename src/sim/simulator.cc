@@ -111,44 +111,35 @@ void Simulator::enable_lanes(int lanes, int threads, SimDuration handoff_latency
   }
 }
 
-void Simulator::schedule(Lane& l, SimTime t, SmallFn fn,
-                         std::shared_ptr<Cancelable::State> cancel) {
-  if (t < l.now) t = l.now;
+std::uint32_t Simulator::claim_slot(Lane& l) {
   // Opportunistically drop dead weight before growing the heap: once cancelled
   // entries make up more than half the queue (and there are enough of them to
   // amortize the scan), compact in one pass.
   if (*l.cancel_tally > kMinDeadForPurge && *l.cancel_tally * 2 > l.heap.size()) purge(l);
-  const std::uint32_t slot = acquire_slot(l);
-  if (slot >> kSlotBits) throw std::length_error("simulator: too many pending events");
-  Slot& s = l.slots[slot];
-  s.fn = std::move(fn);
-  s.cancel = std::move(cancel);
-  l.heap.push_back(Entry{t, (l.next_seq++ << kSlotBits) | slot});
-  sift_up(l, l.heap.size() - 1);
-  if (l.heap.size() > l.peak_depth) l.peak_depth = l.heap.size();
-}
-
-Cancelable Simulator::after_cancelable(SimDuration delay, SmallFn fn) {
-  Lane& l = current_mutable_lane();
-  Cancelable c;
-  c.state_->cancel_tally = l.cancel_tally;
-  schedule(l, l.now + delay, std::move(fn), c.state_);
-  return c;
-}
-
-std::uint32_t Simulator::acquire_slot(Lane& l) {
   if (!l.free_slots.empty()) {
     const std::uint32_t slot = l.free_slots.back();
     l.free_slots.pop_back();
     return slot;
   }
-  l.slots.emplace_back();
-  return static_cast<std::uint32_t>(l.slots.size() - 1);
+  if (l.slot_chunks.empty() || l.slot_chunks.back().size() == kChunkSlots) {
+    l.slot_chunks.emplace_back().reserve(kChunkSlots);
+  }
+  std::vector<Slot>& chunk = l.slot_chunks.back();
+  const std::size_t slot = (l.slot_chunks.size() - 1) * kChunkSlots + chunk.size();
+  if (slot >> kSlotBits) throw std::length_error("simulator: too many pending events");
+  chunk.emplace_back();
+  return static_cast<std::uint32_t>(slot);
 }
 
-void Simulator::release_slot(Lane& l, std::uint32_t slot) {
-  Slot& s = l.slots[slot];
-  s.fn = SmallFn{};
+void Simulator::enqueue(Lane& l, SimTime t, std::uint32_t slot) {
+  if (t < l.now) t = l.now;
+  l.heap.push_back(Entry{t, (l.next_seq++ << kSlotBits) | slot});
+  sift_up(l, l.heap.size() - 1);
+  if (l.heap.size() > l.peak_depth) l.peak_depth = l.heap.size();
+}
+
+void Simulator::release_slot(Lane& l, Slot& s, std::uint32_t slot) {
+  s.fn.reset();
   s.cancel.reset();
   l.free_slots.push_back(slot);
 }
@@ -192,9 +183,9 @@ void Simulator::purge(Lane& l) {
   std::size_t kept = 0;
   for (std::size_t i = 0; i < l.heap.size(); ++i) {
     const Entry& e = l.heap[i];
-    const auto& cancel = l.slots[e.slot()].cancel;
-    if (cancel && !cancel->alive) {
-      release_slot(l, e.slot());
+    Slot& s = l.slot(e.slot());
+    if (s.cancel && !s.cancel->alive) {
+      release_slot(l, s, e.slot());
       ++l.purged;
       assert(*l.cancel_tally > 0);
       --*l.cancel_tally;
@@ -211,34 +202,60 @@ void Simulator::purge(Lane& l) {
   }
 }
 
+// Bottom-up pop: the root's hole walks down to a leaf along the smallest
+// child, and the former last entry, which usually belongs near the bottom,
+// then sifts up from that leaf. The textbook sift-down also compares the
+// placed entry at every level and branches on each child compare; here a
+// level is a branch-free tournament of the four children (two pairs, then
+// their winners), and the short sift-up is the only data-dependent loop.
+void Simulator::refill_root(Lane& l, Entry e) {
+  Entry* h = l.heap.data();
+  const std::size_t n = l.heap.size();
+  std::size_t hole = 0;
+  std::size_t first = 1;
+  while (first + 4 <= n) {
+    const std::size_t a = first + (rank(h[first + 1]) < rank(h[first]));
+    const std::size_t b = first + 2 + (rank(h[first + 3]) < rank(h[first + 2]));
+    // A mask select: compilers turn `cond ? b : a` here into a branch.
+    const std::size_t take_b = 0 - static_cast<std::size_t>(rank(h[b]) < rank(h[a]));
+    const std::size_t best = a ^ ((a ^ b) & take_b);
+    h[hole] = h[best];
+    hole = best;
+    first = 4 * hole + 1;
+  }
+  // At most one node has one to three children, and they are leaves.
+  if (first < n) {
+    std::size_t best = first;
+    for (std::size_t c = first + 1; c < n; ++c) {
+      if (rank(h[c]) < rank(h[best])) best = c;
+    }
+    h[hole] = h[best];
+    hole = best;
+  }
+  h[hole] = e;
+  sift_up(l, hole);
+}
+
 bool Simulator::pop_and_run(Lane& l) {
   const Entry top = l.heap[0];
-  const std::size_t last = l.heap.size() - 1;
-  if (last > 0) {
-    l.heap[0] = l.heap[last];
-    l.heap.resize(last);
-    sift_down(l, 0);
-  } else {
-    l.heap.clear();
-  }
+  const Entry last = l.heap.back();
+  l.heap.pop_back();
+  if (!l.heap.empty()) refill_root(l, last);
   assert(top.time >= l.now);
 
-  Slot& s = l.slots[top.slot()];
+  const std::uint32_t slot = top.slot();
+  Slot& s = l.slot(slot);
   // A cancelled event still advances the clock to its scheduled time (it held
   // its place in the time order), but never executes.
   if (s.cancel && !s.cancel->alive) {
     l.now = top.time;
-    release_slot(l, top.slot());
+    release_slot(l, s, slot);
     ++l.cancelled_pops;
     assert(*l.cancel_tally > 0);
     --*l.cancel_tally;
     return false;
   }
   if (s.cancel) s.cancel->alive = false;  // fired: token reports inactive, no tally
-  // Move the closure out and release the slot *before* invoking, so events
-  // scheduled from inside the callback can reuse it.
-  SmallFn fn = std::move(s.fn);
-  release_slot(l, top.slot());
   l.now = top.time;
   if (lane_mode_) {
     // Fold the executed schedule so equivalence suites can compare runs
@@ -247,7 +264,11 @@ bool Simulator::pop_and_run(Lane& l) {
     l.digest = mix64(l.digest ^ (static_cast<std::uint64_t>(top.time) +
                                  0x9e3779b97f4a7c15ULL * (top.key >> kSlotBits)));
   }
-  fn();
+  // Run the closure where it lies: slots never move (Lane::slot_chunks), and
+  // this one stays claimed until the call returns, so events the callback
+  // schedules take other slots. Release it afterwards.
+  s.fn();
+  release_slot(l, s, slot);
   ++l.executed;
   return true;
 }

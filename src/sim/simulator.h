@@ -9,11 +9,19 @@
 //  - The priority queue is a 4-ary heap of 16-byte plain-old-data entries
 //    (time, packed seq|slot) over a reserve-ahead vector, so sift operations move
 //    trivially-copyable keys instead of closures and touch half the cache
-//    lines a binary heap would.
+//    lines a binary heap would. Entries compare as one unsigned 128-bit
+//    (time, key) rank, with no branch on equal times.
+//  - A pop is bottom-up: the root's hole walks to a leaf along the smallest
+//    child, picked by a branch-free tournament of the four children, and
+//    the former last entry sifts up from there.
 //  - Closures live in a recycled slot pool as `SmallFn`s — a move-only
 //    function wrapper with 48 bytes of inline storage, enough for every
 //    closure the network and protocol layers schedule, so steady-state
-//    scheduling performs no heap allocation.
+//    scheduling performs no heap allocation. at/after/after_cancelable are
+//    forwarding templates that build the closure directly in its slot.
+//  - Slots sit in fixed chunks that never move, so a closure runs in place
+//    and its slot is freed after the call returns; the slot index is below
+//    the seq in the key, so slot reuse never changes the order.
 //  - Cancelled `Cancelable` events are removed lazily: a pop skips them
 //    without counting toward executed_events(), and when cancelled entries
 //    outnumber half the queue the heap is purged in one pass, so dead
@@ -84,15 +92,7 @@ class SmallFn {
             typename = std::enable_if_t<!std::is_same_v<std::decay_t<F>, SmallFn> &&
                                         std::is_invocable_r_v<void, std::decay_t<F>&>>>
   SmallFn(F&& f) {  // NOLINT: implicit by design — call sites pass lambdas
-    using D = std::decay_t<F>;
-    if constexpr (sizeof(D) <= kInlineSize && alignof(D) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<D>) {
-      ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
-      ops_ = &OpsImpl<D, true>::ops;
-    } else {
-      ::new (static_cast<void*>(storage_)) D*(new D(std::forward<F>(f)));
-      ops_ = &OpsImpl<D, false>::ops;
-    }
+    construct(std::forward<F>(f));
   }
 
   SmallFn(SmallFn&& other) noexcept { move_from(other); }
@@ -106,6 +106,30 @@ class SmallFn {
   SmallFn(const SmallFn&) = delete;
   SmallFn& operator=(const SmallFn&) = delete;
   ~SmallFn() { reset(); }
+
+  /// Replace the held closure with `f`, built directly in this object's
+  /// storage: the simulator's scheduling entry points use it to construct an
+  /// event's closure in its queue slot, with no intermediate SmallFn. A
+  /// SmallFn argument is relocated once; it must be an rvalue, as for the
+  /// move constructor.
+  template <typename F>
+    requires std::is_constructible_v<SmallFn, F>
+  void emplace(F&& f) {
+    reset();
+    if constexpr (std::is_same_v<std::decay_t<F>, SmallFn>) {
+      move_from(f);
+    } else {
+      construct(std::forward<F>(f));
+    }
+  }
+
+  /// Destroy the held closure, leaving this empty.
+  void reset() {
+    if (ops_) {
+      ops_->destroy(storage_);
+      ops_ = nullptr;
+    }
+  }
 
   void operator()() { ops_->call(storage_); }
   explicit operator bool() const { return ops_ != nullptr; }
@@ -145,10 +169,16 @@ class SmallFn {
     static constexpr Ops ops{call, relocate, destroy};
   };
 
-  void reset() {
-    if (ops_) {
-      ops_->destroy(storage_);
-      ops_ = nullptr;
+  template <typename F>
+  void construct(F&& f) {
+    using D = std::decay_t<F>;
+    if constexpr (sizeof(D) <= kInlineSize && alignof(D) <= alignof(std::max_align_t) &&
+                  std::is_nothrow_move_constructible_v<D>) {
+      ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
+      ops_ = &OpsImpl<D, true>::ops;
+    } else {
+      ::new (static_cast<void*>(storage_)) D*(new D(std::forward<F>(f)));
+      ops_ = &OpsImpl<D, false>::ops;
     }
   }
   void move_from(SmallFn& other) noexcept {
@@ -211,17 +241,35 @@ class Simulator {
   }
   std::uint64_t seed() const { return seed_; }
 
+  // The scheduling entry points take any `void()` callable a SmallFn can
+  // hold and build it directly in its queue slot. A SmallFn is accepted as
+  // an rvalue only (it is move-only) and relocates into the slot once.
+
   /// Schedule `fn` on the current lane at absolute time `t` (clamped to now).
-  void at(SimTime t, SmallFn fn) { schedule(current_mutable_lane(), t, std::move(fn), nullptr); }
+  template <typename F>
+    requires std::is_constructible_v<SmallFn, F>
+  void at(SimTime t, F&& fn) {
+    schedule(current_mutable_lane(), t, std::forward<F>(fn), nullptr);
+  }
 
   /// Schedule `fn` on the current lane after `delay`.
-  void after(SimDuration delay, SmallFn fn) {
+  template <typename F>
+    requires std::is_constructible_v<SmallFn, F>
+  void after(SimDuration delay, F&& fn) {
     Lane& l = current_mutable_lane();
-    schedule(l, l.now + delay, std::move(fn), nullptr);
+    schedule(l, l.now + delay, std::forward<F>(fn), nullptr);
   }
 
   /// Schedule `fn` after `delay`; the returned token cancels it.
-  Cancelable after_cancelable(SimDuration delay, SmallFn fn);
+  template <typename F>
+    requires std::is_constructible_v<SmallFn, F>
+  Cancelable after_cancelable(SimDuration delay, F&& fn) {
+    Lane& l = current_mutable_lane();
+    Cancelable c;
+    c.state_->cancel_tally = l.cancel_tally;
+    schedule(l, l.now + delay, std::forward<F>(fn), c.state_);
+    return c;
+  }
 
   /// Run events until the queue is empty or `limit` events executed.
   /// Returns the number of (live) events executed; skipped cancelled events
@@ -329,13 +377,19 @@ class Simulator {
   /// Low bits of Entry::key holding the slot index; the high bits hold the
   /// schedule sequence number. 2^20 concurrently queued events and 2^44
   /// total schedules are both orders of magnitude beyond any simulation
-  /// here (schedule() checks the slot bound).
+  /// here (claim_slot() checks the slot bound).
   static constexpr unsigned kSlotBits = 20;
+  /// Slots per chunk of a lane's slot pool (see Lane::slot_chunks). Lane
+  /// mode's lanes hold a few hundred events each, and a chunk is reserved
+  /// whole, so 256 slots (20 KB) keeps a lane's pool near its use.
+  static constexpr unsigned kChunkBits = 8;
+  static constexpr std::uint32_t kChunkSlots = 1u << kChunkBits;
 
   /// Heap entry: 16-byte trivially copyable key; the closure stays in its
   /// slot. `key` packs (seq << kSlotBits) | slot — seqs are unique per
-  /// lane, so comparing keys compares seqs and the FIFO tie-break is
-  /// unchanged.
+  /// lane, so comparing keys compares seqs, the FIFO tie-break is
+  /// unchanged, and which slot an event happens to reuse never affects the
+  /// order.
   struct Entry {
     SimTime time;
     std::uint64_t key;
@@ -360,10 +414,11 @@ class Simulator {
     explicit Lane(std::uint64_t rng_seed)
         : cancel_tally(std::make_shared<std::uint64_t>(0)), rng(rng_seed) {
       heap.reserve(kReserve);
-      slots.reserve(kReserve);
       free_slots.reserve(kReserve);
     }
     Lane(Lane&&) = default;
+
+    Slot& slot(std::uint32_t i) { return slot_chunks[i >> kChunkBits][i & (kChunkSlots - 1)]; }
 
     SimTime now = 0;
     std::uint64_t next_seq = 0;
@@ -373,7 +428,11 @@ class Simulator {
     std::uint64_t purged = 0;
     std::uint64_t digest = 0;
     std::vector<Entry> heap;
-    std::vector<Slot> slots;
+    /// The slot pool: chunks of kChunkSlots slots, each reserved up front
+    /// and never grown past it, so a slot never moves once built. An event's
+    /// closure runs where it lies even while that closure schedules enough
+    /// events to add chunks.
+    std::vector<std::vector<Slot>> slot_chunks;
     std::vector<std::uint32_t> free_slots;
     /// Cancelled-but-still-queued event count; shared with Cancelable
     /// tokens so they can tally cancellations without a back-pointer.
@@ -385,23 +444,42 @@ class Simulator {
     std::uint64_t handoffs = 0;
   };
 
-  static bool later(const Entry& a, const Entry& b) {
-    if (a.time != b.time) return a.time > b.time;
-    return a.key > b.key;
+  __extension__ using Rank = unsigned __int128;
+  /// An entry's place in the pop order, (time, key) as one unsigned 128-bit
+  /// value: times are never negative (schedule clamps to the lane clock), so
+  /// one compare orders by time, then by seq, with no branch on equal times.
+  static Rank rank(const Entry& e) {
+    return (static_cast<Rank>(static_cast<std::uint64_t>(e.time)) << 64) | e.key;
   }
+  static bool later(const Entry& a, const Entry& b) { return rank(a) > rank(b); }
 
   Lane& current_mutable_lane() {
     if (!lane_mode_) return lanes_[0];
     return lanes_[static_cast<std::size_t>(current_lane())];
   }
 
-  void schedule(Lane& l, SimTime t, SmallFn fn, std::shared_ptr<Cancelable::State> cancel);
+  /// Build `fn` in a fresh slot, then queue it at max(t, now). The
+  /// closure is constructed before its entry is queued, so a throwing
+  /// capture copy queues nothing.
+  template <typename F>
+  void schedule(Lane& l, SimTime t, F&& fn, std::shared_ptr<Cancelable::State> cancel) {
+    const std::uint32_t slot = claim_slot(l);
+    Slot& s = l.slot(slot);
+    s.fn.emplace(std::forward<F>(fn));
+    s.cancel = std::move(cancel);
+    enqueue(l, t, slot);
+  }
+  /// Purge the lane if cancelled entries dominate, then take a free slot.
+  std::uint32_t claim_slot(Lane& l);
+  /// Push the entry for `slot` at max(t, now) with the lane's next seq.
+  void enqueue(Lane& l, SimTime t, std::uint32_t slot);
   /// Pop the lane's earliest entry; returns true when a live event ran.
   bool pop_and_run(Lane& l);
+  /// Refill the root after a pop with `e`, the former last entry.
+  void refill_root(Lane& l, Entry e);
   void sift_up(Lane& l, std::size_t i);
   void sift_down(Lane& l, std::size_t i);
-  std::uint32_t acquire_slot(Lane& l);
-  void release_slot(Lane& l, std::uint32_t slot);
+  void release_slot(Lane& l, Slot& s, std::uint32_t slot);
   /// Drop every cancelled entry from the lane's heap in one pass and
   /// re-heapify.
   void purge(Lane& l);

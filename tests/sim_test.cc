@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
 #include <functional>
+#include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/network.h"
 #include "sim/simulator.h"
+#include "util/rng.h"
 
 namespace tordb {
 namespace {
@@ -149,6 +155,307 @@ TEST(Simulator, PurgePreservesFifoOrderOfSurvivors) {
   ASSERT_EQ(order.size(), 11u);
   // Same-time events keep exact schedule-order FIFO across the re-heapify.
   for (int i = 0; i <= 10; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+}
+
+// --- differential kernel test -----------------------------------------------
+
+// A reference kernel: pending events in a plain vector, the earliest found by
+// a linear scan over (time, schedule order). It models the kernel's
+// bookkeeping too: a cancelled event still advances the clock when it
+// reaches the top, cancelled entries are purged once more than 64 of them
+// make up over half the queue (checked before each schedule), and the peak
+// depth counts queued entries, dead ones included.
+class RefSim {
+ public:
+  class Token {
+   public:
+    Token(RefSim* sim, std::shared_ptr<bool> alive) : sim_(sim), alive_(std::move(alive)) {}
+    void cancel() {
+      if (*alive_) {
+        *alive_ = false;
+        ++sim_->dead_;
+      }
+    }
+
+   private:
+    RefSim* sim_;
+    std::shared_ptr<bool> alive_;
+  };
+
+  SimTime now() const { return now_; }
+  void at(SimTime t, std::function<void()> fn) { push(t, std::move(fn), nullptr); }
+  void after(SimDuration d, std::function<void()> fn) { push(now_ + d, std::move(fn), nullptr); }
+  Token after_cancelable(SimDuration d, std::function<void()> fn) {
+    auto alive = std::make_shared<bool>(true);
+    push(now_ + d, std::move(fn), alive);
+    return Token(this, alive);
+  }
+
+  std::size_t run(std::size_t limit = SIZE_MAX) {
+    std::size_t n = 0;
+    while (n < limit && !pending_.empty()) {
+      if (pop_and_run()) ++n;
+    }
+    return n;
+  }
+  void run_until(SimTime t) {
+    while (!pending_.empty() && earliest()->time <= t) pop_and_run();
+    if (now_ < t) now_ = t;
+  }
+
+  bool idle() const { return pending_.empty(); }
+  std::size_t executed_events() const { return executed_; }
+  std::size_t peak_queue_depth() const { return peak_; }
+  std::uint64_t cancelled_pops() const { return cancelled_pops_; }
+  std::uint64_t purged_events() const { return purged_; }
+
+ private:
+  struct Ev {
+    SimTime time;
+    std::uint64_t seq;
+    std::function<void()> fn;
+    std::shared_ptr<bool> alive;  ///< null for plain events
+    bool dead() const { return alive && !*alive; }
+  };
+
+  void push(SimTime t, std::function<void()> fn, std::shared_ptr<bool> alive) {
+    if (dead_ > 64 && dead_ * 2 > pending_.size()) {
+      const std::size_t before = pending_.size();
+      std::erase_if(pending_, [](const Ev& e) { return e.dead(); });
+      purged_ += before - pending_.size();
+      dead_ = 0;
+    }
+    pending_.push_back(Ev{std::max(t, now_), seq_++, std::move(fn), std::move(alive)});
+    peak_ = std::max(peak_, pending_.size());
+  }
+  std::vector<Ev>::iterator earliest() {
+    return std::min_element(pending_.begin(), pending_.end(), [](const Ev& a, const Ev& b) {
+      return a.time != b.time ? a.time < b.time : a.seq < b.seq;
+    });
+  }
+  bool pop_and_run() {
+    auto it = earliest();
+    Ev e = std::move(*it);
+    pending_.erase(it);
+    now_ = e.time;
+    if (e.dead()) {
+      ++cancelled_pops_;
+      --dead_;
+      return false;
+    }
+    if (e.alive) *e.alive = false;
+    e.fn();
+    ++executed_;
+    return true;
+  }
+
+  SimTime now_ = 0;
+  std::uint64_t seq_ = 0;
+  std::vector<Ev> pending_;
+  std::size_t dead_ = 0;
+  std::size_t executed_ = 0;
+  std::size_t peak_ = 0;
+  std::uint64_t cancelled_pops_ = 0;
+  std::uint64_t purged_ = 0;
+};
+
+// A seeded random program run against a kernel: each event logs (id, now),
+// then schedules more events from inside its callback (zero delays, times
+// in the past, times equal to earlier events' times, cancelable ones and
+// bursts of them) and cancels tokens, sometimes all at once. The driver's
+// choices follow its own RNG in callback order, so two kernels produce the
+// same log exactly when they execute the same schedule.
+template <typename Sim>
+class KernelDriver {
+ public:
+  KernelDriver(Sim& sim, std::uint64_t seed, int budget) : sim_(sim), rng_(seed), budget_(budget) {}
+
+  /// Alternate run_until horizons and run(limit) calls, seeding fresh
+  /// events whenever the queue drains, until the event budget is spent.
+  void drive() {
+    while (budget_ > 0 || !sim_.idle()) {
+      if (budget_ > 0 && sim_.idle()) {
+        for (int i = 0; i < 3; ++i) spawn();
+      }
+      if (rng_.chance(0.5)) {
+        sim_.run_until(sim_.now() + rng_.next_range(0, 200));
+        log_.emplace_back(-1, sim_.now());
+      } else {
+        const std::size_t ran = sim_.run(static_cast<std::size_t>(rng_.next_range(1, 60)));
+        log_.emplace_back(-2 - static_cast<int>(ran), sim_.now());
+      }
+    }
+  }
+
+  const std::vector<std::pair<int, SimTime>>& log() const { return log_; }
+
+ private:
+  using Token = decltype(std::declval<Sim&>().after_cancelable(0, [] {}));
+
+  void fire(int id) {
+    log_.emplace_back(id, sim_.now());
+    if (--budget_ <= 0) return;
+    const int children = static_cast<int>(rng_.next_below(3));
+    for (int i = 0; i < children; ++i) spawn();
+    if (rng_.chance(0.3)) {
+      for (std::uint64_t k = rng_.next_below(8); k > 0 && !tokens_.empty(); --k) {
+        tokens_[rng_.next_below(tokens_.size())].cancel();
+      }
+    }
+    if (rng_.chance(0.02)) {
+      for (Token& t : tokens_) t.cancel();
+      tokens_.clear();
+    }
+  }
+
+  void spawn() {
+    const int id = next_id_++;
+    auto ev = [this, id] { fire(id); };
+    const SimTime now = sim_.now();
+    SimTime t = now;
+    if (rng_.chance(0.01)) {  // a burst of cancelable timers, some at equal times
+      for (int i = 0; i < 100; ++i) {
+        const int burst_id = next_id_++;
+        t = now + rng_.next_range(200, 260);
+        tokens_.push_back(sim_.after_cancelable(t - now, [this, burst_id] { fire(burst_id); }));
+      }
+    }
+    switch (rng_.next_below(6)) {
+      case 0:  // zero delay
+        sim_.after(0, ev);
+        break;
+      case 1:  // in the past: clamps to now
+        sim_.at(now - rng_.next_range(1, 100), ev);
+        break;
+      case 2:  // exactly another event's time (clamped if already past)
+        t = std::max(now, times_[rng_.next_below(times_.size())]);
+        sim_.at(t, ev);
+        break;
+      case 3:
+      case 4:
+        t = now + rng_.next_range(1, 50);
+        sim_.after(t - now, ev);
+        break;
+      default:
+        t = now + rng_.next_range(0, 80);
+        tokens_.push_back(sim_.after_cancelable(t - now, ev));
+        break;
+    }
+    times_[next_time_++ % times_.size()] = t;
+  }
+
+  Sim& sim_;
+  Rng rng_;
+  int budget_;
+  int next_id_ = 0;
+  std::vector<std::pair<int, SimTime>> log_;
+  std::vector<Token> tokens_;
+  std::array<SimTime, 32> times_{};
+  std::size_t next_time_ = 0;
+};
+
+TEST(Simulator, ExecutionOrderMatchesReferenceKernel) {
+  std::uint64_t purged = 0;
+  std::uint64_t cancelled_pops = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE(seed);
+    Simulator sim(seed);
+    RefSim ref;
+    KernelDriver<Simulator> under_test(sim, seed, 4000);
+    KernelDriver<RefSim> reference(ref, seed, 4000);
+    under_test.drive();
+    reference.drive();
+    ASSERT_EQ(under_test.log(), reference.log());
+    EXPECT_EQ(sim.executed_events(), ref.executed_events());
+    EXPECT_EQ(sim.cancelled_pops(), ref.cancelled_pops());
+    EXPECT_EQ(sim.purged_events(), ref.purged_events());
+    EXPECT_EQ(sim.peak_queue_depth(), ref.peak_queue_depth());
+    EXPECT_EQ(sim.queue_depth(), 0u);
+    purged += sim.purged_events();
+    cancelled_pops += sim.cancelled_pops();
+  }
+  // The program must reach both cancellation paths to test them.
+  EXPECT_GT(purged, 0u);
+  EXPECT_GT(cancelled_pops, 0u);
+}
+
+// --- closures built and run in their slots -----------------------------------
+
+// Scheduling accepts a SmallFn only as an rvalue, as before it took one by
+// value: an lvalue would need the deleted copy.
+template <typename F>
+concept SchedulableAt = requires(Simulator& sim, F&& fn) { sim.at(SimTime{0}, std::forward<F>(fn)); };
+template <typename F>
+concept SchedulableAfter = requires(Simulator& sim, F&& fn) { sim.after(0, std::forward<F>(fn)); };
+static_assert(SchedulableAt<SmallFn> && SchedulableAfter<SmallFn>);
+static_assert(!SchedulableAt<SmallFn&> && !SchedulableAfter<SmallFn&>);
+static_assert(!SchedulableAt<const SmallFn&> && !SchedulableAfter<const SmallFn&>);
+
+/// A `void()` callable that counts its moves.
+struct MoveCounter {
+  explicit MoveCounter(int* moves) : moves(moves) {}
+  MoveCounter(MoveCounter&& o) noexcept : moves(o.moves) { ++*moves; }
+  MoveCounter(const MoveCounter&) = default;
+  void operator()() const {}
+  int* moves;
+};
+
+TEST(Simulator, ClosureMovesOnceIntoItsSlotAndRunsThere) {
+  Simulator sim;
+  int moves = 0;
+  sim.after(1, MoveCounter(&moves));  // from the temporary into the slot
+  sim.run();
+  EXPECT_EQ(moves, 1);
+
+  SmallFn fn{MoveCounter(&moves)};
+  moves = 0;
+  sim.after(1, std::move(fn));  // relocated once, not re-wrapped
+  sim.run();
+  EXPECT_EQ(moves, 1);
+  EXPECT_FALSE(fn);  // NOLINT(bugprone-use-after-move): moved-from is empty
+}
+
+// A closure runs where it lies, so its slot must not move while it runs.
+// Each event here schedules over three chunks' worth of events (for chunks
+// of up to 1,024 slots) from inside its own callback, growing the slot pool
+// under it, then reads its own captures. Under ASan a pool whose slots could move (one plain vector)
+// reports a use-after-free here.
+TEST(Simulator, ClosureCapturesSurviveSlotPoolGrowthInsideTheCallback) {
+  constexpr int kBurst = 3 * 1024 + 1;
+  Simulator sim;
+  int checked = 0;
+  auto burst = [&sim] {
+    for (int i = 0; i < kBurst; ++i) sim.after(1, [] {});
+  };
+  const std::uint64_t a = 0x0123456789abcdefULL;
+  const std::uint64_t b = 0xfedcba9876543210ULL;
+
+  auto small = [&burst, &checked, a, b] {
+    burst();
+    EXPECT_EQ(a, 0x0123456789abcdefULL);
+    EXPECT_EQ(b, 0xfedcba9876543210ULL);
+    ++checked;
+  };
+  static_assert(sizeof(small) <= SmallFn::kInlineSize, "must take the inline path");
+  sim.after(1, small);
+
+  std::array<std::uint64_t, 8> words{};
+  for (std::size_t i = 0; i < words.size(); ++i) words[i] = a + i;
+  auto large = [&burst, &checked, words, b] {
+    burst();
+    for (std::size_t i = 0; i < words.size(); ++i) EXPECT_EQ(words[i], 0x0123456789abcdefULL + i);
+    EXPECT_EQ(b, 0xfedcba9876543210ULL);
+    ++checked;
+  };
+  static_assert(sizeof(large) > SmallFn::kInlineSize, "must take the heap fallback");
+  sim.after(2, large);
+
+  SmallFn passed(small);
+  sim.after(3, std::move(passed));
+
+  sim.run();
+  EXPECT_EQ(checked, 3);
+  EXPECT_EQ(sim.executed_events(), 3u + 3u * kBurst);
 }
 
 // ---------------------------------------------------------------------------
