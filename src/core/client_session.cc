@@ -116,12 +116,12 @@ void ClientSession::issue(bool move_on) {
       return;
     }
     // Every replica is down right now: retry when one recovers, or after
-    // one retry_timeout.
+    // one kRetryTimeout.
     ++stats_.retries;
     for (ReplicaNode* r : replicas_) {
       if (r->crashed()) watch(*r, seq, epoch, /*waiting=*/true);
     }
-    sim_.after(options_.retry_timeout, [this, alive = alive_, seq, epoch] {
+    sim_.after(kRetryTimeout, [this, alive = alive_, seq, epoch] {
       if (!*alive || stale(seq, epoch)) return;
       ++current_.expired;
       issue();
@@ -159,7 +159,7 @@ void ClientSession::issue(bool move_on) {
               });
             });
       });
-  sim_.after(options_.retry_timeout, [this, alive = alive_, seq, epoch] {
+  sim_.after(kRetryTimeout, [this, alive = alive_, seq, epoch] {
     if (!*alive) return;
     on_timeout(seq, epoch);
   });

@@ -38,17 +38,18 @@
 
 namespace tordb::core {
 
+/// Backstop: a session fails over to the next replica when an attempt has
+/// had no reply for this long. A crash or a loss of the primary at the
+/// attempt's replica moves the session at once (DESIGN.md §17); the timer
+/// covers what no signal reports, such as a slow or cut-off primary.
+inline constexpr SimDuration kRetryTimeout = millis(800);
+
 struct SessionOptions {
-  /// Backstop: fail over to the next replica when an attempt has had no
-  /// reply for this long. A crash or a loss of the primary at the attempt's
-  /// replica moves the session at once (DESIGN.md §17); the timer covers
-  /// what no signal reports, such as a slow or cut-off primary.
-  SimDuration retry_timeout = millis(800);
-  /// The request aborts once this many retry_timeout periods have expired
+  /// The request aborts once this many kRetryTimeout periods have expired
   /// (signal-driven failovers are not charged).
   int max_attempts_per_request = 20;
   /// When no replica is currently running (all crashed or left), wait until
-  /// a crashed one recovers, or one retry_timeout, and try again instead of
+  /// a crashed one recovers, or one kRetryTimeout, and try again instead of
   /// aborting the request. Each expired wait counts against the budget. The
   /// shard tier uses this so a cross-shard action whose target group is
   /// temporarily wholly down still lands exactly once (all-or-nothing
@@ -117,7 +118,7 @@ class ClientSession {
     db::Command update;
     SessionReplyFn reply;
     int attempts = 0;
-    int expired = 0;  ///< retry_timeout periods spent: the attempt budget
+    int expired = 0;  ///< kRetryTimeout periods spent: the attempt budget
     bool failed_over = false;
   };
 

@@ -4,6 +4,28 @@
 
 namespace tordb::core {
 
+namespace {
+
+NodeCounts counts_of(const ReplicationEngine& e) {
+  const EngineStats& es = e.stats();
+  const gc::GcStats& gs = e.group_comm().stats();
+  return {es.actions_green, es.actions_red, es.primaries_installed, es.exchanges,
+          gs.safe_deliveries, gs.regular_configs, e.database().stats().table_rehashes};
+}
+
+}  // namespace
+
+NodeCounts& NodeCounts::operator+=(const NodeCounts& o) {
+  greens += o.greens;
+  reds += o.reds;
+  installs += o.installs;
+  exchanges += o.exchanges;
+  safe_deliveries += o.safe_deliveries;
+  regular_configs += o.regular_configs;
+  db_rehashes += o.db_rehashes;
+  return *this;
+}
+
 ReplicaNode::ReplicaNode(Network& net, NodeId id, std::vector<NodeId> initial_servers,
                          ReplicaOptions options)
     : net_(net),
@@ -85,7 +107,7 @@ void ReplicaNode::try_next_join_peer() {
   ++join_peer_idx_;
   net_.send(id_, peer, encode_join_request(JoinRequest{id_}), Channel::kDirect);
   const std::uint64_t epoch = join_epoch_;
-  sim_.after(options_.join_retry, [this, alive = alive_, epoch] {
+  sim_.after(kJoinRetry, [this, alive = alive_, epoch] {
     if (!*alive || !joining_ || epoch != join_epoch_) return;
     try_next_join_peer();  // representative failed or unreachable: fail over
   });
@@ -112,6 +134,7 @@ void ReplicaNode::crash() {
   ++join_epoch_;
   net_.crash(id_);
   storage_->crash();
+  if (engine_) retired_ += counts_of(*engine_);
   engine_.reset();
   fire_watches();  // the analogue of a client losing its daemon connection
 }
@@ -163,9 +186,16 @@ void ReplicaNode::handle_engine_left() {
   left_ = true;
   sim_.after(0, [this, alive = alive_] {
     if (!*alive) return;
+    if (engine_) retired_ += counts_of(*engine_);  // unless a crash came first
     engine_.reset();
     net_.set_group_active(id_, false);
   });
+}
+
+NodeCounts ReplicaNode::counts() const {
+  NodeCounts c = retired_;
+  if (engine_) c += counts_of(*engine_);
+  return c;
 }
 
 }  // namespace tordb::core

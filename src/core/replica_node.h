@@ -16,10 +16,20 @@
 
 namespace tordb::core {
 
+inline constexpr SimDuration kJoinRetry = millis(400);  ///< joiner fails over to the next peer
+
 struct ReplicaOptions {
   EngineParams engine;
   StorageParams storage;
-  SimDuration join_retry = millis(400);  ///< fail over to the next peer
+};
+
+/// Counts over every engine a node has run: a crash loses the engine with
+/// its stats (§2.1) and a leave ends it, so the node carries them on.
+struct NodeCounts {
+  std::uint64_t greens = 0, reds = 0, installs = 0, exchanges = 0;
+  std::uint64_t safe_deliveries = 0, regular_configs = 0, db_rehashes = 0;
+
+  NodeCounts& operator+=(const NodeCounts& o);
 };
 
 class ReplicaNode {
@@ -59,6 +69,9 @@ class ReplicaNode {
   ReplicationEngine& engine() { return *engine_; }
   const ReplicationEngine& engine() const { return *engine_; }
   StableStorage& storage() { return *storage_; }
+  /// The retired engines' counts plus the live engine's. Call from the
+  /// node's lane or the control lane.
+  NodeCounts counts() const;
 
   /// Availability watch (client failover, DESIGN.md §17). `fn` runs once,
   /// on event lane `lane`, the network's detect_delay after this node's next
@@ -96,6 +109,7 @@ class ReplicaNode {
 
   std::unique_ptr<StableStorage> storage_;
   std::unique_ptr<ReplicationEngine> engine_;
+  NodeCounts retired_;  ///< summed over engines that crashed or left
   bool crashed_ = false;
   bool left_ = false;
   bool was_member_ = false;  ///< has ever run an engine (recovery possible)

@@ -159,16 +159,6 @@ void ReplicationEngine::init_obs() {
   if (params_.metrics) {
     green_latency_hist_ = &params_.metrics->histogram("engine.green_latency_ms");
     view_change_hist_ = &params_.metrics->histogram("engine.view_change_ms");
-    metric_green_ = &params_.metrics->counter("engine.actions_green");
-    metric_red_ = &params_.metrics->counter("engine.actions_red");
-    metric_installs_ = &params_.metrics->counter("engine.primaries_installed");
-    metric_exchanges_ = &params_.metrics->counter("cluster.exchanges");
-    const std::string scope = params_.metrics->scope(id_);
-    if (!scope.empty()) {
-      scoped_green_ = &params_.metrics->counter(scope + "actions_green");
-      scoped_red_ = &params_.metrics->counter(scope + "actions_red");
-      scoped_installs_ = &params_.metrics->counter(scope + "primaries_installed");
-    }
   }
 }
 
@@ -312,6 +302,9 @@ void ReplicationEngine::recover_from_log(const std::vector<NodeId>& fallback_ser
   storage_.sync([] {});
   trace_engine_start(1);
   construct_gc(gc_counter + 1);
+  // 5.1 line 13: our own leave turned green before the crash. An empty set
+  // recovered nothing (a joiner whose snapshot record was lost).
+  if (!server_set_.empty() && !contains(server_set_, id_)) enter_left();
 }
 
 void ReplicationEngine::adopt_snapshot(const SnapshotMessage& s, bool set_prim) {
@@ -723,7 +716,6 @@ void ReplicationEngine::handle_action(ActionRef a) {
 
 void ReplicationEngine::shift_to_exchange_states() {
   ++stats_.exchanges;
-  if (metric_exchanges_ != nullptr) metric_exchanges_->inc();
   state_msgs_.clear();
   cpc_received_.clear();
   exchange_plan_ready_ = false;
@@ -871,6 +863,10 @@ void ReplicationEngine::handle_catchup(const SnapshotMessage& s) {
     log_.for_each_pending_red([&](const Action& a2) { rec.red_actions.push_back(a2); });
     rec.ongoing_actions = sorted_ongoing();
     storage_.append(encode_log_db_snapshot(rec));
+    if (!contains(server_set_, id_)) {
+      enter_left();  // 5.1 line 13: the prefix carried our own green leave
+      return;
+    }
   }
   maybe_end_of_retrans();
 }
@@ -1096,8 +1092,6 @@ void ReplicationEngine::install() {
   }
 
   ++stats_.primaries_installed;
-  if (metric_installs_ != nullptr) metric_installs_->inc();
-  if (scoped_installs_ != nullptr) scoped_installs_->inc();
   if (view_change_hist_ != nullptr && exchange_started_at_ >= 0) {
     view_change_hist_->record((sim_.now() - exchange_started_at_) / 1000000);  // ns -> ms
     exchange_started_at_ = -1;
@@ -1135,8 +1129,6 @@ void ReplicationEngine::on_newly_red(const Action& a, bool log_red) {
   }
   ++stats_.actions_red;
   if (tracer_) tracer_.emit_action(obs::EventKind::kActionRed, a.id);
-  if (metric_red_ != nullptr) metric_red_->inc();
-  if (scoped_red_ != nullptr) scoped_red_->inc();
   // Only this server's own actions wait in the ongoing queue.
   if (a.id.server_id == id_) ongoing_.erase(pack_action_id(a.id));
   maybe_reply_red(a);
@@ -1211,8 +1203,6 @@ void ReplicationEngine::mark_green(ActionRef a) {
   gc_->set_knowledge(log_.green_count());
   ++stats_.actions_green;
   if (tracer_) tracer_.emit_action(obs::EventKind::kActionGreen, aid, res.position);
-  if (metric_green_ != nullptr) metric_green_->inc();
-  if (scoped_green_ != nullptr) scoped_green_->inc();
   if (green_latency_hist_ != nullptr) {
     const std::uint64_t key = pack_action_id(aid);
     if (const SimTime* t = submit_times_.find(key)) {

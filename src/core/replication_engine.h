@@ -231,6 +231,7 @@ class ReplicationEngine {
   const YellowRecord& yellow() const { return yellow_; }
   const EngineStats& stats() const { return stats_; }
   gc::GroupCommunication& group_comm() { return *gc_; }
+  const gc::GroupCommunication& group_comm() const { return *gc_; }
   /// Green sequence entry at `position` (1-based); kNoNode id if trimmed.
   ActionId green_action_at(std::int64_t position) const;
   /// The State messages of the current or last exchange, by sender. Every
@@ -328,6 +329,8 @@ class ReplicationEngine {
   void answer_query(const db::Database& db, const db::Command& query, const ReplyFn& fn);
   void flush_strict_queries();
   void send_snapshot_to(NodeId joiner);
+  /// 5.1 line 13, exit: from on_leave_green, and from a recovery or a
+  /// catch-up whose server set no longer holds this node.
   void enter_left();
   /// Ongoing actions in ActionId order (sorted packed keys) — the
   /// deterministic order persisted records and catch-up snapshots use.
@@ -430,14 +433,6 @@ class ReplicationEngine {
   obs::Tracer tracer_;
   obs::Histogram* green_latency_hist_ = nullptr;   ///< submit → green, ms
   obs::Histogram* view_change_hist_ = nullptr;     ///< exchange → install, ms
-  obs::Counter* metric_green_ = nullptr;
-  obs::Counter* metric_red_ = nullptr;
-  obs::Counter* metric_installs_ = nullptr;
-  obs::Counter* metric_exchanges_ = nullptr;
-  // The same counts under the node's group scope (MetricsRegistry::scope).
-  obs::Counter* scoped_green_ = nullptr;
-  obs::Counter* scoped_red_ = nullptr;
-  obs::Counter* scoped_installs_ = nullptr;
   util::FlatMap64<SimTime> submit_times_;  ///< by pack_action_id; only when metrics on
   SimTime exchange_started_at_ = -1;          ///< -1 = no exchange in flight
 };

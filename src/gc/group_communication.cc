@@ -310,7 +310,7 @@ void GroupCommunication::note_word(Stream stream) {
   p.flush_armed = true;
   const ConfigId cfg = config_.id;
   const SimTime armed_at = sim_.now();
-  schedule(kWordFlushIntervals * params_.ack_min_interval, [this, cfg, stream, armed_at] {
+  schedule(kWordFlushIntervals * kAckMinInterval, [this, cfg, stream, armed_at] {
     Pacer& q = pacers_[static_cast<std::size_t>(stream)];
     q.flush_armed = false;
     if (state_ != GcState::kOperational || !(config_.id == cfg)) return;
@@ -389,11 +389,11 @@ void GroupCommunication::schedule_stream(Stream stream) {
   // phase after its inputs. The next send is paced again, so a stream sends
   // at most twice per interval.
   const bool realign = stream != Stream::kAck && !p.realigned &&
-                       sim_.now() - p.last_sent < params_.ack_min_interval / 4 &&
+                       sim_.now() - p.last_sent < kAckMinInterval / 4 &&
                        leader_value_moved(stream);
   const SimTime fire =
-      realign ? sim_.now() + params_.ack_coalesce
-              : std::max(p.last_sent + params_.ack_min_interval, sim_.now() + params_.ack_coalesce);
+      realign ? sim_.now() + kAckCoalesce
+              : std::max(p.last_sent + kAckMinInterval, sim_.now() + kAckCoalesce);
   if (p.scheduled && fire >= p.due) return;
   p.scheduled = true;
   p.due = fire;
@@ -543,9 +543,9 @@ void GroupCommunication::start_gather(const std::vector<NodeId>& reachable) {
 void GroupCommunication::touch_progress() { last_progress_ = sim_.now(); }
 
 void GroupCommunication::arm_stuck_timer() {
-  schedule(params_.stuck_timeout, [this] {
+  schedule(kStuckTimeout, [this] {
     if (state_ != GcState::kGathering) return;
-    if (sim_.now() - last_progress_ >= params_.stuck_timeout) {
+    if (sim_.now() - last_progress_ >= kStuckTimeout) {
       start_gather(last_reachable_);
     } else {
       arm_stuck_timer();
@@ -556,7 +556,7 @@ void GroupCommunication::arm_stuck_timer() {
 void GroupCommunication::arm_retry_timer() {
   if (!my_token_) return;
   const GatherToken token = *my_token_;
-  schedule(params_.gather_retry, [this, token] {
+  schedule(kGatherRetry, [this, token] {
     if (!my_token_ || !(*my_token_ == token)) return;
     if (!built_plan_) {
       // Re-inquire members whose JOIN_INFO is missing.

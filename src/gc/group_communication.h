@@ -74,11 +74,13 @@
 
 namespace tordb::gc {
 
+// Stability pacing (DESIGN.md §16) and flush timers.
+inline constexpr SimDuration kAckCoalesce = micros(150);   ///< delay before sending an ack
+inline constexpr SimDuration kAckMinInterval = millis(3);  ///< ack rate limit under load
+inline constexpr SimDuration kGatherRetry = millis(12);    ///< coordinator re-INQUIRE period
+inline constexpr SimDuration kStuckTimeout = millis(60);   ///< member watchdog during flush
+
 struct GcParams {
-  SimDuration ack_coalesce = micros(150);      ///< delay before sending an ack
-  SimDuration ack_min_interval = millis(3);    ///< ack rate limit under load
-  SimDuration gather_retry = millis(12);  ///< coordinator re-INQUIRE period
-  SimDuration stuck_timeout = millis(60); ///< member watchdog during flush
   /// Observability handle (disconnected by default — zero cost). Emits
   /// kSafeDeliver, kViewRegular, and kViewTransitional events.
   obs::Tracer tracer;
@@ -273,7 +275,7 @@ class GroupCommunication {
   /// few receipts and cost every safe delivery two more paced hops.
   static constexpr std::size_t kClique = 8;
   /// A word no send has carried goes out alone after this many
-  /// ack_min_intervals, unless the stream sent a prefix meanwhile.
+  /// kAckMinInterval periods, unless the stream sent a prefix meanwhile.
   static constexpr int kWordFlushIntervals = 16;
   /// Own clique: config_.members[clique_lo_, clique_lo_ + known_.size()).
   std::size_t clique_lo_ = 0;
@@ -295,8 +297,8 @@ class GroupCommunication {
   std::int64_t word_ = 0;        ///< own knowledge word
   std::int64_t word_floor_ = 0;  ///< knowledge_floor()
 
-  // Stability pacing: a stream fires ack_coalesce after the change that
-  // armed it, and at most once per ack_min_interval — except that a leader
+  // Stability pacing: a stream fires kAckCoalesce after the change that
+  // armed it, and at most once per kAckMinInterval — except that a leader
   // stream realigns once behind an input that just missed its send.
   struct Pacer {
     bool scheduled = false;

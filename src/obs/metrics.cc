@@ -93,17 +93,6 @@ Histogram& MetricsRegistry::histogram(const std::string& name) {
   return *slot;
 }
 
-void MetricsRegistry::set_scope(NodeId node, std::string prefix) {
-  std::lock_guard<std::mutex> lock(mu_);
-  scopes_[node] = std::move(prefix);
-}
-
-std::string MetricsRegistry::scope(NodeId node) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = scopes_.find(node);
-  return it == scopes_.end() ? std::string() : it->second;
-}
-
 void MetricsRegistry::roll(SimTime now) {
   std::lock_guard<std::mutex> lock(mu_);
   MetricsWindow w;

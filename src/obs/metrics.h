@@ -1,11 +1,10 @@
 // Metrics registry — named counters, gauges, and histograms with
 // virtual-time windowing (DESIGN.md §7).
 //
-// Counters come in two flavours behind one type: directly incremented
-// (`inc`) by instrumented hot paths, or sampled from an existing
-// cumulative source (`set_total`) — the cluster harness samples
-// EngineStats / GcStats / StorageStats totals each window so subsystems
-// need no per-event instrumentation to appear in time series.
+// Counts live in their layer's `*Stats` struct. The cluster harness
+// (EngineCluster::sample_metrics) is the one publisher: it copies them in
+// with `set_total` before every roll, so a counter is current as of the
+// last sample or roll. `inc` is for workload clients without a stats struct.
 //
 // Histograms are log2-bucketed (64 buckets over the full i64 range):
 // recording is a clz and two adds, quantiles are estimated by linear
@@ -17,15 +16,14 @@
 // window list as a time series instead of a single end-of-run number.
 //
 // Thread-safety (lane mode, DESIGN.md §15): metric cells are plain
-// relaxed atomics — engines on different worker lanes increment disjoint
-// logical streams, but they may share a cell name, and nothing here
-// orders anything, so relaxed is exactly right. Histogram sums accumulate
-// in integers so the total is independent of the order lanes interleave
-// (floating-point addition is not associative; integer addition is).
-// Lookup-or-create is mutex-guarded (a replica joining on a worker lane
-// can create metrics mid-run); the returned references stay stable.
-// roll()/totals()/window_table() are read-side and run only from the
-// control lane or between runs.
+// relaxed atomics — engines on different worker lanes record into shared
+// histograms, and nothing here orders anything, so relaxed is exactly
+// right. Histogram sums accumulate in integers so the total is independent
+// of the order lanes interleave (floating-point addition is not
+// associative; integer addition is). Lookup-or-create is mutex-guarded (a
+// replica joining on a worker lane can create metrics mid-run); the
+// returned references stay stable. Sampling, roll()/totals()/window_table()
+// run only from the control lane or between runs.
 #pragma once
 
 #include <atomic>
@@ -114,13 +112,6 @@ class MetricsRegistry {
   Gauge& gauge(const std::string& name);
   Histogram& histogram(const std::string& name);
 
-  /// Per-node scope: a harness running several replica groups names each
-  /// node's group prefix (e.g. "shard.3.") before the node starts; the
-  /// node's engine then also counts its events under that prefix, so group
-  /// totals are direct counters too. "" for a node without a scope.
-  void set_scope(NodeId node, std::string prefix);
-  std::string scope(NodeId node) const;
-
   /// Close the window [last roll, now) and start a new one.
   void roll(SimTime now);
 
@@ -144,7 +135,6 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
-  std::map<NodeId, std::string> scopes_;
   std::map<std::string, std::uint64_t> last_counter_;
   std::map<std::string, HistShadow> last_hist_;
   SimTime window_start_ = 0;

@@ -41,7 +41,7 @@ std::int64_t SafetyChecker::total_green_count() const {
 }
 
 void SafetyChecker::violation(const std::string& what) {
-  if (violations_.size() < options_.max_violations) violations_.push_back(what);
+  if (violations_.size() < kMaxViolations) violations_.push_back(what);
   if (options_.fail_fast) {
     std::fprintf(stderr, "\n=== obs::SafetyChecker: invariant violated ===\n%s\n", what.c_str());
     std::abort();
@@ -68,7 +68,7 @@ std::string SafetyChecker::green_diff(const GroupState& g, NodeId node, std::int
   // The paper's histories diverge at one position; show the canonical
   // neighbourhood against the claim plus the node's own recent tail.
   std::ostringstream os;
-  const std::int64_t ctx = static_cast<std::int64_t>(options_.diff_context);
+  const std::int64_t ctx = static_cast<std::int64_t>(kDiffContext);
   const std::int64_t lo = std::max<std::int64_t>(1, position - ctx);
   const std::int64_t hi =
       std::min<std::int64_t>(static_cast<std::int64_t>(g.canon.size()), position + ctx);
@@ -156,7 +156,7 @@ void SafetyChecker::on_green(const TraceEvent& e) {
   v.green_count = pos;
   v.green_highwater = std::max(v.green_highwater, pos);
   v.recent.push_back(e.action);
-  if (v.recent.size() > 2 * options_.diff_context) v.recent.erase(v.recent.begin());
+  if (v.recent.size() > 2 * kDiffContext) v.recent.erase(v.recent.begin());
 
   const std::int64_t canon_len = static_cast<std::int64_t>(g.canon.size());
   if (pos <= canon_len) {

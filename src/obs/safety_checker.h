@@ -75,9 +75,7 @@
 namespace tordb::obs {
 
 struct CheckerOptions {
-  bool fail_fast = true;          ///< print + abort on the first violation
-  std::size_t max_violations = 64;  ///< retained when not failing fast
-  std::size_t diff_context = 4;   ///< green positions shown around a divergence
+  bool fail_fast = true;  ///< print + abort on the first violation
 };
 
 class SafetyChecker {
@@ -193,6 +191,9 @@ class SafetyChecker {
   void on_range_event(const TraceEvent& e);
   void on_txn_event(const TraceEvent& e);
   void on_knowledge_send(const TraceEvent& e);
+
+  static constexpr std::size_t kMaxViolations = 64;  ///< retained when not failing fast
+  static constexpr std::size_t kDiffContext = 4;     ///< green positions shown around a divergence
 
   CheckerOptions options_;
   std::uint64_t events_checked_ = 0;

@@ -61,9 +61,8 @@ std::uint64_t fingerprint(const std::uint8_t* data, std::size_t size) {
   return h;
 }
 
-TraceBus::TraceBus(Simulator& sim, TraceBusOptions options)
-    : sim_(sim), options_(options) {
-  ring_.reserve(options_.ring_capacity);
+TraceBus::TraceBus(Simulator& sim) : sim_(sim) {
+  ring_.reserve(kRingCapacity);
   if (sim_.lanes_enabled()) {
     lane_buf_.resize(static_cast<std::size_t>(sim_.lane_count()));
     sim_.set_barrier_hook([this] { flush_lanes(); });
@@ -104,14 +103,12 @@ void TraceBus::flush_lanes() {
 
 void TraceBus::dispatch(const TraceEvent& e) {
   ++emitted_;
-  if (options_.ring_capacity > 0) {
-    if (ring_.size() < options_.ring_capacity) {
-      ring_.push_back(e);
-    } else {
-      ring_[ring_next_] = e;
-      ring_next_ = (ring_next_ + 1) % options_.ring_capacity;
-      ring_wrapped_ = true;
-    }
+  if (ring_.size() < kRingCapacity) {
+    ring_.push_back(e);
+  } else {
+    ring_[ring_next_] = e;
+    ring_next_ = (ring_next_ + 1) % kRingCapacity;
+    ring_wrapped_ = true;
   }
   for (const auto& fn : subscribers_) fn(e);
 }
@@ -142,8 +139,7 @@ void TraceBus::capture_logs() {
       // of bus state written at emit time rather than at the barrier.
       std::lock_guard<std::mutex> lock(log_mu_);
       idx = next_string_++;
-      const std::size_t slot =
-          static_cast<std::size_t>(idx) % std::max<std::size_t>(options_.string_ring_capacity, 1);
+      const std::size_t slot = static_cast<std::size_t>(idx) % kStringRingCapacity;
       if (strings_.size() <= slot) strings_.resize(slot + 1);
       strings_[slot] = tag + ": " + msg;
     }
@@ -161,8 +157,7 @@ const std::string* TraceBus::log_line(std::int64_t index) const {
   if (index < 0 || index < next_string_ - static_cast<std::int64_t>(strings_.size())) {
     return nullptr;  // evicted from the ring
   }
-  const std::size_t slot =
-      static_cast<std::size_t>(index) % std::max<std::size_t>(options_.string_ring_capacity, 1);
+  const std::size_t slot = static_cast<std::size_t>(index) % kStringRingCapacity;
   if (slot >= strings_.size()) return nullptr;
   return &strings_[slot];
 }

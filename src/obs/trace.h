@@ -107,15 +107,10 @@ inline std::uint64_t fingerprint(const std::vector<std::uint8_t>& bytes) {
   return fingerprint(bytes.data(), bytes.size());
 }
 
-struct TraceBusOptions {
-  std::size_t ring_capacity = 1 << 16;      ///< events retained for export
-  std::size_t string_ring_capacity = 4096;  ///< captured log lines retained
-};
-
 class TraceBus {
  public:
   /// `sim` provides the timestamp for every event (the simulated clock).
-  explicit TraceBus(Simulator& sim, TraceBusOptions options = {});
+  explicit TraceBus(Simulator& sim);
   ~TraceBus();
 
   TraceBus(const TraceBus&) = delete;
@@ -152,8 +147,10 @@ class TraceBus {
   /// Merge per-lane buffers by (time, lane) and dispatch; barrier hook.
   void flush_lanes();
 
+  static constexpr std::size_t kRingCapacity = 1 << 16;   ///< events retained for export
+  static constexpr std::size_t kStringRingCapacity = 4096;  ///< captured log lines retained
+
   Simulator& sim_;
-  TraceBusOptions options_;
   std::vector<TraceEvent> ring_;  ///< circular once full
   std::size_t ring_next_ = 0;
   bool ring_wrapped_ = false;

@@ -19,10 +19,6 @@ Rebalancer::Rebalancer(Simulator& sim, const Router& router, Directory& director
       options_(options),
       alive_(std::make_shared<bool>(true)) {
   if (const auto& metrics = router_.metrics()) {
-    metric_moves_ = &metrics->counter("shard.rebalance.moves");
-    metric_moves_failed_ = &metrics->counter("shard.rebalance.moves_failed");
-    metric_rows_ = &metrics->counter("shard.rebalance.rows_moved");
-    metric_bytes_ = &metrics->counter("shard.rebalance.bytes_moved");
     move_ms_hist_ = &metrics->histogram("shard.rebalance.move_ms");
   }
 }
@@ -177,9 +173,6 @@ void Rebalancer::cutover(std::shared_ptr<Move> mv, std::int64_t rows, std::int64
   stats_.rows_moved += rows;
   stats_.bytes_moved += bytes;
   const SimDuration took = sim_.now() - mv->started;
-  if (metric_moves_ != nullptr) metric_moves_->inc();
-  if (metric_rows_ != nullptr) metric_rows_->inc(static_cast<std::uint64_t>(rows));
-  if (metric_bytes_ != nullptr) metric_bytes_->inc(static_cast<std::uint64_t>(bytes));
   if (move_ms_hist_ != nullptr) move_ms_hist_->record(took / 1'000'000);  // ns -> ms
 
   if (mv->done) {
@@ -199,7 +192,6 @@ void Rebalancer::cutover(std::shared_ptr<Move> mv, std::int64_t rows, std::int64
 
 void Rebalancer::fail(std::shared_ptr<Move> mv) {
   ++stats_.moves_failed;
-  if (metric_moves_failed_ != nullptr) metric_moves_failed_->inc();
   if (!mv->fence_committed) {
     finish_failed(mv);
     return;

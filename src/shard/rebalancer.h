@@ -137,10 +137,6 @@ class Rebalancer {
   std::map<int, std::unique_ptr<core::ClientSession>> sessions_;  ///< per shard
   std::set<std::pair<std::string, std::string>> busy_;  ///< ranges mid-move
   RebalancerStats stats_;
-  obs::Counter* metric_moves_ = nullptr;
-  obs::Counter* metric_moves_failed_ = nullptr;
-  obs::Counter* metric_rows_ = nullptr;
-  obs::Counter* metric_bytes_ = nullptr;
   obs::Histogram* move_ms_hist_ = nullptr;
 };
 

@@ -88,7 +88,7 @@ void StableStorage::start_force_if_needed() {
   ++stats_.forces;
   inflight_covered_ = records_.size();
   const std::uint64_t epoch = epoch_;
-  sim_.after(params_.force_latency, [this, epoch] { force_completed(epoch); });
+  sim_.after(kForceLatency, [this, epoch] { force_completed(epoch); });
 }
 
 void StableStorage::force_completed(std::uint64_t epoch) {

@@ -6,9 +6,9 @@
 // engine with delayed writes). This module models exactly that:
 //
 //  - `append` adds a record to the volatile tail (no simulated time cost).
-//  - `sync` in *forced* mode completes after `force_latency`; while a force
+//  - `sync` in *forced* mode completes after `kForceLatency`; while a force
 //    is in flight further syncs coalesce onto the next force (group commit),
-//    which is what lets throughput exceed 1/force_latency when many clients
+//    which is what lets throughput exceed 1/kForceLatency when many clients
 //    are in flight — visible in Figure 5(a)'s engine curve.
 //  - `sync` in *delayed* mode completes immediately; records become durable
 //    in the background and a crash loses the non-durable tail.
@@ -44,9 +44,10 @@ enum class SyncMode {
   kDelayed,  ///< sync returns immediately; durability is asynchronous
 };
 
+inline constexpr SimDuration kForceLatency = millis(8);  ///< one forced write / group commit
+
 struct StorageParams {
   SyncMode mode = SyncMode::kForced;
-  SimDuration force_latency = millis(8);  ///< one forced write / group commit
   /// Group-commit window: when a sync arrives at an idle disk, the force is
   /// delayed briefly so concurrent requests share it. When the disk is
   /// already forcing, waiting requests batch onto the next force anyway.

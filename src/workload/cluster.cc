@@ -9,10 +9,9 @@
 namespace tordb::workload {
 
 EngineCluster::EngineCluster(ClusterOptions options)
-    : EngineCluster(std::move(options), 1, Lanes{}, "") {}
+    : EngineCluster(std::move(options), 1, Lanes{}) {}
 
-EngineCluster::EngineCluster(ClusterOptions options, int groups, Lanes lanes,
-                             const std::string& group_metrics)
+EngineCluster::EngineCluster(ClusterOptions options, int groups, Lanes lanes)
     : options_(std::move(options)),
       groups_(groups),
       sim_(options_.seed),
@@ -24,9 +23,7 @@ EngineCluster::EngineCluster(ClusterOptions options, int groups, Lanes lanes,
 
   const bool check = options_.obs.check || obs::check_forced();
   if (options_.obs.trace || check) {
-    obs::TraceBusOptions bus_opts;
-    bus_opts.ring_capacity = options_.obs.ring_capacity;
-    trace_bus_ = std::make_shared<obs::TraceBus>(sim_, bus_opts);
+    trace_bus_ = std::make_shared<obs::TraceBus>(sim_);
     trace_bus_->capture_logs();  // logger lines become kLogLine trace events
     options_.node.engine.trace_bus = trace_bus_;
     if (check) {
@@ -56,9 +53,6 @@ EngineCluster::EngineCluster(ClusterOptions options, int groups, Lanes lanes,
     if (lanes.threads > 0) scope.emplace(sim_, g);
     for (NodeId id : members) {
       if (checker_) checker_->set_node_group(id, g);
-      if (metrics_ && !group_metrics.empty()) {
-        metrics_->set_scope(id, group_metrics + std::to_string(g) + ".");
-      }
       nodes_.push_back(std::make_unique<core::ReplicaNode>(net_, id, members, options_.node));
       net_.set_group(id, g);
     }
@@ -109,6 +103,7 @@ EngineCluster::Sample EngineCluster::sample_nodes(const std::vector<NodeId>& ids
     const auto& st = n.storage().stats();
     s.forces += st.forces;
     s.appends += st.appends;
+    s.counts += n.counts();
     if (!n.running()) continue;
     core::ReplicationEngine& e = n.engine();
     const std::int64_t wl = e.white_line();
@@ -116,14 +111,10 @@ EngineCluster::Sample EngineCluster::sample_nodes(const std::vector<NodeId>& ids
     max_green = std::max(max_green, e.green_count());
     s.stored_bodies += static_cast<std::int64_t>(e.action_log().stored_bodies());
     s.body_bytes += e.action_log().body_bytes();
-    const auto& gs = e.group_comm().stats();
-    s.safe_deliveries += gs.safe_deliveries;
-    s.configs += gs.regular_configs;
     const db::DbStats ds = e.database().stats();
     s.intern_keys += ds.interned_keys;
     s.intern_bytes += ds.interned_bytes;
     s.table_slots += ds.table_slots;
-    s.table_rehashes += ds.table_rehashes;
   }
   s.min_white = std::max<std::int64_t>(min_white, 0);
   s.lag = max_green - s.min_white;
@@ -138,11 +129,17 @@ void EngineCluster::sample_metrics() {
   t.lag = 0;  // white-line lag is a per-group quantity: sum it
   for (const Sample& g : groups) t.lag += g.lag;
   // Cumulative sources: set_total() so roll() turns them into per-window
-  // deltas alongside the engines' directly-incremented counters.
+  // deltas. Node counts include engines that crashed or left, so none of
+  // these stalls when a replica goes away.
+  const core::NodeCounts& n = t.counts;
+  metrics_->counter("engine.actions_green").set_total(n.greens);
+  metrics_->counter("engine.actions_red").set_total(n.reds);
+  metrics_->counter("engine.primaries_installed").set_total(n.installs);
+  metrics_->counter("cluster.exchanges").set_total(n.exchanges);
   metrics_->counter("storage.forces").set_total(t.forces);
   metrics_->counter("storage.appends").set_total(t.appends);
-  metrics_->counter("gc.safe_deliveries").set_total(t.safe_deliveries);
-  metrics_->counter("gc.regular_configs").set_total(t.configs);
+  metrics_->counter("gc.safe_deliveries").set_total(n.safe_deliveries);
+  metrics_->counter("gc.regular_configs").set_total(n.regular_configs);
   // White-line / body-store health (DESIGN.md §14): `lag` is how far each
   // group's slowest white line trails its fastest green count, summed over
   // groups — growing lag means trimming is starving and body stores are
@@ -151,12 +148,12 @@ void EngineCluster::sample_metrics() {
   metrics_->gauge("gc.whiteline.lag").set(t.lag);
   metrics_->gauge("gc.bodies.stored").set(t.stored_bodies);
   metrics_->gauge("gc.bodies.bytes").set(t.body_bytes);
-  // Flat-layout accounting (DESIGN.md §11), summed over running replicas.
-  // Sizes are gauges: they fall when a replica crashes.
+  // Flat-layout accounting (DESIGN.md §11). Sizes are gauges summed over
+  // running replicas: they fall when a replica crashes.
   metrics_->gauge("db.intern.keys").set(static_cast<std::int64_t>(t.intern_keys));
   metrics_->gauge("db.intern.bytes").set(static_cast<std::int64_t>(t.intern_bytes));
   metrics_->gauge("db.table.slots").set(static_cast<std::int64_t>(t.table_slots));
-  metrics_->counter("db.table.rehashes").set_total(t.table_rehashes);
+  metrics_->counter("db.table.rehashes").set_total(n.db_rehashes);
   metrics_->counter("net.messages").set_total(net_.stats().messages_sent);
   metrics_->counter("net.bytes").set_total(net_.stats().bytes_sent);
   metrics_->counter("net.payload_bytes_copied").set_total(net_.stats().payload_bytes_copied);

@@ -32,7 +32,6 @@ struct ObsOptions {
   bool trace = false;             ///< allocate a TraceBus and wire every node
   bool check = false;             ///< subscribe the online SafetyChecker
   bool checker_fail_fast = true;  ///< abort the process on first violation
-  std::size_t ring_capacity = 1 << 16;
   /// >0: allocate a MetricsRegistry and roll a window every interval.
   SimDuration metrics_window = 0;
 };
@@ -110,8 +109,9 @@ class EngineCluster {
   const std::shared_ptr<obs::TraceBus>& trace_bus() const { return trace_bus_; }
   obs::SafetyChecker* checker() const { return checker_.get(); }
   const std::shared_ptr<obs::MetricsRegistry>& metrics() const { return metrics_; }
-  /// Sample deployment-cumulative stats into the registry (also runs before
-  /// every periodic window roll).
+  /// Publish every layer's stats into the registry: the one place counts
+  /// enter it (DESIGN.md §7). Runs before every periodic window roll; call
+  /// it before reading a counter between rolls.
   void sample_metrics();
 
  protected:
@@ -123,23 +123,20 @@ class EngineCluster {
     SimDuration handoff = 0;
   };
   /// `groups` groups of `options.replicas` nodes each; group g owns the
-  /// contiguous ids [g * replicas, (g+1) * replicas). With metrics on, each
-  /// node's engine also counts its greens, reds and installs under the
-  /// scope `<group_metrics><g>.` (e.g. "shard.3.").
-  EngineCluster(ClusterOptions options, int groups, Lanes lanes,
-                const std::string& group_metrics);
+  /// contiguous ids [g * replicas, (g+1) * replicas).
+  EngineCluster(ClusterOptions options, int groups, Lanes lanes);
 
   int groups() const { return groups_; }
   int group_size() const { return options_.replicas; }
   /// Members of one group (with one group, dormant joiners included).
   std::vector<NodeId> group_ids(int group) const;
 
-  /// Cumulative stats of a set of nodes. Storage counters include crashed
-  /// nodes; everything else covers running ones.
+  /// Stats of a set of nodes. The counts (storage and `counts`) cover every
+  /// node, crashed and left ones included; the sizes cover running ones.
   struct Sample {
     std::uint64_t forces = 0, appends = 0;
-    std::uint64_t safe_deliveries = 0, configs = 0;
-    std::uint64_t intern_keys = 0, intern_bytes = 0, table_slots = 0, table_rehashes = 0;
+    core::NodeCounts counts;
+    std::uint64_t intern_keys = 0, intern_bytes = 0, table_slots = 0;
     std::int64_t min_white = 0;  ///< slowest white line (0 with no running member)
     std::int64_t lag = 0;        ///< fastest green count minus min_white
     std::int64_t stored_bodies = 0, body_bytes = 0;

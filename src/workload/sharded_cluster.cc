@@ -49,7 +49,7 @@ EngineCluster::Lanes ShardedCluster::resolve_lanes(const ShardedClusterOptions& 
 }
 
 ShardedCluster::ShardedCluster(ShardedClusterOptions options)
-    : EngineCluster(group_options(options), options.shards, resolve_lanes(options), "shard."),
+    : EngineCluster(group_options(options), options.shards, resolve_lanes(options)),
       options_(std::move(options)),
       directory_(options_.range_splits.empty()
                      ? shard::Directory::hashed(options_.shards)
@@ -176,6 +176,9 @@ void ShardedCluster::sample_tier_metrics(const std::vector<Sample>& groups) {
   for (int s = 0; s < shards(); ++s) {
     const Sample& g = groups[static_cast<std::size_t>(s)];
     const std::string prefix = "shard." + std::to_string(s) + ".";
+    m.counter(prefix + "actions_green").set_total(g.counts.greens);
+    m.counter(prefix + "actions_red").set_total(g.counts.reds);
+    m.counter(prefix + "primaries_installed").set_total(g.counts.installs);
     m.counter(prefix + "storage_forces").set_total(g.forces);
     m.gauge(prefix + "whiteline.min").set(g.min_white);
     m.gauge(prefix + "whiteline.lag").set(g.lag);
@@ -227,6 +230,11 @@ void ShardedCluster::sample_tier_metrics(const std::vector<Sample>& groups) {
   m.counter("txn.restarts").set_total(ts.restarts);
   m.counter("txn.confirm_rerouted").set_total(ts.confirm_rerouted);
   m.counter("txn.snapshot_reads").set_total(ts.snapshot_reads);
+  const shard::RebalancerStats& bs = rebalancer_->stats();
+  m.counter("shard.rebalance.moves").set_total(bs.moves_completed);
+  m.counter("shard.rebalance.moves_failed").set_total(bs.moves_failed);
+  m.counter("shard.rebalance.rows_moved").set_total(static_cast<std::uint64_t>(bs.rows_moved));
+  m.counter("shard.rebalance.bytes_moved").set_total(static_cast<std::uint64_t>(bs.bytes_moved));
   m.gauge("directory.epoch").set(directory_.epoch());
 }
 

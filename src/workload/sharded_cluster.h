@@ -159,7 +159,8 @@ class ShardedCluster : public EngineCluster {
   std::optional<std::string> check_all() const;
 
  private:
-  /// Publishes `shard.<id>.*`, lane, router, txn and directory names.
+  /// Publishes `shard.<id>.*`, `shard.rebalance.*`, lane, router, txn and
+  /// directory names.
   void sample_tier_metrics(const std::vector<Sample>& groups) override;
   /// Resolve the lane knobs (TORDB_SIM_* included, unless sim_env is off).
   static Lanes resolve_lanes(const ShardedClusterOptions& o);

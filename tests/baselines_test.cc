@@ -45,7 +45,7 @@ TEST(TwoPc, TwoForcedWritesOnCriticalPath) {
   SimTime done_at = -1;
   c.replicas[0]->submit(Command::put("k", "v"), [&](bool) { done_at = c.sim.now(); });
   c.sim.run_for(millis(200));
-  const SimDuration force = StorageParams{}.force_latency;
+  const SimDuration force = kForceLatency;
   // Prepare force and commit force are sequential: latency >= 2 forces.
   EXPECT_GE(done_at, 2 * force);
   EXPECT_LT(done_at, 3 * force);
@@ -96,7 +96,7 @@ TEST(Corel, OneForcedWriteOnCriticalPath) {
   SimTime done_at = -1;
   c.replicas[0]->submit(Command::put("k", "v"), [&](bool) { done_at = c.sim.now(); });
   c.sim.run_for(millis(200));
-  const SimDuration force = StorageParams{}.force_latency;
+  const SimDuration force = kForceLatency;
   const SimDuration latency = done_at - start;
   EXPECT_GE(latency, force);      // one force (parallel at all replicas)
   EXPECT_LT(latency, 2 * force);  // but not two sequential ones

@@ -157,7 +157,56 @@ std::vector<Scenario> scenarios() {
   // Multi-clique gc groups: partitions cut across cliques, leaders crash.
   for (std::uint64_t s = 401; s <= 404; ++s) v.push_back({s, 17, 40, 3, true});
   for (std::uint64_t s = 501; s <= 504; ++s) v.push_back({s, 24, 40, 3, true});
+  // Leavers that take in their own green leave through an exchange's
+  // catch-up snapshot rather than on_leave_green (5.1 line 13).
+  for (std::uint64_t s : {1127, 1134, 1300, 1617, 1637, 1791, 1839, 1849, 2097, 2202, 2239, 2250,
+                          2423, 2533, 2847, 2864, 2874, 2889}) {
+    v.push_back({s, static_cast<int>(9 + s % 18), 40, 3, s % 2 == 0});
+  }
   return v;
+}
+
+TEST(ChurnLeave, LeaveThatTurnedGreenWhileDownEndsInTheExit) {
+  // Node 3 is removed while it is down (§5.1's administrative leave). The
+  // others trim the bodies past the leave, so on recovery the exchange
+  // hands node 3 a catch-up snapshot whose server set lacks it. It must
+  // exit as on_leave_green would: state kLeft, engine gone, group left.
+  ClusterOptions o;
+  o.replicas = 4;
+  o.seed = 5;
+  o.node.storage.mode = SyncMode::kDelayed;  // the adopted snapshot reaches the disk
+  EngineCluster c(o);
+  c.run_for(seconds(1));
+  c.crash(3);
+  c.run_for(millis(500));
+  ASSERT_TRUE(c.converged_primary({0, 1, 2}));
+  c.engine(0).remove_replica(3);
+  for (int i = 0; i < 20; ++i) {
+    c.engine(i % 3).submit({}, Command::add("total", 1), i % 3, Semantics::kStrict, nullptr);
+  }
+  c.run_for(seconds(1));
+  ASSERT_EQ(c.engine(0).server_set(), (std::vector<NodeId>{0, 1, 2}));
+
+  c.recover(3);
+  c.run_for(seconds(2));
+  EXPECT_TRUE(c.node(3).has_left());
+  EXPECT_FALSE(c.node(3).running());
+  bool exited = false;
+  for (const obs::TraceEvent& e : c.trace_bus()->ring_snapshot()) {
+    exited |= e.node == 3 && e.kind == obs::EventKind::kStateTransition &&
+              e.b == static_cast<std::int64_t>(EngineState::kLeft);
+  }
+  EXPECT_TRUE(exited);
+  EXPECT_TRUE(c.converged_primary({0, 1, 2}));
+
+  // A restart of the departed node recovers the adopted snapshot, which
+  // leaves it out, so recovery ends in the exit too.
+  c.crash(3);
+  c.recover(3);
+  c.run_for(seconds(1));
+  EXPECT_FALSE(c.node(3).running());
+  EXPECT_TRUE(c.converged_primary({0, 1, 2}));
+  EXPECT_EQ(c.check_all(), std::nullopt);
 }
 
 INSTANTIATE_TEST_SUITE_P(Churn, ChurnSchedule, ::testing::ValuesIn(scenarios()),

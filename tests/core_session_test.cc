@@ -231,7 +231,7 @@ TEST_F(SessionTest, QuorumLossOutlastingTheAttemptBudgetCommitsOnceAfterHeal) {
 TEST_F(SessionTest, WaitForAWhollyCrashedGroupEndsAtRecovery) {
   // Every replica is down at submit: with retry_when_unavailable the
   // session waits, and a recovery wakes it instead of the next
-  // retry_timeout tick.
+  // kRetryTimeout tick.
   SessionOptions o;
   o.retry_when_unavailable = true;
   ClientSession s = make_session(11, o);

@@ -211,7 +211,7 @@ TEST(GcBasic, StabilityReceiptsPerIntervalAreBoundedInWideGroups) {
 
   std::vector<std::uint64_t> before;
   for (NodeId i = 0; i < kNodes; ++i) before.push_back(c.gc(i).stats().stability_received);
-  const SimDuration interval = GcParams{}.ack_min_interval;
+  const SimDuration interval = kAckMinInterval;
   const SimDuration window = millis(300);
   std::int64_t k = 0;
   for (SimDuration t = 0; t < window; t += micros(250)) {

@@ -298,10 +298,10 @@ TEST(ObsChecker, GreenCounterKeepsCountingThroughACrash) {
 }
 
 TEST(ObsChecker, ShardCountersKeepCountingThroughACrash) {
-  // shard.<id>.actions_green / actions_red / primaries_installed and
-  // cluster.exchanges are incremented by the engines themselves (the
-  // per-shard ones under the node's group scope), so at any instant each
-  // moved by exactly what the replicas did. Re-summed over the running
+  // shard.<id>.actions_green / actions_red / primaries_installed,
+  // cluster.exchanges and the gc delivery counts are published from node
+  // totals that keep a crashed engine's counts, so across a crash each
+  // moves by exactly what the survivors did. Re-summed over the running
   // replicas, a crash would drop the dead replica's history from the sum
   // and the counter would lag the survivors' work by that much.
   workload::ShardedClusterOptions o;
@@ -323,6 +323,7 @@ TEST(ObsChecker, ShardCountersKeepCountingThroughACrash) {
   ASSERT_NE(c.metrics(), nullptr);
   struct Totals {
     std::uint64_t green = 0, red = 0, installs = 0, exchanges = 0;
+    std::uint64_t safe_deliveries = 0, regular_configs = 0;
   };
   // Counts of the replicas that survive: shard 0's first two, all of shard 1.
   const auto survivors = [&] {
@@ -337,16 +338,22 @@ TEST(ObsChecker, ShardCountersKeepCountingThroughACrash) {
           t.installs += es.primaries_installed;
         }
         t.exchanges += es.exchanges;
+        const gc::GcStats& gs = c.node(s, i).engine().group_comm().stats();
+        t.safe_deliveries += gs.safe_deliveries;
+        t.regular_configs += gs.regular_configs;
       }
     }
     return t;
   };
   const auto counters = [&] {
+    c.sample_metrics();
     MetricsRegistry& m = *c.metrics();
     return Totals{m.counter("shard.0.actions_green").value(),
                   m.counter("shard.0.actions_red").value(),
                   m.counter("shard.0.primaries_installed").value(),
-                  m.counter("cluster.exchanges").value()};
+                  m.counter("cluster.exchanges").value(),
+                  m.counter("gc.safe_deliveries").value(),
+                  m.counter("gc.regular_configs").value()};
   };
   const Totals work0 = survivors();
   const Totals seen0 = counters();
@@ -361,7 +368,58 @@ TEST(ObsChecker, ShardCountersKeepCountingThroughACrash) {
   EXPECT_EQ(seen1.red - seen0.red, work1.red - work0.red);
   EXPECT_EQ(seen1.installs - seen0.installs, work1.installs - work0.installs);
   EXPECT_EQ(seen1.exchanges - seen0.exchanges, work1.exchanges - work0.exchanges);
+  EXPECT_EQ(seen1.safe_deliveries - seen0.safe_deliveries,
+            work1.safe_deliveries - work0.safe_deliveries);
+  EXPECT_EQ(seen1.regular_configs - seen0.regular_configs,
+            work1.regular_configs - work0.regular_configs);
   EXPECT_EQ(c.check_all(), std::nullopt);
+}
+
+TEST(ObsChecker, PublishedCountsKeepALeaversEngine) {
+  // A leave ends the leaver's engine, and its stats with it. The node keeps
+  // them as retired counts, so the published totals are still every
+  // node's retired counts plus its live engine's.
+  workload::ClusterOptions o;
+  o.replicas = 4;
+  o.obs.check = true;
+  o.obs.metrics_window = millis(250);
+  workload::EngineCluster c(o);
+  c.run_for(seconds(1));
+  std::int64_t n = 0;
+  std::function<void()> issue = [&] {  // one closed-loop client at replica 0
+    c.engine(0).submit({}, Command::put("k", std::to_string(++n)), 1, Semantics::kStrict,
+                       [&](const Reply&) { issue(); });
+  };
+  issue();
+  c.run_for(seconds(1));
+
+  c.engine(3).request_leave();
+  core::EngineStats last;  // the leaver's engine as last seen running
+  while (c.node(3).running() && c.sim().now() < seconds(4)) {
+    last = c.engine(3).stats();
+    c.run_for(millis(1));
+  }
+  ASSERT_TRUE(c.node(3).has_left());
+  ASSERT_FALSE(c.node(3).running());
+  const core::NodeCounts retired = c.node(3).counts();
+  EXPECT_GE(retired.greens, last.actions_green);
+  EXPECT_GT(retired.greens, 100u);
+  EXPECT_GT(retired.safe_deliveries, 100u);
+  c.run_for(seconds(1));  // the others keep committing
+
+  core::NodeCounts all;
+  for (NodeId id = 0; id < 3; ++id) all += c.node(id).counts();
+  all += retired;
+  c.sample_metrics();
+  MetricsRegistry& m = *c.metrics();
+  EXPECT_EQ(m.counter("engine.actions_green").value(), all.greens);
+  EXPECT_EQ(m.counter("engine.actions_red").value(), all.reds);
+  EXPECT_EQ(m.counter("engine.primaries_installed").value(), all.installs);
+  EXPECT_EQ(m.counter("cluster.exchanges").value(), all.exchanges);
+  EXPECT_EQ(m.counter("gc.safe_deliveries").value(), all.safe_deliveries);
+  EXPECT_EQ(m.counter("gc.regular_configs").value(), all.regular_configs);
+  EXPECT_EQ(m.counter("db.table.rehashes").value(), all.db_rehashes);
+  EXPECT_TRUE(c.checker()->ok()) << c.checker()->report();
 }
 
 TEST(ObsChecker, DbSizeGaugesFallWhenAReplicaCrashes) {

@@ -31,7 +31,7 @@ TEST(Storage, ForcedSyncTakesForceLatency) {
   SimTime done_at = -1;
   st.sync([&] { done_at = sim.now(); });
   sim.run();
-  EXPECT_EQ(done_at, st.params().force_latency);
+  EXPECT_EQ(done_at, kForceLatency);
   EXPECT_TRUE(st.fully_durable());
 }
 
@@ -194,7 +194,7 @@ TEST(Storage, CommitWindowDelaysIdleForce) {
   SimTime done_at = -1;
   st.sync([&] { done_at = sim.now(); });
   sim.run();
-  EXPECT_EQ(done_at, millis(2) + p.force_latency);
+  EXPECT_EQ(done_at, millis(2) + kForceLatency);
 }
 
 TEST(Storage, CommitWindowBatchesConcurrentSyncs) {

@@ -7,8 +7,15 @@
 //   2. Every subdirectory of src/ must be mentioned by name (as "src/<dir>")
 //      in docs/ARCHITECTURE.md — adding a subsystem without touring it in
 //      the architecture doc fails the build.
+//   3. Every metric name in the first column of a `| Metric |` table in
+//      docs/OPERATIONS.md must be a string literal in src/, so the docs
+//      cannot drift from what the one publisher names. A name with a
+//      placeholder (`shard.<id>.actions_green`) needs only a literal that
+//      ends with the text after the placeholder (`actions_green`).
 //
 // Usage: docs_check <repo root>
+#include <algorithm>
+#include <cctype>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -81,6 +88,53 @@ std::vector<std::string> link_targets(const std::string& text) {
   return out;
 }
 
+/// The contents of every "..." string literal in a C++ source, skipping
+/// // comments, character literals and digit separators (1'000).
+void collect_literals(const std::string& src, std::vector<std::string>& out) {
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    if (src.compare(i, 2, "//") == 0) {
+      i = src.find('\n', i);
+      if (i == std::string::npos) return;
+    } else if (src[i] == '\'' && (i == 0 || !std::isalnum(static_cast<unsigned char>(src[i - 1])))) {
+      i += src[i + 1] == '\\' ? 3 : 2;
+    } else if (src[i] == '"') {
+      std::string lit;
+      for (++i; i < src.size() && src[i] != '"'; ++i) {
+        if (src[i] == '\\') ++i;
+        lit += src[i];
+      }
+      out.push_back(std::move(lit));
+    }
+  }
+}
+
+/// The backquoted names in the first column of every `| Metric |` table.
+std::vector<std::string> documented_metrics(const std::string& text) {
+  std::vector<std::string> out;
+  bool in_table = false;
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("| Metric |", 0) == 0) {
+      in_table = true;
+      continue;
+    }
+    if (line.rfind("|", 0) != 0) {
+      in_table = false;
+      continue;
+    }
+    if (!in_table) continue;
+    const std::string cell = line.substr(1, line.find('|', 1) - 1);
+    for (std::size_t open = cell.find('`'); open != std::string::npos;) {
+      const std::size_t close = cell.find('`', open + 1);
+      if (close == std::string::npos) break;
+      out.push_back(cell.substr(open + 1, close - open - 1));
+      open = cell.find('`', close + 1);
+    }
+  }
+  return out;
+}
+
 bool is_external(const std::string& t) {
   return t.rfind("http://", 0) == 0 || t.rfind("https://", 0) == 0 ||
          t.rfind("mailto:", 0) == 0;
@@ -148,7 +202,31 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("docs_check: %zu markdown files, %zu relative links, %d failure(s)\n",
-              md_files.size(), links_checked, failures);
+  // Operations metric tables: every documented name is published from src/.
+  std::vector<std::string> literals;
+  for (const auto& entry : fs::recursive_directory_iterator(root / "src")) {
+    const fs::path ext = entry.path().extension();
+    if (entry.is_regular_file() && (ext == ".cc" || ext == ".h")) {
+      collect_literals(slurp(entry.path()), literals);
+    }
+  }
+  const std::vector<std::string> metrics =
+      documented_metrics(slurp(root / "docs" / "OPERATIONS.md"));
+  for (const std::string& name : metrics) {
+    const std::size_t placeholder = name.rfind('>');
+    std::string tail = placeholder == std::string::npos ? name : name.substr(placeholder + 1);
+    if (placeholder != std::string::npos && tail.rfind(".", 0) == 0) tail.erase(0, 1);
+    const bool found = std::any_of(literals.begin(), literals.end(), [&](const std::string& l) {
+      return placeholder == std::string::npos ? l == tail : l.ends_with(tail);
+    });
+    if (!found) {
+      std::fprintf(stderr, "UNPUBLISHED METRIC: docs/OPERATIONS.md names `%s`, no src/ literal %s\n",
+                   name.c_str(), placeholder == std::string::npos ? "equals it" : "ends with its tail");
+      ++failures;
+    }
+  }
+
+  std::printf("docs_check: %zu markdown files, %zu relative links, %zu metric names, %d failure(s)\n",
+              md_files.size(), links_checked, metrics.size(), failures);
   return failures == 0 ? 0 : 1;
 }
