@@ -45,7 +45,7 @@ CorelReplica::CorelReplica(Network& net, NodeId id, std::vector<NodeId> servers,
     try_commit();
   };
   listener.on_deliver = [this](const gc::Delivery& d) { on_deliver(d); };
-  gc_ = std::make_unique<gc::GroupCommunication>(net_, id_, std::move(listener), 0, params_.gc);
+  gc_ = std::make_unique<gc::GroupCommunication>(net_, id_, std::move(listener));
   // Acknowledgements travel as plain (unordered) multicasts beside the
   // totally ordered data stream, as in Keidar's COReL over Transis/Spread.
   net_.set_packet_handler(

@@ -32,7 +32,6 @@ namespace tordb::baselines {
 
 struct CorelParams {
   StorageParams storage;
-  gc::GcParams gc;
   std::uint32_t action_padding = 110;  ///< pads actions to ~200 wire bytes
 };
 

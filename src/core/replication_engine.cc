@@ -90,8 +90,7 @@ std::string to_string(EngineState s) {
 // ---------------------------------------------------------------------------
 
 ReplicationEngine::ReplicationEngine(Network& net, StableStorage& storage, NodeId id,
-                                     std::vector<NodeId> initial_servers, EngineParams params,
-                                     EngineCallbacks callbacks)
+                                     EngineParams params, EngineCallbacks callbacks)
     : net_(net),
       sim_(net.sim()),
       storage_(storage),
@@ -101,6 +100,12 @@ ReplicationEngine::ReplicationEngine(Network& net, StableStorage& storage, NodeI
       quorum_(params_.weights, params_.quorum_mode),
       alive_(std::make_shared<bool>(true)) {
   init_obs();
+}
+
+ReplicationEngine::ReplicationEngine(Network& net, StableStorage& storage, NodeId id,
+                                     std::vector<NodeId> initial_servers, EngineParams params,
+                                     EngineCallbacks callbacks)
+    : ReplicationEngine(net, storage, id, std::move(params), std::move(callbacks)) {
   init_members(initial_servers);
   trace_engine_start(0);
   construct_gc(0);
@@ -109,26 +114,13 @@ ReplicationEngine::ReplicationEngine(Network& net, StableStorage& storage, NodeI
 ReplicationEngine::ReplicationEngine(Network& net, StableStorage& storage, NodeId id,
                                      const SnapshotMessage& snapshot, EngineParams params,
                                      EngineCallbacks callbacks)
-    : net_(net),
-      sim_(net.sim()),
-      storage_(storage),
-      id_(id),
-      params_(std::move(params)),
-      callbacks_(std::move(callbacks)),
-      quorum_(params_.weights, params_.quorum_mode),
-      alive_(std::make_shared<bool>(true)) {
-  init_obs();
+    : ReplicationEngine(net, storage, id, std::move(params), std::move(callbacks)) {
   adopt_snapshot(snapshot, /*set_prim=*/true);
   // §5.2 line 28: the joiner's green line is the position of its
   // PERSISTENT_JOIN action, inherited with the snapshot.
   green_lines_[id_] = log_.green_count();
   // Persist the inherited state so a crash after joining recovers it.
-  DbSnapshotRecord rec;
-  rec.db_snapshot = snapshot.db_snapshot;
-  rec.green_count = log_.green_count();
-  rec.green_red_cut = log_.green_red_cut_pairs();
-  rec.meta = current_meta();
-  storage_.append(encode_log_db_snapshot(rec));
+  storage_.append(snapshot_record(snapshot.db_snapshot));
   storage_.sync([] {});
   trace_engine_start(2);
   construct_gc(0);
@@ -137,15 +129,7 @@ ReplicationEngine::ReplicationEngine(Network& net, StableStorage& storage, NodeI
 ReplicationEngine::ReplicationEngine(Network& net, StableStorage& storage, NodeId id, RecoverTag,
                                      std::vector<NodeId> fallback_servers, EngineParams params,
                                      EngineCallbacks callbacks)
-    : net_(net),
-      sim_(net.sim()),
-      storage_(storage),
-      id_(id),
-      params_(std::move(params)),
-      callbacks_(std::move(callbacks)),
-      quorum_(params_.weights, params_.quorum_mode),
-      alive_(std::make_shared<bool>(true)) {
-  init_obs();
+    : ReplicationEngine(net, storage, id, std::move(params), std::move(callbacks)) {
   recover_from_log(fallback_servers);
 }
 
@@ -154,7 +138,6 @@ ReplicationEngine::~ReplicationEngine() { *alive_ = false; }
 void ReplicationEngine::init_obs() {
   if (params_.trace_bus) {
     tracer_ = obs::Tracer(params_.trace_bus, id_);
-    params_.gc.tracer = tracer_;  // construct_gc copies params_.gc
   }
   if (params_.metrics) {
     green_latency_hist_ = &params_.metrics->histogram("engine.green_latency_ms");
@@ -204,7 +187,7 @@ void ReplicationEngine::construct_gc(std::int64_t initial_counter) {
   listener.on_deliver = [this](const gc::Delivery& d) { on_deliver(d); };
   listener.on_knowledge = [this] { on_knowledge(); };
   gc_ = std::make_unique<gc::GroupCommunication>(net_, id_, std::move(listener), initial_counter,
-                                                 params_.gc);
+                                                 tracer_);
   gc_->set_knowledge(log_.green_count());
   raise_white(/*rescan=*/true);  // from the lines the log or snapshot carried
 }
@@ -227,33 +210,16 @@ void ReplicationEngine::recover_from_log(const std::vector<NodeId>& fallback_ser
         DbSnapshotRecord s = decode_db_snapshot(r);
         db_.restore(s.db_snapshot);
         log_.reset(s.green_count, s.green_red_cut);
-        server_set_ = s.meta.server_set;
-        prim_ = s.meta.prim;
-        attempt_index_ = s.meta.attempt_index;
-        vulnerable_ = s.meta.vulnerable;
-        yellow_ = s.meta.yellow;
-        green_lines_.clear();
-        for (const auto& [n, g] : s.meta.green_lines) green_lines_[n] = g;
-        gc_counter = std::max(gc_counter, s.meta.gc_counter);
+        green_lines_.clear();  // the record replaces the lines, not merges
+        restore_meta(s.meta, gc_counter);
         ongoing_candidates.clear();
         for (Action& a : s.red_actions) log_.mark_red(std::make_shared<const Action>(std::move(a)));
         for (const Action& a : s.ongoing_actions) ongoing_candidates.push_back(a);
         break;
       }
-      case LogRecordType::kMeta: {
-        MetaRecord m = decode_meta(r);
-        server_set_ = m.server_set;
-        prim_ = m.prim;
-        attempt_index_ = m.attempt_index;
-        vulnerable_ = m.vulnerable;
-        yellow_ = m.yellow;
-        for (const auto& [n, g] : m.green_lines) {
-          std::int64_t& v = green_lines_[n];
-          v = std::max(v, g);
-        }
-        gc_counter = std::max(gc_counter, m.gc_counter);
+      case LogRecordType::kMeta:
+        restore_meta(decode_meta(r), gc_counter);
         break;
-      }
       case LogRecordType::kGreen: {
         const std::int64_t pos = r.i64();
         const ActionRef ref = std::make_shared<const Action>(Action::decode(r));
@@ -262,14 +228,9 @@ void ReplicationEngine::recover_from_log(const std::vector<NodeId>& fallback_ser
         if (a.type == ActionType::kUpdate) {
           db_.apply(a.query, a.update);
         } else if (a.type == ActionType::kPersistentJoin) {
-          if (!contains(server_set_, a.subject)) {
-            insert_sorted(server_set_, a.subject);
-            green_lines_[a.subject] = log_.green_count();
-          }
+          add_server(a.subject);
         } else if (a.type == ActionType::kPersistentLeave) {
-          erase_value(server_set_, a.subject);
-          green_lines_.erase(a.subject);
-          erase_value(prim_.servers, a.subject);
+          remove_server(a.subject);
         }
         break;
       }
@@ -305,6 +266,19 @@ void ReplicationEngine::recover_from_log(const std::vector<NodeId>& fallback_ser
   // 5.1 line 13: our own leave turned green before the crash. An empty set
   // recovered nothing (a joiner whose snapshot record was lost).
   if (!server_set_.empty() && !contains(server_set_, id_)) enter_left();
+}
+
+void ReplicationEngine::restore_meta(const MetaRecord& m, std::int64_t& gc_counter) {
+  server_set_ = m.server_set;
+  prim_ = m.prim;
+  attempt_index_ = m.attempt_index;
+  vulnerable_ = m.vulnerable;
+  yellow_ = m.yellow;
+  for (const auto& [n, g] : m.green_lines) {
+    std::int64_t& v = green_lines_[n];
+    v = std::max(v, g);
+  }
+  gc_counter = std::max(gc_counter, m.gc_counter);
 }
 
 void ReplicationEngine::adopt_snapshot(const SnapshotMessage& s, bool set_prim) {
@@ -356,24 +330,35 @@ void ReplicationEngine::adopt_snapshot(const SnapshotMessage& s, bool set_prim) 
 // Client interface
 // ---------------------------------------------------------------------------
 
-Action ReplicationEngine::make_action(ActionType type, db::Command query, db::Command update,
-                                      std::int64_t client, Semantics semantics, NodeId subject) {
+void ReplicationEngine::request(BufferedRequest req) {
+  if (state_ == EngineState::kRegPrim || state_ == EngineState::kNonPrim) {
+    persist_and_send({make_action(req)});
+  } else {
+    buffered_requests_.push_back(std::move(req));
+  }
+}
+
+Action ReplicationEngine::make_action(BufferedRequest& req) {
   Action a;
-  a.type = type;
+  a.type = req.type;
   a.id = ActionId{id_, ++action_index_};
   a.green_line = log_.green_count();
-  a.client = client;
-  a.semantics = semantics;
-  a.query = std::move(query);
-  a.update = std::move(update);
-  a.subject = subject;
-  a.padding = type == ActionType::kUpdate ? params_.action_padding : 0;
+  a.client = req.client;
+  a.semantics = req.semantics;
+  a.query = std::move(req.query);
+  a.update = std::move(req.update);
+  a.subject = req.subject;
+  a.padding = req.type == ActionType::kUpdate ? params_.action_padding : 0;
   ++stats_.actions_created;
   if (tracer_) {
     tracer_.emit_action(obs::EventKind::kActionSubmitted, a.id,
-                        static_cast<std::int64_t>(semantics), static_cast<std::int64_t>(type));
+                        static_cast<std::int64_t>(req.semantics),
+                        static_cast<std::int64_t>(req.type));
   }
   if (green_latency_hist_ != nullptr) submit_times_[pack_action_id(a.id)] = sim_.now();
+  if (req.reply) {
+    pending_replies_[pack_action_id(a.id)] = PendingReply{req.semantics, std::move(req.reply)};
+  }
   return a;
 }
 
@@ -384,24 +369,6 @@ void ReplicationEngine::persist_and_send(std::vector<Action> actions) {
   // (buffered requests flushing together) are framed as one log record and
   // one multicast instead of per-action records and messages.
   if (actions.empty()) return;
-  if (actions.size() == 1) {
-    // Single-action fast path (the steady-state shape): one log record, one
-    // wire, and a sync callback that fits SmallFn's inline slot — the whole
-    // persist pipeline allocates only the wire buffer itself.
-    const Action& a = actions.front();
-    const std::span<const std::uint8_t> body = encoded_body(a);
-    ongoing_[pack_action_id(a.id)].assign(body.begin(), body.end());
-    storage_.append_framed(static_cast<std::uint8_t>(LogRecordType::kOngoing), body);
-    Bytes wire;
-    wire.reserve(1 + body.size());
-    wire.push_back(static_cast<std::uint8_t>(EngineMsgType::kAction));
-    wire.insert(wire.end(), body.begin(), body.end());
-    storage_.sync([this, alive = alive_, wire = std::move(wire)]() mutable {
-      if (!*alive || state_ == EngineState::kLeft) return;
-      gc_->multicast(std::move(wire), gc::Service::kSafe);
-    });
-    return;
-  }
   const bool batched = params_.batch_persist && actions.size() > 1;
   // Encode each body exactly once: the ongoing-queue entry, the log record
   // and the multicast wire all share the same canonical bytes. The wires
@@ -416,8 +383,6 @@ void ReplicationEngine::persist_and_send(std::vector<Action> actions) {
     wires.push_back(encode_action_batch(actions));
     ++stats_.persist_batches;
     stats_.persist_batch_actions += actions.size();
-    stats_.persist_batch_max = std::max(stats_.persist_batch_max,
-                                        static_cast<std::uint64_t>(actions.size()));
   } else {
     wires.reserve(actions.size());
     for (const Action& a : actions) {
@@ -445,18 +410,8 @@ void ReplicationEngine::submit(db::Command query, db::Command update, std::int64
     if (reply) reply(rep);
     return;
   }
-  if (state_ == EngineState::kRegPrim || state_ == EngineState::kNonPrim) {
-    Action a = make_action(ActionType::kUpdate, std::move(query), std::move(update), client,
-                           semantics, kNoNode);
-    if (reply) {
-      pending_replies_[pack_action_id(a.id)] = PendingReply{semantics, std::move(reply)};
-    }
-    persist_and_send({std::move(a)});
-  } else {
-    buffered_requests_.push_back(BufferedRequest{ActionType::kUpdate, std::move(query),
-                                                 std::move(update), client, semantics, kNoNode,
-                                                 std::move(reply)});
-  }
+  request({ActionType::kUpdate, std::move(query), std::move(update), client, semantics, kNoNode,
+           std::move(reply)});
 }
 
 void ReplicationEngine::submit_query(db::Command query, QueryMode mode, ReplyFn reply) {
@@ -514,26 +469,14 @@ void ReplicationEngine::handle_join_request(NodeId joiner) {
   }
   if (pending_join_transfers_.count(joiner)) return;  // announcement in flight
   pending_join_transfers_.insert(joiner);
-  if (state_ == EngineState::kRegPrim || state_ == EngineState::kNonPrim) {
-    Action a = make_action(ActionType::kPersistentJoin, {}, {}, 0, Semantics::kStrict, joiner);
-    persist_and_send({std::move(a)});
-  } else {
-    buffered_requests_.push_back(BufferedRequest{ActionType::kPersistentJoin, {}, {}, 0,
-                                                 Semantics::kStrict, joiner, nullptr});
-  }
+  request({ActionType::kPersistentJoin, {}, {}, 0, Semantics::kStrict, joiner, nullptr});
 }
 
 void ReplicationEngine::request_leave() { remove_replica(id_); }
 
 void ReplicationEngine::remove_replica(NodeId dead) {
   if (state_ == EngineState::kLeft) return;
-  if (state_ == EngineState::kRegPrim || state_ == EngineState::kNonPrim) {
-    Action a = make_action(ActionType::kPersistentLeave, {}, {}, 0, Semantics::kStrict, dead);
-    persist_and_send({std::move(a)});
-  } else {
-    buffered_requests_.push_back(BufferedRequest{ActionType::kPersistentLeave, {}, {}, 0,
-                                                 Semantics::kStrict, dead, nullptr});
-  }
+  request({ActionType::kPersistentLeave, {}, {}, 0, Semantics::kStrict, dead, nullptr});
 }
 
 void ReplicationEngine::handle_buffered_requests() {
@@ -542,16 +485,8 @@ void ReplicationEngine::handle_buffered_requests() {
     return;
   }
   std::vector<Action> actions;
-  while (!buffered_requests_.empty()) {
-    BufferedRequest req = std::move(buffered_requests_.front());
-    buffered_requests_.pop_front();
-    Action a = make_action(req.type, std::move(req.query), std::move(req.update), req.client,
-                           req.semantics, req.subject);
-    if (req.reply) {
-      pending_replies_[pack_action_id(a.id)] = PendingReply{req.semantics, std::move(req.reply)};
-    }
-    actions.push_back(std::move(a));
-  }
+  for (BufferedRequest& req : buffered_requests_) actions.push_back(make_action(req));
+  buffered_requests_.clear();
   persist_and_send(std::move(actions));
   flush_strict_queries();
 }
@@ -792,14 +727,7 @@ void ReplicationEngine::shift_to_exchange_actions() {
       // state instead of individual actions.
       expected_retrans_ += 1;
       if (most_updated == id_) {
-        SnapshotMessage snap;
-        snap.db_snapshot = db_.snapshot();
-        snap.green_count = log_.green_count();
-        snap.green_red_cut = log_.green_red_cut_pairs();
-        snap.server_set = server_set_;
-        snap.green_lines = green_line_entries();
-        snap.prim = prim_;
-        gc_->multicast(encode_catchup(snap), gc::Service::kAgreed);
+        gc_->multicast(encode_catchup(green_snapshot()), gc::Service::kAgreed);
         ++stats_.snapshots_sent;
       }
     } else {
@@ -834,37 +762,30 @@ void ReplicationEngine::shift_to_exchange_actions() {
 }
 
 void ReplicationEngine::handle_green_retrans(std::int64_t position, ActionRef a) {
-  ++stats_.retrans_received;
   ++received_retrans_;
   if (position == log_.green_count() + 1) mark_green(std::move(a));
   maybe_end_of_retrans();
 }
 
 void ReplicationEngine::handle_red_retrans(ActionRef a) {
-  ++stats_.retrans_received;
   ++received_retrans_;
   mark_red(std::move(a));
   maybe_end_of_retrans();
 }
 
 void ReplicationEngine::handle_catchup(const SnapshotMessage& s) {
-  ++stats_.retrans_received;
   ++received_retrans_;
   if (s.green_count > log_.green_count()) {
     adopt_snapshot(s, /*set_prim=*/false);
     gc_->set_knowledge(log_.green_count());
     // Persist the adopted prefix as a compaction record so recovery does
     // not mix the old per-action log with the jumped green count.
-    DbSnapshotRecord rec;
-    rec.db_snapshot = s.db_snapshot;
-    rec.green_count = log_.green_count();
-    rec.green_red_cut = log_.green_red_cut_pairs();
-    rec.meta = current_meta();
-    log_.for_each_pending_red([&](const Action& a2) { rec.red_actions.push_back(a2); });
-    rec.ongoing_actions = sorted_ongoing();
-    storage_.append(encode_log_db_snapshot(rec));
+    storage_.append(snapshot_record(s.db_snapshot));
     if (!contains(server_set_, id_)) {
-      enter_left();  // 5.1 line 13: the prefix carried our own green leave
+      // 5.1 line 13: the prefix carried our own green leave. Force the
+      // record, or a restart recovers the old set and rejoins the group.
+      storage_.sync([] {});
+      enter_left();
       return;
     }
   }
@@ -1082,6 +1003,7 @@ void ReplicationEngine::install() {
   prim_.prim_index += 1;
   prim_.attempt_index = attempt_index_;
   prim_.servers = vulnerable_.set;
+  installed_servers_ = prim_.servers;
   attempt_index_ = 0;
 
   // Pending reds are derived from the per-creator cuts, already in the
@@ -1306,43 +1228,49 @@ void ReplicationEngine::reply_green(const Action& a, const db::ApplyResult& resu
 // Online reconfiguration (CodeSegment 5.1 / 5.2)
 // ---------------------------------------------------------------------------
 
-void ReplicationEngine::on_join_green(const Action& a) {
-  const NodeId j = a.subject;
-  if (!contains(server_set_, j)) {
-    insert_sorted(server_set_, j);
-    // 5.1 line 7: the joiner's green line is the join action's position.
-    green_lines_[j] = log_.green_count();
-    track_view();
-    if (tracer_) tracer_.emit(obs::EventKind::kMemberAdd, static_cast<std::int64_t>(j));
-    if (callbacks_.on_join_green) callbacks_.on_join_green(j);
-    if (a.id.server_id == id_ || pending_join_transfers_.count(j)) {
-      send_snapshot_to(j);  // 5.1 lines 9-10
-    }
-  } else if (pending_join_transfers_.count(j)) {
-    send_snapshot_to(j);  // duplicate announcement, but we owe a transfer
-  }
+bool ReplicationEngine::add_server(NodeId n) {
+  if (contains(server_set_, n)) return false;
+  insert_sorted(server_set_, n);
+  // 5.1 line 7: the joiner's green line is the join action's position.
+  green_lines_[n] = log_.green_count();
+  return true;
 }
 
-void ReplicationEngine::on_leave_green(const Action& a) {
-  const NodeId l = a.subject;
-  if (!contains(server_set_, l)) return;
-  erase_value(server_set_, l);
-  green_lines_.erase(l);
-  track_view();
-  if (tracer_) tracer_.emit(obs::EventKind::kMemberRemove, static_cast<std::int64_t>(l));
+bool ReplicationEngine::remove_server(NodeId n) {
+  if (!contains(server_set_, n)) return false;
+  erase_value(server_set_, n);
+  green_lines_.erase(n);
   // Remove the departed member from the dynamic-linear-voting denominator:
   // it can never vote again, and without this a leave of a recent-primary
   // member could block quorum forever — the very failure mode §5.1 says
   // permanent removal exists to prevent. Uniqueness is preserved: the
   // removal happens at the same green position at every replica, and a
-  // majority of P\{l} plus a disjoint majority of P would need more
-  // members than P has once l itself is gone for good.
-  erase_value(prim_.servers, l);
-  if (callbacks_.on_leave_green) callbacks_.on_leave_green(l);
+  // majority of P\{n} plus a disjoint majority of P would need more
+  // members than P has once n itself is gone for good.
+  erase_value(prim_.servers, n);
+  return true;
+}
+
+void ReplicationEngine::on_join_green(const Action& a) {
+  const NodeId j = a.subject;
+  const bool added = add_server(j);
+  if (added) {
+    track_view();
+    if (tracer_) tracer_.emit(obs::EventKind::kMemberAdd, static_cast<std::int64_t>(j));
+  }
+  // 5.1 lines 9-10; a duplicate announcement still owes a pending transfer.
+  if ((added && a.id.server_id == id_) || pending_join_transfers_.count(j)) send_snapshot_to(j);
+}
+
+void ReplicationEngine::on_leave_green(const Action& a) {
+  const NodeId l = a.subject;
+  if (!remove_server(l)) return;
+  track_view();
+  if (tracer_) tracer_.emit(obs::EventKind::kMemberRemove, static_cast<std::int64_t>(l));
   if (l == id_) enter_left();  // 5.1 line 13: exit
 }
 
-void ReplicationEngine::send_snapshot_to(NodeId joiner) {
+SnapshotMessage ReplicationEngine::green_snapshot() {
   SnapshotMessage s;
   s.db_snapshot = db_.snapshot();
   s.green_count = log_.green_count();
@@ -1350,6 +1278,11 @@ void ReplicationEngine::send_snapshot_to(NodeId joiner) {
   s.server_set = server_set_;
   s.green_lines = green_line_entries();
   s.prim = prim_;
+  return s;
+}
+
+void ReplicationEngine::send_snapshot_to(NodeId joiner) {
+  const SnapshotMessage s = green_snapshot();
   net_.send(id_, joiner, encode_snapshot(s), Channel::kDirect);
   pending_join_transfers_.erase(joiner);
   ++stats_.snapshots_sent;
@@ -1468,14 +1401,18 @@ void ReplicationEngine::maybe_compact() {
   if (log_.green_count() % params_.compact_every_greens != 0) return;
   const std::size_t upto = storage_.durable_size();
   if (upto < 2) return;
+  storage_.compact(upto, snapshot_record(db_.snapshot()));
+}
+
+Bytes ReplicationEngine::snapshot_record(Bytes db_snapshot) {
   DbSnapshotRecord rec;
-  rec.db_snapshot = db_.snapshot();
+  rec.db_snapshot = std::move(db_snapshot);
   rec.green_count = log_.green_count();
   rec.green_red_cut = log_.green_red_cut_pairs();
   rec.meta = current_meta();
   log_.for_each_pending_red([&](const Action& a) { rec.red_actions.push_back(a); });
   rec.ongoing_actions = sorted_ongoing();
-  storage_.compact(upto, encode_log_db_snapshot(rec));
+  return encode_log_db_snapshot(rec);
 }
 
 std::vector<Action> ReplicationEngine::sorted_ongoing() const {

@@ -99,7 +99,6 @@ struct EngineParams {
   /// and one group multicast per batch of buffered client actions instead
   /// of per action. Single-action submissions are unaffected.
   bool batch_persist = true;
-  gc::GcParams gc;
   /// Observability (all null by default — zero cost). When `trace_bus` is
   /// set the engine constructs a per-node Tracer and emits the structured
   /// event stream documented on obs::EventKind; it also hands the bus down
@@ -119,7 +118,6 @@ struct EngineStats {
   std::uint64_t cpc_sent = 0;
   std::uint64_t green_retrans_sent = 0;
   std::uint64_t red_retrans_sent = 0;
-  std::uint64_t retrans_received = 0;
   std::uint64_t replies = 0;
   std::uint64_t snapshots_sent = 0;
   /// Always 0: green lines ride the gc stability streams, no announcement
@@ -128,13 +126,10 @@ struct EngineStats {
   // Write batching (one forced append+sync and one multicast per batch).
   std::uint64_t persist_batches = 0;        ///< multi-action batches issued
   std::uint64_t persist_batch_actions = 0;  ///< actions carried by them
-  std::uint64_t persist_batch_max = 0;      ///< largest batch so far
 };
 
 struct EngineCallbacks {
-  std::function<void()> on_left;         ///< our own leave became green
-  std::function<void(NodeId)> on_join_green;
-  std::function<void(NodeId)> on_leave_green;
+  std::function<void()> on_left;  ///< our own leave became green
   /// Entered kNonPrim: an exchange ended without quorum, or a configuration
   /// change cut an exchange short (A.4 / A.6). Called inline from engine
   /// processing; the handler must defer anything that re-enters the engine.
@@ -227,6 +222,11 @@ class ReplicationEngine {
   db::Database dirty_database() const;
   const std::vector<NodeId>& server_set() const { return server_set_; }
   const PrimComponent& prim_component() const { return prim_; }
+  /// The primary's membership as install() set it. prim_component().servers
+  /// also drops members whose leave turned green since, at each replica's
+  /// own pace; this copy is what every member of one primary agrees on.
+  /// Volatile: set at each install of this incarnation.
+  const std::vector<NodeId>& installed_servers() const { return installed_servers_; }
   const VulnerableRecord& vulnerable() const { return vulnerable_; }
   const YellowRecord& yellow() const { return yellow_; }
   const EngineStats& stats() const { return stats_; }
@@ -254,6 +254,22 @@ class ReplicationEngine {
   }
 
  private:
+  /// A client or membership request. It waits in buffered_requests_ while
+  /// the engine cannot create actions (outside RegPrim/NonPrim, A.8).
+  struct BufferedRequest {
+    ActionType type;
+    db::Command query;
+    db::Command update;
+    std::int64_t client;
+    Semantics semantics;
+    NodeId subject;
+    ReplyFn reply;
+  };
+
+  /// The member initialization every public constructor delegates to.
+  ReplicationEngine(Network& net, StableStorage& storage, NodeId id, EngineParams params,
+                    EngineCallbacks callbacks);
+
   // --- group communication events ------------------------------------------
   void on_regular_config(const gc::Configuration& conf);
   void on_transitional_config(const gc::Configuration& conf);
@@ -298,14 +314,22 @@ class ReplicationEngine {
   void on_join_green(const Action& a);         // 5.1 lines 5-10
   void on_leave_green(const Action& a);        // 5.1 lines 11-13
   void recover_from_log(const std::vector<NodeId>& fallback_servers);
+  /// Restore the meta fields of a recovered record; green lines max-merge.
+  void restore_meta(const MetaRecord& m, std::int64_t& gc_counter);
+  /// The server-set edits of a green join / leave, shared by the live path
+  /// and replay. False when the set already had / lacked `n`.
+  bool add_server(NodeId n);
+  bool remove_server(NodeId n);
 
   // --- helpers ---------------------------------------------------------------
   void init_members(const std::vector<NodeId>& servers);
   void construct_gc(std::int64_t initial_counter);
   /// Adopt a transferred green prefix wholesale (join §5.2 / catch-up).
   void adopt_snapshot(const SnapshotMessage& s, bool set_prim);
-  Action make_action(ActionType type, db::Command query, db::Command update,
-                     std::int64_t client, Semantics semantics, NodeId subject);
+  /// Create the action now (RegPrim/NonPrim) or buffer the request.
+  void request(BufferedRequest req);
+  /// Turn `req` into this server's next action and register its reply.
+  Action make_action(BufferedRequest& req);
   void persist_and_send(std::vector<Action> actions);
   /// `log_red` false: the caller logs the action green in the same step.
   void on_newly_red(const Action& a, bool log_red = true);
@@ -328,6 +352,11 @@ class ReplicationEngine {
   /// Answers `query` from `db` at once (§6 query fast path).
   void answer_query(const db::Database& db, const db::Command& query, const ReplyFn& fn);
   void flush_strict_queries();
+  /// The green state as a transfer: §5.2 join and the exchange catch-up.
+  SnapshotMessage green_snapshot();
+  /// The encoded full-state log record over `db_snapshot` and the current
+  /// log, meta, pending reds and ongoing actions.
+  Bytes snapshot_record(Bytes db_snapshot);
   void send_snapshot_to(NodeId joiner);
   /// 5.1 line 13, exit: from on_leave_green, and from a recovery or a
   /// catch-up whose server set no longer holds this node.
@@ -364,6 +393,7 @@ class ReplicationEngine {
   std::int64_t action_index_ = 0;
   std::int64_t attempt_index_ = 0;
   PrimComponent prim_;
+  std::vector<NodeId> installed_servers_;  ///< prim_.servers as of install()
   VulnerableRecord vulnerable_;
   YellowRecord yellow_;
   std::vector<NodeId> server_set_;
@@ -403,15 +433,6 @@ class ReplicationEngine {
   std::set<NodeId> cpc_received_;
 
   // Client handling.
-  struct BufferedRequest {
-    ActionType type;
-    db::Command query;
-    db::Command update;
-    std::int64_t client;
-    Semantics semantics;
-    NodeId subject;
-    ReplyFn reply;
-  };
   std::deque<BufferedRequest> buffered_requests_;
   struct PendingReply {
     Semantics semantics;

@@ -26,12 +26,12 @@ std::string Configuration::to_string() const {
 }
 
 GroupCommunication::GroupCommunication(Network& net, NodeId id, Listener listener,
-                                       std::int64_t initial_config_counter, GcParams params)
+                                       std::int64_t initial_config_counter, obs::Tracer tracer)
     : net_(net),
       sim_(net.sim()),
       id_(id),
       listener_(std::move(listener)),
-      params_(params),
+      tracer_(std::move(tracer)),
       alive_(std::make_shared<bool>(true)),
       counter_floor_(initial_config_counter) {
   config_.id = ConfigId{initial_config_counter, id_};
@@ -365,10 +365,10 @@ void GroupCommunication::deliver_one(std::int64_t seq, DeliveryKind kind) {
   ++stats_.deliveries;
   if (kind == DeliveryKind::kSafeInRegular) ++stats_.safe_deliveries;
   if (kind == DeliveryKind::kTransitional) ++stats_.transitional_deliveries;
-  if (params_.tracer && kind == DeliveryKind::kSafeInRegular) {
+  if (tracer_ && kind == DeliveryKind::kSafeInRegular) {
     // Safe delivery is the point the paper's trichotomy hinges on: every
     // member of the configuration delivers the same payload at (config, seq).
-    params_.tracer.emit(
+    tracer_.emit(
         obs::EventKind::kSafeDeliver, config_.id.counter,
         static_cast<std::int64_t>(config_.id.coordinator), seq,
         static_cast<std::int64_t>(obs::fingerprint(m.payload_data(), m.payload_size())));
@@ -428,9 +428,9 @@ bool GroupCommunication::send_stream(Stream stream, bool word_only) {
   const std::int64_t word = stream_word(stream);
   if (value == *last && (!word_only || word <= p.word_sent)) return false;
   *last = value;
-  if (stream == Stream::kAck && word > p.word_sent && params_.tracer) {
+  if (stream == Stream::kAck && word > p.word_sent && tracer_) {
     // Invariant 10 watches each new own word as it leaves this member.
-    params_.tracer.emit(obs::EventKind::kKnowledgeSend, word);
+    tracer_.emit(obs::EventKind::kKnowledgeSend, word);
   }
   p.word_sent = word;
   std::vector<NodeId> to;
@@ -861,11 +861,10 @@ void GroupCommunication::run_install() {
 }
 
 void GroupCommunication::emit_config(const Configuration& c) {
-  if (!params_.tracer) return;
-  params_.tracer.emit(c.transitional ? obs::EventKind::kViewTransitional
-                                     : obs::EventKind::kViewRegular,
-                      c.id.counter, static_cast<std::int64_t>(c.id.coordinator),
-                      static_cast<std::int64_t>(c.members.size()));
+  if (!tracer_) return;
+  tracer_.emit(c.transitional ? obs::EventKind::kViewTransitional : obs::EventKind::kViewRegular,
+               c.id.counter, static_cast<std::int64_t>(c.id.coordinator),
+               static_cast<std::int64_t>(c.members.size()));
 }
 
 }  // namespace tordb::gc

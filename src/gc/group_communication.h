@@ -80,12 +80,6 @@ inline constexpr SimDuration kAckMinInterval = millis(3);  ///< ack rate limit u
 inline constexpr SimDuration kGatherRetry = millis(12);    ///< coordinator re-INQUIRE period
 inline constexpr SimDuration kStuckTimeout = millis(60);   ///< member watchdog during flush
 
-struct GcParams {
-  /// Observability handle (disconnected by default — zero cost). Emits
-  /// kSafeDeliver, kViewRegular, and kViewTransitional events.
-  obs::Tracer tracer;
-};
-
 struct GcStats {
   std::uint64_t messages_ordered = 0;    ///< ORDERED assigned (sequencer role)
   std::uint64_t deliveries = 0;
@@ -103,9 +97,11 @@ struct GcStats {
 class GroupCommunication {
  public:
   /// `initial_config_counter` seeds configuration-id uniqueness across
-  /// recoveries of the same node (the node harness persists it).
+  /// recoveries of the same node (the node harness persists it). `tracer`
+  /// (disconnected by default — zero cost) emits kSafeDeliver,
+  /// kKnowledgeSend, kViewRegular and kViewTransitional events.
   GroupCommunication(Network& net, NodeId id, Listener listener,
-                     std::int64_t initial_config_counter = 0, GcParams params = {});
+                     std::int64_t initial_config_counter = 0, obs::Tracer tracer = {});
   ~GroupCommunication();
 
   GroupCommunication(const GroupCommunication&) = delete;
@@ -251,7 +247,7 @@ class GroupCommunication {
   Simulator& sim_;
   NodeId id_;
   Listener listener_;
-  GcParams params_;
+  obs::Tracer tracer_;
   std::shared_ptr<bool> alive_;
 
   // Current regular configuration and data-path state.

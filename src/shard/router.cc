@@ -147,8 +147,8 @@ void Router::route(std::int64_t client, db::Command update, RouteReplyFn reply, 
   // span a barrier — a precise unsupported_mix rejection, applied at no
   // shard. User kCheck preconditions span groups only through the
   // prepared-check coordinator (DESIGN.md §13), which evaluates each check
-  // at its owning shard and decides through durable markers; without a
-  // wired coordinator they keep the legacy up-front rejection.
+  // at its owning shard and decides through durable markers: a checked
+  // command is handed to it below.
   bool has_check = false;
   for (const db::Op& op : update.ops) {
     switch (op.type) {

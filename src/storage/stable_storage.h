@@ -72,8 +72,8 @@ struct StorageStats {
 class StableStorage {
  public:
   /// SmallFn rather than std::function: the engine's post-persist callback
-  /// (this + liveness guard + one wire buffer) fits the 48-byte inline slot,
-  /// so the per-action sync costs no heap allocation.
+  /// (this + liveness guard + a vector of wire buffers) fits the 48-byte
+  /// inline slot, so the sync itself costs no heap allocation.
   using SyncCallback = SmallFn;
   /// Longest inline record header (a green record's [type][i64 position]).
   static constexpr std::size_t kMaxHeader = 9;

@@ -271,12 +271,15 @@ std::optional<std::string> EngineCluster::check_single_primary() const {
     if (!n->running()) continue;
     const auto& e = n->engine();
     if (!e.in_primary()) continue;
-    const auto& p = e.prim_component();
+    // Membership as installed: a green leave edits prim_component().servers
+    // at each member's own pace, so the live sets may differ for a while.
+    const std::int64_t index = e.prim_component().prim_index;
     const int group = group_of(e.id());
-    auto [it, inserted] = prim_members.emplace(std::make_pair(group, p.prim_index), p.servers);
-    if (!inserted && it->second != p.servers) {
+    auto [it, inserted] =
+        prim_members.emplace(std::make_pair(group, index), e.installed_servers());
+    if (!inserted && it->second != e.installed_servers()) {
       std::ostringstream os;
-      os << "group " << group << ": two primaries with index " << p.prim_index
+      os << "group " << group << ": two primaries with index " << index
          << " but different memberships";
       return os.str();
     }

@@ -163,10 +163,15 @@ std::vector<Scenario> scenarios() {
                           2423, 2533, 2847, 2864, 2874, 2889}) {
     v.push_back({s, static_cast<int>(9 + s % 18), 40, 3, s % 2 == 0});
   }
+  // One member of a primary applies a green leave before its peers: the
+  // single-primary sample compares the memberships as installed.
+  v.push_back({2106, 9 + 2106 % 18, 40, 3, true});
   return v;
 }
 
-TEST(ChurnLeave, LeaveThatTurnedGreenWhileDownEndsInTheExit) {
+class ChurnLeave : public ::testing::TestWithParam<SyncMode> {};
+
+TEST_P(ChurnLeave, LeaveThatTurnedGreenWhileDownEndsInTheExit) {
   // Node 3 is removed while it is down (§5.1's administrative leave). The
   // others trim the bodies past the leave, so on recovery the exchange
   // hands node 3 a catch-up snapshot whose server set lacks it. It must
@@ -174,7 +179,7 @@ TEST(ChurnLeave, LeaveThatTurnedGreenWhileDownEndsInTheExit) {
   ClusterOptions o;
   o.replicas = 4;
   o.seed = 5;
-  o.node.storage.mode = SyncMode::kDelayed;  // the adopted snapshot reaches the disk
+  o.node.storage.mode = GetParam();
   EngineCluster c(o);
   c.run_for(seconds(1));
   c.crash(3);
@@ -200,14 +205,40 @@ TEST(ChurnLeave, LeaveThatTurnedGreenWhileDownEndsInTheExit) {
   EXPECT_TRUE(c.converged_primary({0, 1, 2}));
 
   // A restart of the departed node recovers the adopted snapshot, which
-  // leaves it out, so recovery ends in the exit too.
+  // leaves it out, so recovery ends in the exit too, before the node can
+  // rejoin the group and take the survivors through another exchange. On
+  // forced storage the record is durable only because the catch-up's exit
+  // forced it.
+  auto survivor_exchanges = [&] {
+    std::uint64_t n = 0;
+    for (NodeId i = 0; i < 3; ++i) n += c.engine(i).stats().exchanges;
+    return n;
+  };
+  const std::uint64_t exchanges_before = survivor_exchanges();
+  const SimTime restarted_at = c.sim().now();
   c.crash(3);
   c.recover(3);
   c.run_for(seconds(1));
   EXPECT_FALSE(c.node(3).running());
+  EXPECT_EQ(survivor_exchanges(), exchanges_before);
+  bool exited_again = false, exchanged = false;
+  for (const obs::TraceEvent& e : c.trace_bus()->ring_snapshot()) {
+    if (e.node != 3 || e.time < restarted_at) continue;
+    exited_again |= e.kind == obs::EventKind::kStateTransition &&
+                    e.b == static_cast<std::int64_t>(EngineState::kLeft);
+    exchanged |= e.kind == obs::EventKind::kExchangeStart;
+  }
+  EXPECT_TRUE(exited_again);
+  EXPECT_FALSE(exchanged);
   EXPECT_TRUE(c.converged_primary({0, 1, 2}));
   EXPECT_EQ(c.check_all(), std::nullopt);
 }
+
+INSTANTIATE_TEST_SUITE_P(Storage, ChurnLeave,
+                         ::testing::Values(SyncMode::kDelayed, SyncMode::kForced),
+                         [](const ::testing::TestParamInfo<SyncMode>& info) {
+                           return info.param == SyncMode::kForced ? "Forced" : "Delayed";
+                         });
 
 INSTANTIATE_TEST_SUITE_P(Churn, ChurnSchedule, ::testing::ValuesIn(scenarios()),
                          [](const ::testing::TestParamInfo<Scenario>& info) {

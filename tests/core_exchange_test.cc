@@ -151,10 +151,18 @@ TEST(CoreExchange, WhiteTrimmedHistoryStillExchangesViaCatchup) {
   EXPECT_EQ(c.engine(2).green_count(), joiner.engine().green_count());
   EXPECT_EQ(c.engine(2).db_digest(), joiner.engine().db_digest());
   EXPECT_GT(joiner.engine().stats().snapshots_sent, snapshots_before);
+  // The exchange's next meta write forced the catch-up record: a restart of
+  // the straggler recovers from it, not from its pre-catch-up log.
+  const std::int64_t adopted = c.engine(2).green_count();
+  c.crash(2);
+  c.recover(2);
+  EXPECT_GE(c.engine(2).green_count(), adopted);
   c.heal();
   c.run_for(seconds(2));
   EXPECT_TRUE(c.converged_primary({0, 1, 2, 3}));
   EXPECT_EQ(c.engine(2).database().get("n"), "18");
+  EXPECT_EQ(c.engine(2).db_digest(), c.engine(0).db_digest());
+  EXPECT_EQ(c.engine(2).db_digest(), joiner.engine().db_digest());
   EXPECT_EQ(c.check_all(), std::nullopt);
 }
 

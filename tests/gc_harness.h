@@ -283,10 +283,10 @@ class GcCluster {
       rec.deliveries.push_back(d);
       rec.events.push_back({RecordedEvent::Kind::kDelivery, {}, d});
     };
-    GcParams params;
-    if (trace_bus_) params.tracer = obs::Tracer(trace_bus_, id);
+    obs::Tracer tracer;
+    if (trace_bus_) tracer = obs::Tracer(trace_bus_, id);
     gcs_[id] = std::make_unique<GroupCommunication>(net_, id, std::move(listener),
-                                                    initial_counter, params);
+                                                    initial_counter, std::move(tracer));
   }
 
   Simulator sim_;
