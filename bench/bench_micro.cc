@@ -60,10 +60,10 @@ void BM_ActionEncodeDecode(benchmark::State& state) {
   a.padding = static_cast<std::uint32_t>(state.range(0));
   for (auto _ : state) {
     BufWriter w;
-    a.encode(w);
+    w(a);
     Bytes b = w.take();
     BufReader r(b);
-    benchmark::DoNotOptimize(core::Action::decode(r));
+    benchmark::DoNotOptimize(r.read<core::Action>());
   }
 }
 BENCHMARK(BM_ActionEncodeDecode)->Arg(0)->Arg(110)->Arg(1000);

@@ -24,7 +24,7 @@ Bytes encode_data(NodeId origin, std::int64_t seq, const db::Command& cmd,
 Bytes encode_ack(const ActionId& acked) {
   BufWriter w;
   w.u8(static_cast<std::uint8_t>(CorelMsg::kAck));
-  w.action_id(acked);
+  w(acked);
   return w.take();
 }
 
@@ -61,7 +61,7 @@ CorelReplica::~CorelReplica() {
 void CorelReplica::on_direct(NodeId from, const Bytes& wire) {
   BufReader r(wire);
   const auto type = static_cast<CorelMsg>(r.u8());
-  if (type == CorelMsg::kAck) handle_ack(from, r.action_id());
+  if (type == CorelMsg::kAck) handle_ack(from, r.read<ActionId>());
 }
 
 void CorelReplica::submit(db::Command update, std::function<void(bool)> done) {
@@ -82,7 +82,7 @@ void CorelReplica::on_deliver(const gc::Delivery& d) {
       break;
     }
     case CorelMsg::kAck:
-      handle_ack(d.sender, r.action_id());
+      handle_ack(d.sender, r.read<ActionId>());
       break;
   }
 }

@@ -30,12 +30,18 @@ enum class Semantics : std::uint8_t {
   kTimestamp = 1,    ///< §6 timestamp updates: replied on red, converges
   kCommutative = 2,  ///< §6 commutative updates: replied on red, converges
 };
+constexpr WireRange<Semantics> wire_range(Semantics) {
+  return {Semantics::kStrict, Semantics::kCommutative};
+}
 
 enum class ActionType : std::uint8_t {
   kUpdate = 0,           ///< regular client action
   kPersistentJoin = 1,   ///< §5.1 PERSISTENT_JOIN (subject = joining server)
   kPersistentLeave = 2,  ///< §5.1 PERSISTENT_LEAVE (subject = leaving server)
 };
+constexpr WireRange<ActionType> wire_range(ActionType) {
+  return {ActionType::kUpdate, ActionType::kPersistentLeave};
+}
 
 struct Action {
   ActionType type = ActionType::kUpdate;
@@ -48,12 +54,17 @@ struct Action {
   NodeId subject = kNoNode;  ///< join_id / leave_id for membership actions
   std::uint32_t padding = 0; ///< extra wire bytes to model action size
 
-  void encode(BufWriter& w) const;
-  static Action decode(BufReader& r);
+  template <class S, class Io>
+  static void layout(S& s, Io& io) {
+    io(s.type, s.id, s.green_line, s.client, s.semantics, s.query, s.update, s.subject);
+    // Padding bytes model the action body (e.g. the SQL text); content is
+    // irrelevant, size drives the latency/bandwidth model.
+    io.padding(s.padding);
+  }
 
-  /// Wire size contribution of this action (payload + padding), used by the
-  /// network cost model. The paper's evaluation uses 200-byte actions.
-  std::size_t wire_size() const;
+  /// Wire size of this action (payload + padding), used by the network
+  /// cost model. The paper's evaluation uses 200-byte actions.
+  std::size_t wire_size() const { return encoded_size(*this); }
 };
 
 /// One immutable action shared by reference. Every replica of a group that

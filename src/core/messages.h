@@ -7,8 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <optional>
 #include <vector>
 
 #include "core/action.h"
@@ -24,8 +22,10 @@ struct PrimComponent {
   std::vector<NodeId> servers;     ///< its membership
 
   friend bool operator==(const PrimComponent&, const PrimComponent&) = default;
-  void encode(BufWriter& w) const;
-  static PrimComponent decode(BufReader& r);
+  template <class S, class Io>
+  static void layout(S& s, Io& io) {
+    io(s.prim_index, s.attempt_index, s.servers);
+  }
 };
 
 /// Status of the last installation attempt this server joined (Appendix A).
@@ -40,8 +40,10 @@ struct VulnerableRecord {
   std::vector<bool> bits;   ///< aligned with `set`: CPC messages received
 
   friend bool operator==(const VulnerableRecord&, const VulnerableRecord&) = default;
-  void encode(BufWriter& w) const;
-  static VulnerableRecord decode(BufReader& r);
+  template <class S, class Io>
+  static void layout(S& s, Io& io) {
+    io(s.valid, s.prim_index, s.attempt_index, s.set, s.bits);
+  }
 
   bool all_bits_set() const;
   void set_bit(NodeId server);
@@ -54,8 +56,10 @@ struct YellowRecord {
   std::vector<ActionId> set;  ///< in transitional delivery order
 
   friend bool operator==(const YellowRecord&, const YellowRecord&) = default;
-  void encode(BufWriter& w) const;
-  static YellowRecord decode(BufReader& r);
+  template <class S, class Io>
+  static void layout(S& s, Io& io) {
+    io(s.valid, s.set);
+  }
 };
 
 /// State message exchanged at the start of every new configuration
@@ -67,24 +71,47 @@ struct StateMessage {
   ConfigId conf_id;
   std::int64_t green_count = 0;
   std::int64_t white_count = 0;  ///< green positions whose bodies were discarded
-  std::vector<std::pair<NodeId, std::int64_t>> red_cut;  ///< per-creator contiguous index
+  NodePairs red_cut;  ///< per-creator contiguous index
   /// Per-creator index covered by the green prefix (lets the exchange plan
   /// retransmit an action as green XOR red, never pointlessly both).
-  std::vector<std::pair<NodeId, std::int64_t>> green_red_cut;
+  NodePairs green_red_cut;
   std::vector<NodeId> server_set;  ///< known replica universe (§5.1)
   std::int64_t attempt_index = 0;
   PrimComponent prim;
   VulnerableRecord vulnerable;
   YellowRecord yellow;
 
-  void encode(BufWriter& w) const;
-  static StateMessage decode(BufReader& r);
+  template <class S, class Io>
+  static void layout(S& s, Io& io) {
+    io(s.server_id, s.conf_id, s.green_count, s.white_count, s.red_cut, s.green_red_cut,
+       s.server_set, s.attempt_index, s.prim, s.vulnerable, s.yellow);
+  }
 };
 
 /// CPC (Create Primary Component) message (paper §3.1 Construct state).
 struct CpcMessage {
   NodeId server_id = kNoNode;
   ConfigId conf_id;
+
+  template <class S, class Io>
+  static void layout(S& s, Io& io) {
+    io(s.server_id, s.conf_id);
+  }
+};
+
+/// A green action and its position in the global order: the body of a
+/// kGreenRetrans message and of a kGreen record. `Body` is an Action, a
+/// `const Action&` to encode one in place, or the action's encoding as a
+/// Rest, which the engine's hot paths frame and slice without re-encoding.
+template <class Body>
+struct GreenAction {
+  std::int64_t position = 0;
+  Body action;
+
+  template <class S, class Io>
+  static void layout(S& s, Io& io) {
+    io(s.position, s.action);
+  }
 };
 
 enum class EngineMsgType : std::uint8_t {
@@ -102,17 +129,9 @@ enum class EngineMsgType : std::uint8_t {
                       ///  process them in batch order (used when buffered
                       ///  requests flush together)
 };
-
-Bytes encode_action_msg(const Action& a);
-Bytes encode_action_batch(const std::vector<Action>& actions);
-std::vector<Action> decode_action_batch(BufReader& r);
-Bytes encode_state_msg(const StateMessage& s);
-Bytes encode_cpc_msg(const CpcMessage& c);
-Bytes encode_green_retrans(std::int64_t position, const Action& a);
-Bytes encode_red_retrans(const Action& a);
-Bytes encode_catchup(const struct SnapshotMessage& s);
-
-EngineMsgType peek_engine_type(const Bytes& wire);
+constexpr WireRange<EngineMsgType> wire_range(EngineMsgType) {
+  return {EngineMsgType::kAction, EngineMsgType::kActionBatch};
+}
 
 // --- direct-channel join protocol (§5.2) -----------------------------------
 
@@ -120,9 +139,17 @@ enum class DirectMsgType : std::uint8_t {
   kJoinRequest = 1,   ///< joiner -> member: announce/continue my join
   kSnapshot = 2,      ///< member -> joiner: database state transfer
 };
+constexpr WireRange<DirectMsgType> wire_range(DirectMsgType) {
+  return {DirectMsgType::kJoinRequest, DirectMsgType::kSnapshot};
+}
 
 struct JoinRequest {
   NodeId joiner = kNoNode;
+
+  template <class S, class Io>
+  static void layout(S& s, Io& io) {
+    io(s.joiner);
+  }
 };
 
 /// Database transfer to a joining replica. The joiner adopts this green
@@ -130,17 +157,16 @@ struct JoinRequest {
 struct SnapshotMessage {
   Bytes db_snapshot;
   std::int64_t green_count = 0;
-  std::vector<std::pair<NodeId, std::int64_t>> green_red_cut;  ///< redCut of the green prefix
+  NodePairs green_red_cut;  ///< redCut of the green prefix
   std::vector<NodeId> server_set;
-  std::vector<std::pair<NodeId, std::int64_t>> green_lines;
+  NodePairs green_lines;
   PrimComponent prim;
-};
 
-Bytes encode_join_request(const JoinRequest& j);
-Bytes encode_snapshot(const SnapshotMessage& s);
-DirectMsgType peek_direct_type(const Bytes& wire);
-JoinRequest decode_join_request(BufReader& r);
-SnapshotMessage decode_snapshot(BufReader& r);
+  template <class S, class Io>
+  static void layout(S& s, Io& io) {
+    io(s.db_snapshot, s.green_count, s.green_red_cut, s.server_set, s.green_lines, s.prim);
+  }
+};
 
 // --- stable-storage log records ---------------------------------------------
 
@@ -153,6 +179,9 @@ enum class LogRecordType : std::uint8_t {
   kOngoingBatch = 6  ///< several own client actions framed as one record,
                      ///  forced (and multicast) together
 };
+constexpr WireRange<LogRecordType> wire_range(LogRecordType) {
+  return {LogRecordType::kOngoing, LogRecordType::kOngoingBatch};
+}
 
 struct MetaRecord {
   std::vector<NodeId> server_set;
@@ -160,8 +189,13 @@ struct MetaRecord {
   std::int64_t attempt_index = 0;
   VulnerableRecord vulnerable;
   YellowRecord yellow;
-  std::vector<std::pair<NodeId, std::int64_t>> green_lines;
+  NodePairs green_lines;
   std::int64_t gc_counter = 0;  ///< group-communication config counter floor
+
+  template <class S, class Io>
+  static void layout(S& s, Io& io) {
+    io(s.server_set, s.prim, s.attempt_index, s.vulnerable, s.yellow, s.green_lines, s.gc_counter);
+  }
 };
 
 /// Full-engine-state compaction record: everything needed to recover
@@ -169,31 +203,57 @@ struct MetaRecord {
 struct DbSnapshotRecord {
   Bytes db_snapshot;
   std::int64_t green_count = 0;
-  std::vector<std::pair<NodeId, std::int64_t>> green_red_cut;
+  NodePairs green_red_cut;
   MetaRecord meta;
   std::vector<Action> red_actions;      ///< red, not yet green, in local order
   std::vector<Action> ongoing_actions;  ///< own created, not yet ordered
+
+  template <class S, class Io>
+  static void layout(S& s, Io& io) {
+    io(s.db_snapshot, s.green_count, s.green_red_cut, s.meta, s.red_actions, s.ongoing_actions);
+  }
 };
 
-Bytes encode_log_ongoing(const Action& a);
-Bytes encode_log_ongoing_batch(const std::vector<Action>& actions);
-Bytes encode_log_red(const Action& a);
-Bytes encode_log_green(std::int64_t position, const Action& a);
-/// The canonical body the log records and the kAction wire frame: the
-/// engine frames records around it in place (byte-identical to the
-/// encode_log_* functions above) instead of building each record.
-Bytes encode_action_body(const Action& a);
-Bytes encode_log_meta(const MetaRecord& m);
-Bytes encode_log_db_snapshot(const DbSnapshotRecord& s);
-DbSnapshotRecord decode_db_snapshot(BufReader& r);
+// --- encoders: each pairs a type byte with the layout it frames ------------
+//
+// The decoders are the type-byte switches of the engine (on_deliver,
+// recover_from_log) and the replica node (on_direct), which read the type
+// with BufReader::read and the rest with the same layouts.
 
-LogRecordType peek_log_type(const Bytes& record);
-MetaRecord decode_meta(BufReader& r);
+/// The canonical encoding of an action: the kOngoing/kRed/kAction frames
+/// carry exactly these bytes after their type byte, and the engine caches
+/// them per action so a body is encoded once.
+inline Bytes encode_action_body(const Action& a) { return frame(a); }
 
-/// Per-node pairs (cuts, green lines), strictly ascending by node: every
-/// encoder writes a VecMap's entries, and the exchange plan's merge walk
-/// relies on the order, so decode_pairs throws SerdeError on any other.
-void encode_pairs(BufWriter& w, const std::vector<std::pair<NodeId, std::int64_t>>& v);
-std::vector<std::pair<NodeId, std::int64_t>> decode_pairs(BufReader& r);
+inline Bytes encode_action_batch(const std::vector<Action>& actions) {
+  return frame(EngineMsgType::kActionBatch, actions);
+}
+inline Bytes encode_state_msg(const StateMessage& s) { return frame(EngineMsgType::kState, s); }
+inline Bytes encode_cpc_msg(const CpcMessage& c) { return frame(EngineMsgType::kCpc, c); }
+inline Bytes encode_green_retrans(std::int64_t position, const Action& a) {
+  return frame(EngineMsgType::kGreenRetrans, GreenAction<const Action&>{position, a});
+}
+inline Bytes encode_red_retrans(const Action& a) { return frame(EngineMsgType::kRedRetrans, a); }
+inline Bytes encode_catchup(const SnapshotMessage& s) { return frame(EngineMsgType::kCatchup, s); }
+
+inline Bytes encode_join_request(const JoinRequest& j) {
+  return frame(DirectMsgType::kJoinRequest, j);
+}
+inline Bytes encode_snapshot(const SnapshotMessage& s) {
+  return frame(DirectMsgType::kSnapshot, s);
+}
+
+inline Bytes encode_log_ongoing(const Action& a) { return frame(LogRecordType::kOngoing, a); }
+inline Bytes encode_log_ongoing_batch(const std::vector<Action>& actions) {
+  return frame(LogRecordType::kOngoingBatch, actions);
+}
+inline Bytes encode_log_red(const Action& a) { return frame(LogRecordType::kRed, a); }
+inline Bytes encode_log_green(std::int64_t position, const Action& a) {
+  return frame(LogRecordType::kGreen, GreenAction<const Action&>{position, a});
+}
+inline Bytes encode_log_meta(const MetaRecord& m) { return frame(LogRecordType::kMeta, m); }
+inline Bytes encode_log_db_snapshot(const DbSnapshotRecord& s) {
+  return frame(LogRecordType::kDbSnapshot, s);
+}
 
 }  // namespace tordb::core

@@ -76,16 +76,15 @@ void ReplicaNode::on_direct(NodeId from, const Bytes& wire) {
   (void)from;
   if (crashed_) return;
   BufReader r(wire);
-  const auto type = static_cast<DirectMsgType>(r.u8());
-  switch (type) {
+  switch (r.read<DirectMsgType>()) {
     case DirectMsgType::kJoinRequest: {
-      const JoinRequest req = decode_join_request(r);
+      const auto req = r.read<JoinRequest>();
       if (engine_ && !left_) engine_->handle_join_request(req.joiner);
       break;
     }
     case DirectMsgType::kSnapshot: {
       if (!joining_) break;  // duplicate transfer from a second representative
-      start_engine_from_snapshot(decode_snapshot(r));
+      start_engine_from_snapshot(r.read<SnapshotMessage>());
       break;
     }
   }

@@ -204,10 +204,9 @@ void ReplicationEngine::recover_from_log(const std::vector<NodeId>& fallback_ser
 
   for (const Bytes& rec : storage_.recover_records()) {
     BufReader r(rec);
-    const auto type = static_cast<LogRecordType>(r.u8());
-    switch (type) {
+    switch (r.read<LogRecordType>()) {
       case LogRecordType::kDbSnapshot: {
-        DbSnapshotRecord s = decode_db_snapshot(r);
+        DbSnapshotRecord s = r.read<DbSnapshotRecord>();
         db_.restore(s.db_snapshot);
         log_.reset(s.green_count, s.green_red_cut);
         green_lines_.clear();  // the record replaces the lines, not merges
@@ -218,12 +217,12 @@ void ReplicationEngine::recover_from_log(const std::vector<NodeId>& fallback_ser
         break;
       }
       case LogRecordType::kMeta:
-        restore_meta(decode_meta(r), gc_counter);
+        restore_meta(r.read<MetaRecord>(), gc_counter);
         break;
       case LogRecordType::kGreen: {
-        const std::int64_t pos = r.i64();
-        const ActionRef ref = std::make_shared<const Action>(Action::decode(r));
-        if (!log_.replay_green(pos, ref)) break;  // duplicate / out of order
+        auto green = r.read<GreenAction<Action>>();
+        const ActionRef ref = std::make_shared<const Action>(std::move(green.action));
+        if (!log_.replay_green(green.position, ref)) break;  // duplicate / out of order
         const Action& a = *ref;
         if (a.type == ActionType::kUpdate) {
           db_.apply(a.query, a.update);
@@ -235,15 +234,15 @@ void ReplicationEngine::recover_from_log(const std::vector<NodeId>& fallback_ser
         break;
       }
       case LogRecordType::kRed: {
-        log_.mark_red(std::make_shared<const Action>(Action::decode(r)));
+        log_.mark_red(std::make_shared<const Action>(r.read<Action>()));
         break;
       }
       case LogRecordType::kOngoing: {
-        ongoing_candidates.push_back(Action::decode(r));
+        ongoing_candidates.push_back(r.read<Action>());
         break;
       }
       case LogRecordType::kOngoingBatch: {
-        for (Action& a : decode_action_batch(r)) ongoing_candidates.push_back(std::move(a));
+        for (Action& a : r.read<std::vector<Action>>()) ongoing_candidates.push_back(std::move(a));
         break;
       }
     }
@@ -386,14 +385,10 @@ void ReplicationEngine::persist_and_send(std::vector<Action> actions) {
   } else {
     wires.reserve(actions.size());
     for (const Action& a : actions) {
-      const std::span<const std::uint8_t> body = encoded_body(a);
-      ongoing_[pack_action_id(a.id)].assign(body.begin(), body.end());
-      storage_.append_framed(static_cast<std::uint8_t>(LogRecordType::kOngoing), body);
-      Bytes wire;
-      wire.reserve(1 + body.size());
-      wire.push_back(static_cast<std::uint8_t>(EngineMsgType::kAction));
-      wire.insert(wire.end(), body.begin(), body.end());
-      wires.push_back(std::move(wire));
+      const Rest body{encoded_body(a)};
+      ongoing_[pack_action_id(a.id)].assign(body.bytes.begin(), body.bytes.end());
+      append_action_record(LogRecordType::kOngoing, body);
+      wires.push_back(frame(EngineMsgType::kAction, body));
     }
   }
   storage_.sync([this, alive = alive_, wires = std::move(wires)]() mutable {
@@ -556,17 +551,17 @@ void ReplicationEngine::on_regular_config(const gc::Configuration& conf) {
 void ReplicationEngine::on_deliver(const gc::Delivery& d) {
   if (state_ == EngineState::kLeft) return;
   BufReader r(d.payload.data(), d.payload.size());
-  const auto type = static_cast<EngineMsgType>(r.u8());
-  switch (type) {
+  switch (r.read<EngineMsgType>()) {
     case EngineMsgType::kAction: {
-      ActionRef a =
-          decode_shared<Action>(d, sim_.current_lane(), [&r] { return Action::decode(r); });
-      // The wire payload is [type][body] where [body] is the canonical
-      // Action encoding; point the body-encode cache at that slice of the
-      // shared wire, so the log record this action triggers references the
-      // wire instead of copying or re-encoding the body.
+      // The body is the canonical Action encoding; point the body-encode
+      // cache at that slice of the shared wire, so the log record this
+      // action triggers references the wire instead of copying or
+      // re-encoding the body.
+      const ByteView body = r.read<Rest>().bytes;
+      ActionRef a = decode_shared<Action>(d, sim_.current_lane(),
+                                          [body] { return BufReader(body).read<Action>(); });
       enc_body_id_ = a->id;
-      enc_body_ = d.payload.subspan(1);
+      enc_body_ = body;
       enc_wire_ = d.wire;
       handle_action(std::move(a));
       break;
@@ -574,32 +569,28 @@ void ReplicationEngine::on_deliver(const gc::Delivery& d) {
     case EngineMsgType::kActionBatch: {
       // A batch shares one delivery (and therefore one color decision);
       // members process its actions in batch order.
-      for (Action& a : decode_action_batch(r)) {
+      for (Action& a : r.read<std::vector<Action>>()) {
         handle_action(std::make_shared<const Action>(std::move(a)));
       }
       break;
     }
     case EngineMsgType::kState:
       handle_state_msg(decode_shared<StateMessage>(d, sim_.current_lane(),
-                                                   [&r] { return StateMessage::decode(r); }));
+                                                   [&r] { return r.read<StateMessage>(); }));
       break;
-    case EngineMsgType::kCpc: {
-      CpcMessage c;
-      c.server_id = r.i32();
-      c.conf_id = r.config_id();
-      handle_cpc(c);
+    case EngineMsgType::kCpc:
+      handle_cpc(r.read<CpcMessage>());
       break;
-    }
     case EngineMsgType::kGreenRetrans: {
-      const std::int64_t pos = r.i64();
-      handle_green_retrans(pos, std::make_shared<const Action>(Action::decode(r)));
+      auto green = r.read<GreenAction<Action>>();
+      handle_green_retrans(green.position, std::make_shared<const Action>(std::move(green.action)));
       break;
     }
     case EngineMsgType::kRedRetrans:
-      handle_red_retrans(std::make_shared<const Action>(Action::decode(r)));
+      handle_red_retrans(std::make_shared<const Action>(r.read<Action>()));
       break;
     case EngineMsgType::kCatchup:
-      handle_catchup(decode_snapshot(r));
+      handle_catchup(r.read<SnapshotMessage>());
       break;
   }
 }
@@ -1045,10 +1036,7 @@ void ReplicationEngine::on_newly_red(const Action& a, bool log_red) {
   // A.14: persist the red mark; the action is ordered, no longer at risk
   // of loss, so it leaves the ongoing queue and (§6 semantics permitting)
   // the client can be answered.
-  if (log_red) {
-    const auto type = static_cast<std::uint8_t>(LogRecordType::kRed);
-    append_body_record(&type, 1, a);
-  }
+  if (log_red) append_action_record(LogRecordType::kRed, Rest{encoded_body(a)});
   ++stats_.actions_red;
   if (tracer_) tracer_.emit_action(obs::EventKind::kActionRed, a.id);
   // Only this server's own actions wait in the ongoing queue.
@@ -1061,27 +1049,25 @@ void ReplicationEngine::mark_red(ActionRef a) {
 }
 
 void ReplicationEngine::append_log_green(std::int64_t position, const Action& a) {
-  // [kGreen][i64 LE position][body] — byte-identical to
-  // encode_log_green(position, a) without materializing the record.
-  std::uint8_t hdr[9];
-  hdr[0] = static_cast<std::uint8_t>(LogRecordType::kGreen);
-  for (std::size_t i = 0; i < 8; ++i) {
-    hdr[1 + i] = static_cast<std::uint8_t>(static_cast<std::uint64_t>(position) >> (8 * i));
-  }
-  append_body_record(hdr, sizeof(hdr), a);
+  append_action_record(LogRecordType::kGreen, GreenAction<Rest>{position, {encoded_body(a)}});
 }
 
-void ReplicationEngine::append_body_record(const std::uint8_t* header, std::size_t header_len,
-                                           const Action& a) {
-  const std::span<const std::uint8_t> body = encoded_body(a);
+template <class Record>
+void ReplicationEngine::append_action_record(LogRecordType type, const Record& record) {
+  // The record's layout ends in the cached body (a Rest): its fields before
+  // that become the inline header, and the body is recorded as a slice of
+  // the delivered wire when it is one, else copied.
+  SplitWriter<StableStorage::kMaxHeader> w;
+  w(type, record);
+  const ByteView header = w.header();
   if (enc_wire_ == nullptr) {
-    storage_.append_framed(header, header_len, body);
+    storage_.append_framed(header.data(), header.size(), w.body());
     return;
   }
-  const auto off = static_cast<std::size_t>(body.data() - enc_wire_->data());
-  storage_.append_shared(header, header_len,
+  const auto off = static_cast<std::size_t>(w.body().data() - enc_wire_->data());
+  storage_.append_shared(header.data(), header.size(),
                          std::shared_ptr<const Bytes>(enc_wire_, &enc_wire_->bytes()), off,
-                         body.size());
+                         w.body().size());
 }
 
 std::span<const std::uint8_t> ReplicationEngine::encoded_body(const Action& a) {
@@ -1423,8 +1409,7 @@ std::vector<Action> ReplicationEngine::sorted_ongoing() const {
   std::vector<Action> v;
   v.reserve(keys.size());
   for (const std::uint64_t key : keys) {
-    BufReader r(*ongoing_.find(key));
-    v.push_back(Action::decode(r));
+    v.push_back(BufReader(*ongoing_.find(key)).read<Action>());
   }
   return v;
 }

@@ -153,7 +153,7 @@ struct RedRetrans {
 /// with it; `lo` is the higher of the lowest red cut (0 where a member lists
 /// no such creator) and the holder's green cut, since the green path
 /// carries the rest; creators with hi <= lo are left out. One merge walk
-/// over the members' red cuts, which decode_pairs keeps ascending:
+/// over the members' red cuts, which the NodePairs reader keeps ascending:
 /// O(members x creators).
 std::vector<RedRetrans> red_retrans_plan(std::span<const StateMessage* const> members);
 
@@ -337,9 +337,11 @@ class ReplicationEngine {
   /// delivered action's wire slice seeds it for the log record that
   /// follows). Valid until the next call.
   std::span<const std::uint8_t> encoded_body(const Action& a);
-  /// Append the log record [header][body of a]: by reference to the
-  /// delivered wire when the body cache holds its slice, else copied.
-  void append_body_record(const std::uint8_t* header, std::size_t header_len, const Action& a);
+  /// Append the log record [type][record], whose layout ends in the body
+  /// cache's bytes: by reference to the delivered wire when the cache holds
+  /// its slice, else copied.
+  template <class Record>
+  void append_action_record(LogRecordType type, const Record& record);
   /// Append a green log record framed in place (hot: one per green action).
   void append_log_green(std::int64_t position, const Action& a);
   bool is_green(const ActionId& id) const { return log_.is_green(id); }

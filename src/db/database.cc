@@ -56,80 +56,6 @@ std::uint64_t range_fingerprint(std::string_view lo, std::string_view hi) {
   return h;
 }
 
-Bytes RangeSnapshot::encode() const {
-  BufWriter w;
-  w.str(lo);
-  w.str(hi);
-  w.vec(rows, [](BufWriter& w2, const RangeRow& r) {
-    w2.str(r.key);
-    w2.str(r.value);
-    w2.i64(r.ts);
-  });
-  return w.take();
-}
-
-RangeSnapshot RangeSnapshot::decode(const Bytes& b) {
-  BufReader r(b);
-  RangeSnapshot s;
-  s.lo = r.str();
-  s.hi = r.str();
-  s.rows = r.vec<RangeRow>([](BufReader& r2) {
-    RangeRow row;
-    row.key = r2.str();
-    row.value = r2.str();
-    row.ts = r2.i64();
-    return row;
-  });
-  return s;
-}
-
-Bytes TxnPending::encode() const {
-  BufWriter w;
-  w.i64(client);
-  w.i64(seq);
-  w.u32(static_cast<std::uint32_t>(home));
-  update.encode(w);
-  return w.take();
-}
-
-TxnPending TxnPending::decode(const Bytes& b) {
-  BufReader r(b);
-  TxnPending p;
-  p.client = r.i64();
-  p.seq = r.i64();
-  p.home = static_cast<int>(r.u32());
-  p.update = Command::decode(r);
-  return p;
-}
-
-void Command::encode(BufWriter& w) const {
-  w.vec(ops, [](BufWriter& w2, const Op& op) {
-    w2.u8(static_cast<std::uint8_t>(op.type));
-    w2.str(op.key);
-    w2.str(op.value);
-    w2.i64(op.num);
-  });
-}
-
-std::size_t Command::wire_size() const {
-  std::size_t n = 4;  // op count
-  for (const Op& op : ops) n += 1 + 4 + op.key.size() + 4 + op.value.size() + 8;
-  return n;
-}
-
-Command Command::decode(BufReader& r) {
-  Command c;
-  c.ops = r.vec<Op>([](BufReader& r2) {
-    Op op;
-    op.type = static_cast<OpType>(r2.u8());
-    op.key = r2.str();
-    op.value = r2.str();
-    op.num = r2.i64();
-    return op;
-  });
-  return c;
-}
-
 Command Command::put(std::string key, std::string value) {
   return Command{{Op{OpType::kPut, std::move(key), std::move(value), 0}}};
 }
@@ -572,7 +498,7 @@ Bytes Database::snapshot() const {
   for (const util::KeyId id : ordered_) {
     const Cell& cell = cells_[id];
     if (!cell.live) continue;
-    w.str_view(keys_.key(id));
+    w.str(keys_.key(id));
     w.str(cell.value);
     w.i64(cell.ts);
   }

@@ -54,6 +54,7 @@ enum class OpType : std::uint8_t {
   kTxnConfirm = 11,  ///< apply the pending's buffered update, erase the cell
   kTxnCancel = 12,   ///< erase the pending cell without applying
 };
+constexpr WireRange<OpType> wire_range(OpType) { return {OpType::kPut, OpType::kTxnCancel}; }
 
 struct Op {
   OpType type = OpType::kPut;
@@ -62,6 +63,10 @@ struct Op {
   std::int64_t num = 0;  ///< delta for kAdd, timestamp for kTimestampPut
 
   friend bool operator==(const Op&, const Op&) = default;
+  template <class S, class Io>
+  static void layout(S& s, Io& io) {
+    io(s.type, s.key, s.value, s.num);
+  }
 };
 
 struct RangeSnapshot;  // defined below
@@ -71,10 +76,13 @@ struct TxnPending;     // defined below
 struct Command {
   std::vector<Op> ops;
 
-  void encode(BufWriter& w) const;
-  static Command decode(BufReader& r);
-  /// Bytes encode() writes, computed without encoding.
-  std::size_t wire_size() const;
+  template <class S, class Io>
+  static void layout(S& s, Io& io) {
+    io(s.ops);
+  }
+  void encode(BufWriter& w) const { w(*this); }
+  static Command decode(BufReader& r) { return r.read<Command>(); }
+  std::size_t wire_size() const { return encoded_size(*this); }
 
   static Command put(std::string key, std::string value);
   static Command add(std::string key, std::int64_t delta);
@@ -102,8 +110,12 @@ struct TxnPending {
   int home = 0;     ///< shard holding the coordinator's `__txn/` intent record
   Command update;   ///< the buffered non-check ops owned by this shard
 
-  Bytes encode() const;
-  static TxnPending decode(const Bytes& b);
+  template <class S, class Io>
+  static void layout(S& s, Io& io) {
+    io(s.client, s.seq, s.home, s.update);
+  }
+  Bytes encode() const { return frame(*this); }
+  static TxnPending decode(const Bytes& b) { return BufReader(b).read<TxnPending>(); }
 };
 
 /// Half-open key range [lo, hi); hi == "" means +infinity (lo == "" already
@@ -124,6 +136,11 @@ struct RangeRow {
   std::string key;
   std::string value;
   std::int64_t ts = -1;
+
+  template <class S, class Io>
+  static void layout(S& s, Io& io) {
+    io(s.key, s.value, s.ts);
+  }
 };
 
 /// The unit of shard rebalancing state transfer: every row of [lo, hi) at
@@ -133,8 +150,12 @@ struct RangeSnapshot {
   std::string hi;
   std::vector<RangeRow> rows;
 
-  Bytes encode() const;
-  static RangeSnapshot decode(const Bytes& b);
+  template <class S, class Io>
+  static void layout(S& s, Io& io) {
+    io(s.lo, s.hi, s.rows);
+  }
+  Bytes encode() const { return frame(*this); }
+  static RangeSnapshot decode(const Bytes& b) { return BufReader(b).read<RangeSnapshot>(); }
 };
 
 /// Range bookkeeping change observed while applying a command — the engine

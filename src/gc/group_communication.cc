@@ -74,32 +74,23 @@ void GroupCommunication::multicast(Bytes payload, Service service) {
 }
 
 void GroupCommunication::send_data(const OutEntry& entry) {
-  // Frame the DATA wire directly from the outbox entry — byte-identical to
-  // encode(DataMsg{...}) without staging the payload in a message struct.
-  BufWriter w;
-  w.u8(static_cast<std::uint8_t>(MsgType::kData));
-  w.config_id(config_.id);
-  w.i32(id_);
-  w.i64(entry.local_seq);
-  w.u8(static_cast<std::uint8_t>(entry.service));
-  w.bytes(entry.payload);
-  send_to(config_.members.front(), w.take());
+  send_to(config_.members.front(),
+          encode(DataMsg{config_.id, id_, entry.local_seq, entry.service, entry.payload}));
 }
 
 void GroupCommunication::on_packet(NodeId from, const std::shared_ptr<const SharedWire>& wire) {
   BufReader r(wire->bytes());
-  const auto type = static_cast<MsgType>(r.u8());
-  switch (type) {
-    case MsgType::kData: handle_data(from, r); break;
-    case MsgType::kOrdered: handle_ordered(r, wire); break;
-    case MsgType::kAck: handle_ack(from, decode_ack(r)); break;
-    case MsgType::kStable: handle_stable(decode_stable(r)); break;
-    case MsgType::kInquire: handle_inquire(from, decode_inquire(r)); break;
-    case MsgType::kJoinInfo: handle_join_info(from, decode_join_info(r)); break;
-    case MsgType::kPlan: handle_plan(decode_plan(r)); break;
-    case MsgType::kRetrans: handle_retrans(decode_retrans(r)); break;
-    case MsgType::kPlanAck: handle_plan_ack(from, decode_plan_ack(r)); break;
-    case MsgType::kInstall: handle_install(decode_install(r)); break;
+  switch (r.read<MsgType>()) {
+    case MsgType::kData: handle_data(r.read<DataMsg>()); break;
+    case MsgType::kOrdered: handle_ordered(r.read<OrderedMsg>(), wire); break;
+    case MsgType::kAck: handle_ack(from, r.read<AckMsg>()); break;
+    case MsgType::kStable: handle_stable(r.read<StableMsg>()); break;
+    case MsgType::kInquire: handle_inquire(from, r.read<InquireMsg>()); break;
+    case MsgType::kJoinInfo: handle_join_info(from, r.read<JoinInfoMsg>()); break;
+    case MsgType::kPlan: handle_plan(r.read<PlanMsg>()); break;
+    case MsgType::kRetrans: handle_retrans(r.read<RetransMsg>()); break;
+    case MsgType::kPlanAck: handle_plan_ack(from, r.read<PlanAckMsg>()); break;
+    case MsgType::kInstall: handle_install(r.read<InstallMsg>()); break;
   }
 }
 
@@ -107,46 +98,24 @@ void GroupCommunication::on_packet(NodeId from, const std::shared_ptr<const Shar
 // Data path
 // --------------------------------------------------------------------------
 
-void GroupCommunication::handle_data(NodeId from, BufReader& r) {
-  (void)from;
-  // Decode the DATA header in place and, when sequencing, re-frame the
-  // payload bytes straight from the incoming wire into the ORDERED wire
-  // (same layout as encode(OrderedMsg{...})) — the payload is never
-  // materialized as a standalone buffer on this path.
-  const ConfigId config = r.config_id();
-  const NodeId origin = r.i32();
-  const std::int64_t local_seq = r.i64();
-  const auto service = static_cast<Service>(r.u8());
-  if (state_ != GcState::kOperational || config != config_.id) return;  // sender resends
+void GroupCommunication::handle_data(const DataMsg& m) {
+  // The payload is a view into the incoming wire: sequencing re-frames it
+  // straight into the ORDERED wire, never as a standalone buffer.
+  if (state_ != GcState::kOperational || m.config != config_.id) return;  // sender resends
   if (!is_sequencer()) return;
-  const auto [payload, payload_len] = r.bytes_view();
-  BufWriter w;
-  w.u8(static_cast<std::uint8_t>(MsgType::kOrdered));
-  w.config_id(config_.id);
-  w.i64(++global_seq_);
-  w.i32(origin);
-  w.i64(local_seq);
-  w.u8(static_cast<std::uint8_t>(service));
-  w.bytes_view(payload, payload_len);
   ++stats_.messages_ordered;
-  send_all(config_.members, w.take());
+  send_all(config_.members, encode(OrderedMsg{config_.id, ++global_seq_, m.origin, m.local_seq,
+                                              m.service, m.payload}));
 }
 
-void GroupCommunication::handle_ordered(BufReader& r,
+void GroupCommunication::handle_ordered(const OrderedMsg& m,
                                         const std::shared_ptr<const SharedWire>& wire) {
-  // Decode the ORDERED header in place (same layout as decode_ordered) and
-  // buffer the payload as a slice of the shared wire — every recipient of
+  // Buffer the payload as a slice of the shared wire — every recipient of
   // the multicast holds the same refcounted buffer, zero deep copies.
-  const ConfigId config = r.config_id();
-  const std::int64_t seq = r.i64();
-  const NodeId origin = r.i32();
-  const std::int64_t origin_local_seq = r.i64();
-  const auto service = static_cast<Service>(r.u8());
-  if (state_ != GcState::kOperational || config != config_.id) return;
-  const auto [payload, payload_len] = r.bytes_view();
-  const auto off = static_cast<std::uint32_t>(payload - wire->data());
-  store_buffered(seq, BufferedMsg{origin, origin_local_seq, service, wire, off,
-                                  static_cast<std::uint32_t>(payload_len)});
+  if (state_ != GcState::kOperational || m.config != config_.id) return;
+  const auto off = static_cast<std::uint32_t>(m.payload.data() - wire->data());
+  store_buffered(m.seq, BufferedMsg{m.origin, m.origin_local_seq, m.service, wire, off,
+                                    static_cast<std::uint32_t>(m.payload.size())});
 }
 
 GroupCommunication::BufferedMsg* GroupCommunication::buffered(std::int64_t seq) {
@@ -174,10 +143,10 @@ void GroupCommunication::buffer_put(std::int64_t seq, BufferedMsg m) {
   buffer_[static_cast<std::size_t>(seq - buffer_base_)] = std::move(m);
 }
 
-void GroupCommunication::store_ordered(OrderedMsg&& msg) {
-  // Retransmission path: the payload arrives as an owned Bytes; wrap it so
-  // it fits the shared-buffer slot format (offset 0, full length).
-  auto buf = std::make_shared<const SharedWire>(std::move(msg.payload));
+void GroupCommunication::store_ordered(const OrderedMsg& msg) {
+  // Retransmission path: copy the payload out of the retransmission wire
+  // into a buffer of its own (offset 0, full length).
+  auto buf = std::make_shared<const SharedWire>(Bytes(msg.payload.begin(), msg.payload.end()));
   const auto len = static_cast<std::uint32_t>(buf->size());
   store_buffered(msg.seq, BufferedMsg{msg.origin, msg.origin_local_seq, msg.service,
                                       std::move(buf), 0, len});
@@ -743,9 +712,8 @@ void GroupCommunication::handle_plan(const PlanMsg& msg) {
         if (m == nullptr) continue;  // pruned as globally stable: q has it
         RetransMsg rm;
         rm.token = msg.token;
-        rm.message =
-            OrderedMsg{config_.id, seq, m->origin, m->origin_local_seq, m->service,
-                       Bytes(m->payload_data(), m->payload_data() + m->payload_size())};
+        rm.message = OrderedMsg{config_.id, seq, m->origin, m->origin_local_seq, m->service,
+                                ByteView(m->payload_data(), m->payload_size())};
         ++stats_.retransmissions;
         send_to(q, encode(rm));
       }
@@ -756,7 +724,7 @@ void GroupCommunication::handle_plan(const PlanMsg& msg) {
 
 void GroupCommunication::handle_retrans(const RetransMsg& msg) {
   if (msg.message.config != config_.id) return;
-  store_ordered(std::move(const_cast<RetransMsg&>(msg).message));
+  store_ordered(msg.message);
   touch_progress();
   member_check_plan_ack();
 }

@@ -170,11 +170,11 @@ class GroupCommunication {
   void send_all(const std::vector<NodeId>& to, Bytes wire);
 
   // --- data path ------------------------------------------------------
-  void handle_data(NodeId from, BufReader& r);
-  void handle_ordered(BufReader& r, const std::shared_ptr<const SharedWire>& wire);
+  void handle_data(const DataMsg& m);
+  void handle_ordered(const OrderedMsg& m, const std::shared_ptr<const SharedWire>& wire);
   void handle_ack(NodeId from, const AckMsg& msg);
   void handle_stable(const StableMsg& msg);
-  void store_ordered(OrderedMsg&& msg);
+  void store_ordered(const OrderedMsg& msg);
   void store_buffered(std::int64_t seq, BufferedMsg&& m);
   void try_deliver();
   void deliver_one(std::int64_t seq, DeliveryKind kind);

@@ -32,6 +32,7 @@ enum class MsgType : std::uint8_t {
   kPlanAck = 9,
   kInstall = 10,
 };
+constexpr WireRange<MsgType> wire_range(MsgType) { return {MsgType::kData, MsgType::kInstall}; }
 
 /// Identifies one membership-gathering attempt: (coordinator, attempt seq).
 /// Smaller coordinator id wins contention; larger seq supersedes for the
@@ -41,26 +42,47 @@ struct GatherToken {
   std::int64_t seq = 0;
 
   friend bool operator==(const GatherToken&, const GatherToken&) = default;
+  template <class S, class Io>
+  static void layout(S& s, Io& io) {
+    io(s.coordinator, s.seq);
+  }
 };
 
+// Every message is its type byte, kType, followed by its layout; encode()
+// below frames any of them. A payload is a ByteView: the sender frames the
+// bytes it holds and a receiver slices the wire it received, no copy.
+
 struct DataMsg {
+  static constexpr MsgType kType = MsgType::kData;
   ConfigId config;
   NodeId origin = kNoNode;
   std::int64_t local_seq = 0;  ///< per-sender FIFO sequence (diagnostic)
   Service service = Service::kAgreed;
-  Bytes payload;
+  ByteView payload;
+
+  template <class S, class Io>
+  static void layout(S& s, Io& io) {
+    io(s.config, s.origin, s.local_seq, s.service, s.payload);
+  }
 };
 
 struct OrderedMsg {
+  static constexpr MsgType kType = MsgType::kOrdered;
   ConfigId config;
   std::int64_t seq = 0;  ///< global total-order position within config
   NodeId origin = kNoNode;
   std::int64_t origin_local_seq = 0;  ///< sender's FIFO seq, for resend dedup
   Service service = Service::kAgreed;
-  Bytes payload;
+  ByteView payload;
+
+  template <class S, class Io>
+  static void layout(S& s, Io& io) {
+    io(s.config, s.seq, s.origin, s.origin_local_seq, s.service, s.payload);
+  }
 };
 
 struct AckMsg {
+  static constexpr MsgType kType = MsgType::kAck;
   ConfigId config;
   /// From a clique mate: the highest contiguous seq it received. From
   /// another clique's leader: the minimum of that over its clique.
@@ -68,20 +90,38 @@ struct AckMsg {
   /// Knowledge word (DESIGN.md §14), with the same two readings: a clique
   /// mate's own word, or the minimum word over the leader's clique.
   std::int64_t knowledge = 0;
+
+  template <class S, class Io>
+  static void layout(S& s, Io& io) {
+    io(s.config, s.recv_contig, s.knowledge);
+  }
 };
 
 struct StableMsg {
+  static constexpr MsgType kType = MsgType::kStable;
   ConfigId config;
   std::int64_t safe_line = 0;  ///< every member of the group received up to here
   std::int64_t knowledge = 0;  ///< minimum knowledge word over the whole group
+
+  template <class S, class Io>
+  static void layout(S& s, Io& io) {
+    io(s.config, s.safe_line, s.knowledge);
+  }
 };
 
 struct InquireMsg {
+  static constexpr MsgType kType = MsgType::kInquire;
   GatherToken token;
   std::vector<NodeId> proposed;  ///< reachable set the coordinator saw
+
+  template <class S, class Io>
+  static void layout(S& s, Io& io) {
+    io(s.token, s.proposed);
+  }
 };
 
 struct JoinInfoMsg {
+  static constexpr MsgType kType = MsgType::kJoinInfo;
   GatherToken token;
   ConfigId old_config;
   std::vector<NodeId> old_members;
@@ -91,6 +131,12 @@ struct JoinInfoMsg {
   /// (aligned with old_members). Used to compute the flush safe line.
   std::vector<std::int64_t> known_contig;
   std::int64_t max_config_counter = 0;  ///< for new-config id uniqueness
+
+  template <class S, class Io>
+  static void layout(S& s, Io& io) {
+    io(s.token, s.old_config, s.old_members, s.recv_contig, s.delivered_upto, s.known_contig,
+       s.max_config_counter);
+  }
 };
 
 /// Flush plan for one old regular configuration.
@@ -102,53 +148,63 @@ struct PlanEntry {
   std::int64_t safe_line = 0;   ///< known received by ALL old members
   std::int64_t target_seq = 0;  ///< max held by any participant
   NodeId retransmitter = kNoNode;
+
+  template <class S, class Io>
+  static void layout(S& s, Io& io) {
+    io(s.old_config, s.old_members, s.participants, s.participant_contig, s.safe_line,
+       s.target_seq, s.retransmitter);
+  }
 };
 
 struct PlanMsg {
+  static constexpr MsgType kType = MsgType::kPlan;
   GatherToken token;
   ConfigId new_config;
   std::vector<NodeId> new_members;
   std::vector<PlanEntry> entries;
+
+  template <class S, class Io>
+  static void layout(S& s, Io& io) {
+    io(s.token, s.new_config, s.new_members, s.entries);
+  }
 };
 
 struct RetransMsg {
+  static constexpr MsgType kType = MsgType::kRetrans;
   GatherToken token;
   OrderedMsg message;
+
+  template <class S, class Io>
+  static void layout(S& s, Io& io) {
+    io(s.token, s.message);
+  }
 };
 
 struct PlanAckMsg {
+  static constexpr MsgType kType = MsgType::kPlanAck;
   GatherToken token;
+
+  template <class S, class Io>
+  static void layout(S& s, Io& io) {
+    io(s.token);
+  }
 };
 
 struct InstallMsg {
+  static constexpr MsgType kType = MsgType::kInstall;
   GatherToken token;
+
+  template <class S, class Io>
+  static void layout(S& s, Io& io) {
+    io(s.token);
+  }
 };
 
-/// Encode/decode a tagged union of all message types.
-Bytes encode_message(MsgType type, const std::function<void(BufWriter&)>& body);
-
-Bytes encode(const DataMsg&);
-Bytes encode(const OrderedMsg&);
-Bytes encode(const AckMsg&);
-Bytes encode(const StableMsg&);
-Bytes encode(const InquireMsg&);
-Bytes encode(const JoinInfoMsg&);
-Bytes encode(const PlanMsg&);
-Bytes encode(const RetransMsg&);
-Bytes encode(const PlanAckMsg&);
-Bytes encode(const InstallMsg&);
-
-MsgType peek_type(const Bytes& wire);
-
-DataMsg decode_data(BufReader&);
-OrderedMsg decode_ordered(BufReader&);
-AckMsg decode_ack(BufReader&);
-StableMsg decode_stable(BufReader&);
-InquireMsg decode_inquire(BufReader&);
-JoinInfoMsg decode_join_info(BufReader&);
-PlanMsg decode_plan(BufReader&);
-RetransMsg decode_retrans(BufReader&);
-PlanAckMsg decode_plan_ack(BufReader&);
-InstallMsg decode_install(BufReader&);
+/// [M::kType][M's layout]. GroupCommunication::on_packet is the decoder: it
+/// reads the type byte and then the same layout.
+template <class M>
+Bytes encode(const M& m) {
+  return frame(M::kType, m);
+}
 
 }  // namespace tordb::gc

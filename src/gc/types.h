@@ -35,6 +35,7 @@ enum class Service : std::uint8_t {
   kAgreed = 0,  ///< totally ordered within the configuration
   kSafe = 1,    ///< totally ordered + all-received guarantee (EVS safe)
 };
+constexpr WireRange<Service> wire_range(Service) { return {Service::kAgreed, Service::kSafe}; }
 
 /// A membership (view) notification.
 struct Configuration {

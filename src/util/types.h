@@ -40,6 +40,10 @@ struct ActionId {
   std::int64_t index = 0;
 
   friend auto operator<=>(const ActionId&, const ActionId&) = default;
+  template <class S, class Io>
+  static void layout(S& s, Io& io) {
+    io(s.server_id, s.index);
+  }
 };
 
 /// Order-preserving 64-bit packing of an ActionId: creator in bits 40..63,
@@ -65,6 +69,10 @@ struct ConfigId {
   NodeId coordinator = kNoNode; ///< tie-breaker; the node that installed it
 
   friend auto operator<=>(const ConfigId&, const ConfigId&) = default;
+  template <class S, class Io>
+  static void layout(S& s, Io& io) {
+    io(s.counter, s.coordinator);
+  }
 };
 
 std::string to_string(const ActionId& id);

@@ -302,12 +302,12 @@ TEST(ActionLogBodies, AdoptGreenPrefixWithUntrimmedGreens) {
   EXPECT_EQ(log.stored_bodies(), 2u);
 }
 
-// wire_size() is counted, not encoded: it must match encode() byte for byte,
+// wire_size() is counted, not encoded: it must match the encoding byte for byte,
 // since the body-store accounting and the network cost model both use it.
 TEST(ActionLog, WireSizeEqualsEncodedSize) {
   auto encoded = [](const Action& a) {
     BufWriter w;
-    a.encode(w);
+    w(a);
     return w.data().size();
   };
   Action empty;

@@ -34,6 +34,16 @@ TEST(CoreEdge, SubmitAfterLeaveIsRejected) {
   EXPECT_TRUE(ok);
 }
 
+// A direct-channel message whose type byte names no join-protocol message
+// is refused, not silently dropped.
+TEST(CoreEdge, UnknownDirectMessageTypeThrows) {
+  EngineCluster c(small(3));
+  c.run_for(millis(500));
+  const auto unknown = static_cast<std::uint8_t>(static_cast<int>(DirectMsgType::kSnapshot) + 1);
+  c.net().send(0, 1, Bytes{unknown}, Channel::kDirect);
+  EXPECT_THROW(c.run_for(millis(50)), SerdeError);
+}
+
 TEST(CoreEdge, DuplicateJoinAnnouncementsAreIdempotent) {
   // Two members announce the same joiner (the joiner retried against a
   // second representative before the first announcement went green): only

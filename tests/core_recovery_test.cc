@@ -83,6 +83,33 @@ TEST_F(RecoveryTest, DuplicateGreenRecordIgnored) {
   EXPECT_EQ(e->database().get("n"), "1");
 }
 
+// A record whose type byte names no record type is corrupt: recovery
+// refuses the log rather than skip the record and recover without it.
+TEST_F(RecoveryTest, UnknownRecordTypeThrows) {
+  storage_.append(encode_log_green(1, make_action(1, 1, db::Command::put("k", "a"))));
+  Bytes corrupt = encode_log_green(2, make_action(1, 2, db::Command::put("k", "b")));
+  corrupt[0] = static_cast<std::uint8_t>(LogRecordType::kOngoingBatch) + 1;
+  storage_.append(std::move(corrupt));
+  force_all();
+  EXPECT_THROW(recover(), SerdeError);
+}
+
+// So is a record whose action carries an op type no database knows: the
+// replay must not apply it as a no-op.
+TEST_F(RecoveryTest, UnknownOpTypeInRecordThrows) {
+  const Action a = make_action(1, 1, db::Command::put("k", "a"));
+  Bytes rec = encode_log_green(1, a);
+  // The op type is the first byte after the fixed action fields and the
+  // two commands' headers: [kGreen][position][type][id][green_line]
+  // [client][semantics][query: u32 0][update: u32 1][op type].
+  const std::size_t op_type_at = 1 + 8 + 1 + 12 + 8 + 8 + 1 + 4 + 4;
+  ASSERT_EQ(rec.at(op_type_at), static_cast<std::uint8_t>(db::OpType::kPut));
+  rec[op_type_at] = static_cast<std::uint8_t>(db::OpType::kTxnCancel) + 1;
+  storage_.append(std::move(rec));
+  force_all();
+  EXPECT_THROW(recover(), SerdeError);
+}
+
 TEST_F(RecoveryTest, RedRecordsRebuildRedQueue) {
   storage_.append(encode_log_red(make_action(2, 1, db::Command::put("r", "1"))));
   storage_.append(encode_log_red(make_action(2, 2, db::Command::put("r", "2"))));
@@ -292,12 +319,11 @@ TEST(RecoveryLog, SharedAndCopiedGreenRecordsRecoverEquivalently) {
   for (NodeId n = 0; n < 5; ++n) {
     std::size_t greens = 0;
     for (const Bytes& rec : c.node(n).storage().recover_records()) {
-      if (static_cast<LogRecordType>(rec.at(0)) != LogRecordType::kGreen) continue;
-      BufReader r(rec.data(), rec.size());
-      r.u8();
-      const std::int64_t position = r.i64();
-      EXPECT_EQ(rec, encode_log_green(position, Action::decode(r)))
-          << "node " << n << " position " << position;
+      BufReader r(rec);
+      if (r.read<LogRecordType>() != LogRecordType::kGreen) continue;
+      const auto green = r.read<GreenAction<Action>>();
+      EXPECT_EQ(rec, encode_log_green(green.position, green.action))
+          << "node " << n << " position " << green.position;
       ++greens;
     }
     EXPECT_GT(greens, 0u) << "node " << n;

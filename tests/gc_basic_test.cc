@@ -37,6 +37,16 @@ TEST(GcBasic, StartupMergesToFullMembership) {
   EXPECT_FALSE(cfg.transitional);
 }
 
+// A packet whose type byte names no gc message is refused, not silently
+// dropped.
+TEST(GcBasic, UnknownPacketTypeThrows) {
+  GcCluster c(2);
+  c.run_for(millis(300));
+  const auto unknown = static_cast<std::uint8_t>(static_cast<int>(MsgType::kInstall) + 1);
+  c.net().send(0, 1, Bytes{unknown});
+  EXPECT_THROW(c.run_for(millis(50)), SerdeError);
+}
+
 TEST(GcBasic, FourteenNodesMerge) {
   GcCluster c(14);
   c.run_for(seconds(2));

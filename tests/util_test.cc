@@ -128,15 +128,74 @@ TEST(Serde, RoundTripStringsAndBytes) {
 
 TEST(Serde, RoundTripIds) {
   BufWriter w;
-  w.action_id(ActionId{7, 99});
-  w.config_id(ConfigId{12, 3});
-  w.node_ids({1, 2, 5});
+  w(ActionId{7, 99}, ConfigId{12, 3}, std::vector<NodeId>{1, 2, 5});
   Bytes b = w.take();
+  EXPECT_EQ(b.size(), (4u + 8) + (8 + 4) + (4 + 3 * 4));
 
   BufReader r(b);
-  EXPECT_EQ(r.action_id(), (ActionId{7, 99}));
-  EXPECT_EQ(r.config_id(), (ConfigId{12, 3}));
-  EXPECT_EQ(r.node_ids(), (std::vector<NodeId>{1, 2, 5}));
+  EXPECT_EQ(r.read<ActionId>(), (ActionId{7, 99}));
+  EXPECT_EQ(r.read<ConfigId>(), (ConfigId{12, 3}));
+  EXPECT_EQ(r.read<std::vector<NodeId>>(), (std::vector<NodeId>{1, 2, 5}));
+  EXPECT_TRUE(r.done());
+}
+
+// A vector's count is checked against the bytes left before it sizes the
+// allocation: every element takes at least one byte on the wire.
+TEST(Serde, OversizedVectorCountThrows) {
+  BufWriter w;
+  w.u32(0xFFFFFFFFu);
+  w.str("only one");
+  const Bytes b = w.take();
+  BufReader r(b);
+  EXPECT_THROW(r.read<std::vector<std::string>>(), SerdeError);
+
+  BufWriter bits;
+  bits.u32(0xFFFFFFFFu);
+  bits.boolean(true);
+  const Bytes bb = bits.take();
+  BufReader rb(bb);
+  EXPECT_THROW(rb.read<std::vector<bool>>(), SerdeError);
+}
+
+// A count that exactly fits the bytes left is accepted.
+TEST(Serde, VectorCountAtTheBoundDecodes) {
+  BufWriter w;
+  w(std::vector<bool>{true, false, true});
+  const Bytes b = w.take();
+  BufReader r(b);
+  EXPECT_EQ(r.read<std::vector<bool>>(), (std::vector<bool>{true, false, true}));
+  EXPECT_TRUE(r.done());
+}
+
+enum class Color : std::uint8_t { kRed = 2, kGreen = 3, kBlue = 4 };
+constexpr WireRange<Color> wire_range(Color) { return {Color::kRed, Color::kBlue}; }
+
+// One-byte enums read back only within their declared range.
+TEST(Serde, EnumOutOfRangeThrows) {
+  for (std::uint8_t v : {2, 3, 4}) {
+    const Bytes b{v};
+    BufReader r(b);
+    EXPECT_EQ(static_cast<std::uint8_t>(r.read<Color>()), v);
+  }
+  for (std::uint8_t v : {0, 1, 5, 255}) {
+    const Bytes b{v};
+    BufReader r(b);
+    EXPECT_THROW(r.read<Color>(), SerdeError) << int{v};
+  }
+}
+
+// wire_size comes from the same layout as the encoder: SizeCounter counts
+// exactly what BufWriter writes, padding and borrowed tails included.
+TEST(Serde, SizeCounterMatchesWriter) {
+  const Bytes tail{9, 9, 9};
+  BufWriter w;
+  SizeCounter n;
+  w(std::string("abc"), Bytes{1, 2}, std::int64_t{-1}, Rest{tail});
+  w.padding(5);
+  n(std::string("abc"), Bytes{1, 2}, std::int64_t{-1}, Rest{tail});
+  n.padding(5);
+  EXPECT_EQ(n.size(), w.data().size());
+  EXPECT_EQ(n.size(), (4u + 3) + (4 + 2) + 8 + 3 + (4 + 5));
 }
 
 TEST(Serde, UnderrunThrows) {
